@@ -93,81 +93,6 @@ void run_thread_scaling() {
 }
 
 // ---------------------------------------------------------------------------
-// Batched-MC-kernel section: one long faulty path, the same MC coverage
-// population measured by the scalar per-sample transient and by the
-// factor-once/solve-many spice::BatchTransient, at equal thread count (1) so
-// the row isolates the kernel itself from thread scaling and cache reuse.
-// Fixed step + backward Euler: the regime where the batch advances every
-// sample in lock-step and the fixed-step bit-identity contract applies
-// (`identical` compares the full coverage populations). The long chain
-// (100 gates, n = 204 unknowns, sparse solver) is what makes the scalar
-// from-scratch assemble + symbolic-and-numeric LU expensive; the batch path
-// replaces it with selective restamping and in-place refactorization.
-// Measured on the reference 1-core container: ~4-4.5x. The floor in
-// bench/baseline/perf_engine.json sits at 3.0x; see README "Batched MC
-// kernel" for the cost decomposition and why the workload pins threads=1.
-// ---------------------------------------------------------------------------
-
-void run_mc_batch_section() {
-  constexpr int kGates = 100;
-  core::PathFactory factory;
-  factory.options.kinds.assign(kGates, cells::GateKind::kInv);
-  faults::PathFaultSpec fault;
-  fault.kind = faults::FaultKind::kExternalRopOutput;
-  fault.stage = kGates / 2;
-  factory.fault = fault;
-
-  // Fixed calibration scaled to the chain length (the section measures the
-  // sweep, not the calibration); the settle tail must cover the long chain's
-  // propagation, since t_stop does not scale with gate count.
-  core::DelayTestCalibration cal;
-  cal.t_nominal = 0.2e-9 * kGates;
-
-  core::CoverageOptions copt;
-  copt.samples = 2;
-  copt.seed = 2007;
-  copt.variation = mc::VariationModel::uniform_sigma(0.05);
-  copt.resistances = {8e3, 32e3};
-  copt.threads = 1;
-  copt.sim.adaptive = false;
-  copt.sim.integrator = spice::Integrator::kBackwardEuler;
-  copt.sim.t_tail = 9.5e-9;
-
-  const auto timed = [&](bool batch) {
-    copt.batch = batch;
-    // Fresh cache per pass: a warm solve cache would let the second pass
-    // replay the first and the row would measure memoization, not the kernel.
-    cache::SolveCache::global().clear();
-    const auto start = std::chrono::steady_clock::now();
-    core::CoverageResult res = run_delay_coverage(factory, cal, copt);
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    return std::pair<double, core::CoverageResult>(wall, std::move(res));
-  };
-
-  auto& steps = obs::counter("spice.transient.steps");
-  const std::uint64_t steps0 = steps.value();
-  const auto [scalar_wall, scalar] = timed(false);
-  const std::uint64_t steps_scalar = steps.value() - steps0;
-  const auto [batch_wall, batch] = timed(true);
-  const std::uint64_t steps_batch = steps.value() - steps0 - steps_scalar;
-
-  const bool identical = scalar.coverage == batch.coverage &&
-                         scalar.simulations == batch.simulations;
-  std::printf(
-      "{\"section\":\"mc_batch\",\"workload\":\"delay_coverage_fixed_step\","
-      "\"gates\":%d,\"samples\":%d,\"resistances\":%zu,\"threads\":%d,"
-      "\"scalar_wall_s\":%.4f,\"batch_wall_s\":%.4f,"
-      "\"scalar_steps\":%llu,\"batch_steps\":%llu,"
-      "\"speedup\":%.3f,\"identical\":%s}\n",
-      kGates, copt.samples, copt.resistances.size(), copt.threads, scalar_wall,
-      batch_wall, static_cast<unsigned long long>(steps_scalar),
-      static_cast<unsigned long long>(steps_batch), scalar_wall / batch_wall,
-      identical ? "true" : "false");
-}
-
-// ---------------------------------------------------------------------------
 // Solve-cache section: the Fig. 7/11 inner loop (pulse coverage + r_min
 // bisection over the same MC population) cold vs warm. The cold pass runs
 // against an empty cache; the warm pass replays the identical workload and
@@ -432,7 +357,6 @@ int main(int argc, char** argv) {
   ppd::obs::ScopedRun run(ppd::obs::extract_run_options(argc, argv));
   run.set_meta(2007, 0);
   run_thread_scaling();
-  run_mc_batch_section();
   run_solve_cache_section();
   run_path_screen_section();
   benchmark::Initialize(&argc, argv);

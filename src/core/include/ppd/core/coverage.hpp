@@ -37,13 +37,6 @@ struct CoverageOptions {
   /// 1 = serial). Every sample derives its RNG from (seed, sample), so the
   /// result is bit-identical at any setting.
   int threads = 1;
-  /// Batched electrical kernel: every resistance column's MC samples advance
-  /// through ONE factor-once/solve-many spice::BatchTransient (parallelism
-  /// moves from items to columns; `threads` still applies). Results are
-  /// bit-identical to the scalar path at every setting. Ignored while fault
-  /// injection is active — the chaos seams fire per item, which only the
-  /// scalar path routes through.
-  bool batch = false;
   /// Fire to abandon the sweep mid-flight (raises exec::CancelledError).
   exec::CancelToken cancel;
   /// Resilience policy: quarantine, budgets, checkpoint/resume, fault

@@ -93,31 +93,6 @@ struct PathInstance {
                                                        double w_in,
                                                        const SimSettings& sim);
 
-/// One sample's outcome from a batched measurement: either a measurement
-/// (nullopt value = "no edge/pulse at the output", same meaning as the
-/// scalar functions) or a captured per-sample solver failure — a diverged
-/// sample drops out of the batch, it does not take the batch down.
-struct BatchOutcome {
-  std::optional<double> value;
-  bool failed = false;
-  std::string error;
-};
-
-/// Batched counterpart of path_delay(): all instances advance through ONE
-/// factor-once/solve-many spice::BatchTransient in lock-step. The paths
-/// must share one topology (same builder, different parameter draws) and
-/// must already carry any injected fault. Results are bit-identical to
-/// calling path_delay() per path, and the same measurement memoization
-/// applies (cache hits skip the batch entirely).
-[[nodiscard]] std::vector<BatchOutcome> batch_path_delay(
-    const std::vector<cells::Path*>& paths, bool input_rising,
-    const SimSettings& sim);
-
-/// Batched counterpart of output_pulse_width(); `w_in[i]` drives path i.
-[[nodiscard]] std::vector<BatchOutcome> batch_output_pulse_width(
-    const std::vector<cells::Path*>& paths, PulseKind kind,
-    const std::vector<double>& w_in, const SimSettings& sim);
-
 /// Sampled pulse transfer function of one circuit instance (Fig. 10): pairs
 /// (w_in, w_out) over a width grid, with 0 recorded for dampened pulses.
 /// A dampened pulse (w_out = 0) is a *measurement*; a solver failure is

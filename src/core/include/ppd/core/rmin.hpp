@@ -25,11 +25,6 @@ struct RminOptions {
   /// concurrency, 1 = serial); bit-identical at any setting. The bisection
   /// itself stays sequential — each step depends on the previous verdict.
   int threads = 1;
-  /// Batched electrical kernel: each bisection step's MC population advances
-  /// through one factor-once/solve-many spice::BatchTransient (lock-step,
-  /// single-threaded) instead of per-sample scalar transients. Bit-identical
-  /// results; ignored while fault injection is active.
-  bool batch = false;
   /// Fire to abandon the search mid-flight (raises exec::CancelledError).
   exec::CancelToken cancel;
   /// Resilience policy for each bisection step's MC sweep. Checkpointing is

@@ -70,28 +70,6 @@ CoverageResult reduce_verdicts(const CoverageOptions& options,
   return res;
 }
 
-/// Build every MC instance of one resistance column — the same (seed,
-/// sample) draws the scalar item path makes — and hand them to `measure` as
-/// one batch. Parallelism in batch mode runs over columns, so each column's
-/// instances are built on the thread that will integrate them.
-template <typename MeasureFn>
-std::vector<BatchOutcome> batch_column(const PathFactory& factory,
-                                       const CoverageOptions& options,
-                                       double resistance, MeasureFn&& measure) {
-  const auto samples = static_cast<std::size_t>(options.samples);
-  std::vector<PathInstance> insts;
-  insts.reserve(samples);
-  for (std::size_t s = 0; s < samples; ++s) {
-    mc::Rng rng = sample_rng(options.seed, s);
-    mc::GaussianVariationSource var(options.variation, rng);
-    insts.push_back(make_instance(factory, resistance, &var));
-  }
-  std::vector<cells::Path*> paths;
-  paths.reserve(samples);
-  for (auto& inst : insts) paths.push_back(&inst.path);
-  return measure(paths);
-}
-
 /// Verdict row <-> checkpoint payload ('0'/'1' per multiplier). The payload
 /// IS the item's full result, which is what makes a resumed sweep
 /// bit-identical to an uninterrupted one.
@@ -133,21 +111,8 @@ CoverageResult run_delay_coverage(const PathFactory& factory,
 
   // One item = one electrical transient = (resistance r, MC sample s); its
   // verdict row holds the detection flag per clock multiplier.
-  const bool use_batch = options.batch && !resil::fault_injection_active();
-  std::vector<std::vector<BatchOutcome>> pre;
   std::vector<std::vector<char>> verdicts;
   try {
-    if (use_batch)
-      pre = exec::parallel_map(
-          options.resistances.size(),
-          [&](std::size_t r) {
-            return batch_column(factory, options, options.resistances[r],
-                                [&](std::vector<cells::Path*>& paths) {
-                                  return batch_path_delay(
-                                      paths, cal.input_rising, sim);
-                                });
-          },
-          parallel_options(options, "delay-test coverage batch sweep"));
     verdicts = exec::parallel_map(
         items,
         [&](std::size_t item) -> std::vector<char> {
@@ -157,21 +122,12 @@ CoverageResult run_delay_coverage(const PathFactory& factory,
           resil::inject_item_failure();
           const std::size_t r = item / samples;
           const std::size_t s = item % samples;
-          std::optional<double> d;
-          if (use_batch) {
-            // Phase 2 consumes the precomputed electrical results; a failed
-            // sample re-throws HERE so quarantine/strict semantics see the
-            // failure on its own item, exactly like the scalar path.
-            const BatchOutcome& mo = pre[r][s];
-            if (mo.failed) throw NumericalError(mo.error);
-            d = mo.value;
-          } else {
-            mc::Rng rng = sample_rng(options.seed, s);
-            mc::GaussianVariationSource var(options.variation, rng);
-            PathInstance inst =
-                make_instance(factory, options.resistances[r], &var);
-            d = path_delay(inst.path, cal.input_rising, sim);
-          }
+          mc::Rng rng = sample_rng(options.seed, s);
+          mc::GaussianVariationSource var(options.variation, rng);
+          PathInstance inst =
+              make_instance(factory, options.resistances[r], &var);
+          const std::optional<double> d =
+              path_delay(inst.path, cal.input_rising, sim);
           std::vector<char> hit(options.multipliers.size(), 0);
           for (std::size_t m = 0; m < options.multipliers.size(); ++m) {
             const double t_applied = options.multipliers[m] * cal.t_nominal;
@@ -214,25 +170,8 @@ CoverageResult run_pulse_coverage(const PathFactory& factory,
     return cal.w_in *
            gen_rng.normal_clipped(1.0, options.generator_sigma, 4.0);
   };
-  const bool use_batch = options.batch && !resil::fault_injection_active();
-  std::vector<std::vector<BatchOutcome>> pre;
   std::vector<std::vector<char>> verdicts;
   try {
-    if (use_batch)
-      pre = exec::parallel_map(
-          options.resistances.size(),
-          [&](std::size_t r) {
-            return batch_column(
-                factory, options, options.resistances[r],
-                [&](std::vector<cells::Path*>& paths) {
-                  std::vector<double> w_applied(paths.size());
-                  for (std::size_t s = 0; s < paths.size(); ++s)
-                    w_applied[s] = applied_width(s);
-                  return batch_output_pulse_width(paths, cal.kind, w_applied,
-                                                  sim);
-                });
-          },
-          parallel_options(options, "pulse-test coverage batch sweep"));
     verdicts = exec::parallel_map(
         items,
         [&](std::size_t item) -> std::vector<char> {
@@ -242,19 +181,12 @@ CoverageResult run_pulse_coverage(const PathFactory& factory,
           resil::inject_item_failure();
           const std::size_t r = item / samples;
           const std::size_t s = item % samples;
-          std::optional<double> w_out;
-          if (use_batch) {
-            const BatchOutcome& mo = pre[r][s];
-            if (mo.failed) throw NumericalError(mo.error);
-            w_out = mo.value;
-          } else {
-            mc::Rng rng = sample_rng(options.seed, s);
-            mc::GaussianVariationSource var(options.variation, rng);
-            PathInstance inst =
-                make_instance(factory, options.resistances[r], &var);
-            w_out = output_pulse_width(inst.path, cal.kind, applied_width(s),
-                                       sim);
-          }
+          mc::Rng rng = sample_rng(options.seed, s);
+          mc::GaussianVariationSource var(options.variation, rng);
+          PathInstance inst =
+              make_instance(factory, options.resistances[r], &var);
+          const std::optional<double> w_out =
+              output_pulse_width(inst.path, cal.kind, applied_width(s), sim);
           std::vector<char> hit(options.multipliers.size(), 0);
           for (std::size_t m = 0; m < options.multipliers.size(); ++m) {
             const double w_th_applied = options.multipliers[m] * cal.w_th;

@@ -7,7 +7,6 @@
 #include "ppd/obs/metrics.hpp"
 #include "ppd/resil/faultplan.hpp"
 #include "ppd/spice/analysis.hpp"
-#include "ppd/spice/batch.hpp"
 #include "ppd/spice/hash.hpp"
 #include "ppd/util/error.hpp"
 #include "ppd/wave/waveform.hpp"
@@ -76,7 +75,7 @@ spice::TransientOptions make_transient_options(const SimSettings& sim,
 
 namespace {
 
-/// Content key for one scalar measurement. The circuit hash embeds the
+/// Content key for one measurement. The circuit hash embeds the
 /// process corner, the per-sample variation draw, the injected fault
 /// resistance AND the already-driven stimulus spec (drive_pulse /
 /// drive_transition rewrite the input source before we are called), so two
@@ -120,7 +119,7 @@ std::optional<double> decode_measurement(const std::vector<double>& enc) {
   return std::nullopt;
 }
 
-/// Cache gate shared by the scalar measurements: off when the user disabled
+/// Cache gate shared by the measurements: off when the user disabled
 /// reuse and under fault injection (a replayed result would mask the very
 /// failures a chaos plan injects).
 bool measurement_cache_usable() {
@@ -179,117 +178,6 @@ std::optional<double> output_pulse_width(cells::Path& path, PulseKind kind,
   const auto width = wave::pulse_width(res.wave(path.output()), half, positive_out);
   if (use_cache) cache::solve_cache().put(key, encode_measurement(width));
   return width;
-}
-
-std::vector<BatchOutcome> batch_path_delay(
-    const std::vector<cells::Path*>& paths, bool input_rising,
-    const SimSettings& sim) {
-  std::vector<BatchOutcome> out(paths.size());
-  if (paths.empty()) return out;
-  const bool use_cache = measurement_cache_usable();
-  const double t_stop = sim.t_launch + sim.t_tail;
-  // Resolve cache hits up front; only the misses enter the batch.
-  std::vector<std::size_t> pending;
-  std::vector<std::uint64_t> keys(paths.size(), 0);
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    PPD_REQUIRE(paths[i]->input() == paths[0]->input() &&
-                    paths[i]->output() == paths[0]->output(),
-                "batched paths must share their terminal nodes");
-    paths[i]->drive_transition(input_rising, sim.t_launch);
-    if (use_cache) {
-      keys[i] = measure_cache_key("core.path_delay", *paths[i], sim, t_stop);
-      if (const auto cached = cache::solve_cache().get(keys[i]);
-          cached.has_value() && cached->size() == 2) {
-        out[i].value = decode_measurement(*cached);
-        continue;
-      }
-    }
-    pending.push_back(i);
-  }
-  if (pending.empty()) return out;
-
-  spice::BatchOptions bopt;
-  bopt.base = make_transient_options(sim, t_stop, *paths[pending.front()]);
-  spice::BatchTransient batch(bopt);
-  for (const std::size_t i : pending)
-    batch.add(paths[i]->netlist().circuit(), t_stop);
-  const auto results = batch.run();
-
-  for (std::size_t k = 0; k < pending.size(); ++k) {
-    const std::size_t i = pending[k];
-    const spice::BatchSampleResult& r = results[k];
-    if (r.failed) {
-      out[i].failed = true;
-      out[i].error = r.error;
-      continue;
-    }
-    const double half = paths[i]->netlist().process().vdd / 2.0;
-    const bool out_rising = paths[i]->same_polarity() == input_rising;
-    out[i].value = wave::propagation_delay(
-        r.result.wave(paths[i]->input()), r.result.wave(paths[i]->output()),
-        half, input_rising ? wave::Edge::kRise : wave::Edge::kFall,
-        out_rising ? wave::Edge::kRise : wave::Edge::kFall);
-    if (use_cache)
-      cache::solve_cache().put(keys[i], encode_measurement(out[i].value));
-  }
-  return out;
-}
-
-std::vector<BatchOutcome> batch_output_pulse_width(
-    const std::vector<cells::Path*>& paths, PulseKind kind,
-    const std::vector<double>& w_in, const SimSettings& sim) {
-  PPD_REQUIRE(w_in.size() == paths.size(),
-              "need one input width per batched path");
-  std::vector<BatchOutcome> out(paths.size());
-  if (paths.empty()) return out;
-  const bool use_cache = measurement_cache_usable();
-  const bool positive_in = kind == PulseKind::kH;
-  std::vector<std::size_t> pending;
-  std::vector<std::uint64_t> keys(paths.size(), 0);
-  std::vector<double> t_stops(paths.size(), 0.0);
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    PPD_REQUIRE(paths[i]->input() == paths[0]->input() &&
-                    paths[i]->output() == paths[0]->output(),
-                "batched paths must share their terminal nodes");
-    paths[i]->drive_pulse(positive_in, w_in[i], sim.t_launch);
-    t_stops[i] = sim.t_launch + w_in[i] + sim.t_tail;
-    if (use_cache) {
-      keys[i] =
-          measure_cache_key("core.pulse_width", *paths[i], sim, t_stops[i]);
-      if (const auto cached = cache::solve_cache().get(keys[i]);
-          cached.has_value() && cached->size() == 2) {
-        out[i].value = decode_measurement(*cached);
-        continue;
-      }
-    }
-    pending.push_back(i);
-  }
-  if (pending.empty()) return out;
-
-  spice::BatchOptions bopt;
-  bopt.base = make_transient_options(sim, t_stops[pending.front()],
-                                     *paths[pending.front()]);
-  spice::BatchTransient batch(bopt);
-  for (const std::size_t i : pending)
-    batch.add(paths[i]->netlist().circuit(), t_stops[i]);
-  const auto results = batch.run();
-
-  for (std::size_t k = 0; k < pending.size(); ++k) {
-    const std::size_t i = pending[k];
-    const spice::BatchSampleResult& r = results[k];
-    if (r.failed) {
-      out[i].failed = true;
-      out[i].error = r.error;
-      continue;
-    }
-    const double half = paths[i]->netlist().process().vdd / 2.0;
-    const bool positive_out = paths[i]->same_polarity() == positive_in;
-    out[i].value =
-        wave::pulse_width(r.result.wave(paths[i]->output()), half, positive_out);
-    if (use_cache)
-      cache::solve_cache().put(keys[i], encode_measurement(out[i].value));
-  }
-  return out;
 }
 
 TransferCurve transfer_function(cells::Path& path, PulseKind kind,

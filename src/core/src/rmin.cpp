@@ -36,44 +36,19 @@ double detected_fraction(const PathFactory& factory,
   if (guard.solve_budget_seconds() > 0.0)
     sim.budget_seconds = guard.solve_budget_seconds();
   exec::SweepStats stats;
-  // Batch mode: the whole population advances through one lock-step
-  // factor-once/solve-many kernel up front; the item loop below then only
-  // classifies (and re-throws per-sample failures so quarantine sees them
-  // on the right item).
-  const bool use_batch = options.batch && !resil::fault_injection_active();
-  std::vector<BatchOutcome> pre;
   std::vector<char> hits;
   try {
-    if (use_batch) {
-      std::vector<PathInstance> insts;
-      insts.reserve(static_cast<std::size_t>(options.samples));
-      for (std::size_t s = 0; s < static_cast<std::size_t>(options.samples); ++s) {
-        mc::Rng rng = sample_rng(options.seed, s);
-        mc::GaussianVariationSource var(options.variation, rng);
-        insts.push_back(make_instance(factory, r, &var));
-      }
-      std::vector<cells::Path*> paths;
-      paths.reserve(insts.size());
-      for (auto& inst : insts) paths.push_back(&inst.path);
-      pre = batch_output_pulse_width(
-          paths, cal.kind, std::vector<double>(paths.size(), cal.w_in), sim);
-    }
     hits = exec::parallel_map(
         static_cast<std::size_t>(options.samples),
         [&](std::size_t s) {
           const resil::FaultScope inject(guard.plan(), s);
           resil::inject_item_delay();
           resil::inject_item_failure();
-          std::optional<double> w_out;
-          if (use_batch) {
-            if (pre[s].failed) throw NumericalError(pre[s].error);
-            w_out = pre[s].value;
-          } else {
-            mc::Rng rng = sample_rng(options.seed, s);
-            mc::GaussianVariationSource var(options.variation, rng);
-            PathInstance inst = make_instance(factory, r, &var);
-            w_out = output_pulse_width(inst.path, cal.kind, cal.w_in, sim);
-          }
+          mc::Rng rng = sample_rng(options.seed, s);
+          mc::GaussianVariationSource var(options.variation, rng);
+          PathInstance inst = make_instance(factory, r, &var);
+          const std::optional<double> w_out =
+              output_pulse_width(inst.path, cal.kind, cal.w_in, sim);
           const auto hit = static_cast<char>(pulse_detects(w_out, cal.w_th) ? 1 : 0);
           guard.complete(s, std::string(1, hit ? '1' : '0'));
           return hit;

@@ -91,9 +91,6 @@ struct QueryParams {
   // Presentation + execution.
   bool csv = false;
   int threads = 1;
-  /// Batched factor-once/solve-many electrical kernel (coverage + rmin).
-  /// Bit-identical results; a pure throughput knob.
-  bool batch = false;
   exec::CancelToken cancel;       ///< fire to abandon the sweep mid-flight
 };
 

@@ -144,11 +144,11 @@ const std::vector<std::string>& query_keys(QueryKind kind) {
       "samples",      "sigma",        "seed",       "r-lo",
       "r-hi",         "points",       "csv",        "strict",
       "solve-budget", "sweep-budget", "checkpoint", "resume",
-      "fault-plan",   "quarantine-json", "threads",    "batch"};
+      "fault-plan",   "quarantine-json", "threads"};
   static const std::vector<std::string> rmin{
       "gates",  "fault", "stage",           "samples", "sigma",
       "seed",   "r-lo",  "r-hi",            "steps",   "target-coverage",
-      "strict", "csv",   "solve-budget",    "threads", "batch"};
+      "strict", "csv",   "solve-budget",    "threads"};
   static const std::vector<std::string> lint{"json", "min-severity",
                                              "suppress"};
   static const std::vector<std::string> sta{
@@ -202,7 +202,6 @@ QueryParams params_from_lookup(QueryKind kind, const ParamLookup& lookup) {
       }
       p.fault_plan = kv.get("fault-plan", std::string());
       p.quarantine_json = kv.get("quarantine-json", std::string());
-      p.batch = kv.has("batch");
       break;
     case QueryKind::kRmin:
       p.samples = kv.get("samples", 20);
@@ -212,7 +211,6 @@ QueryParams params_from_lookup(QueryKind kind, const ParamLookup& lookup) {
       p.target_coverage = kv.get("target-coverage", 1.0);
       p.strict = kv.has("strict");
       p.solve_budget = kv.get("solve-budget", 0.0);
-      p.batch = kv.has("batch");
       break;
     case QueryKind::kLint:
       p.lint_json = kv.has("json");
@@ -296,7 +294,6 @@ QueryResult run_coverage(const QueryParams& p) {
   copt.variation = mc::VariationModel::uniform_sigma(p.sigma);
   copt.resistances = core::logspace(p.r_lo, p.r_hi, p.points);
   copt.threads = p.threads;
-  copt.batch = p.batch;
   copt.cancel = p.cancel;
 
   // Served sweeps default to quarantine mode, exactly like the CLI — a long
@@ -367,7 +364,6 @@ QueryResult run_rmin(const QueryParams& p) {
   ropt.bisection_steps = p.bisection_steps;
   ropt.target_coverage = p.target_coverage;
   ropt.threads = p.threads;
-  ropt.batch = p.batch;
   ropt.cancel = p.cancel;
   ropt.resil.quarantine = !p.strict;
   ropt.resil.solve_budget_seconds = p.solve_budget;

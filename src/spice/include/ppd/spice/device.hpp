@@ -24,14 +24,11 @@ constexpr NodeId kGround = 0;
 enum class AnalysisMode { kOperatingPoint, kTransient };
 enum class Integrator { kBackwardEuler, kTrapezoidal };
 
-/// Quiescent-device bypass policy and counters, threaded through
-/// StampContext by the batch transient kernel. `tol == 0` (the default)
-/// reuses a cached model evaluation only when the terminal voltages are
-/// bitwise unchanged since it was computed — always bit-safe; `tol > 0`
-/// trades bit-identity for more skipped evaluations (classic SPICE bypass,
-/// opt-in).
+/// Quiescent-MOSFET bypass counters, threaded through StampContext by the
+/// transient engine. A cached model evaluation is reused only when the
+/// terminal voltages are bitwise unchanged since it was computed, so a
+/// bypassed stamp is bit-identical to an evaluated one.
 struct MosBypass {
-  double tol = 0.0;
   std::uint64_t hits = 0;   ///< stamps served from the cached evaluation
   std::uint64_t evals = 0;  ///< stamps that re-evaluated the model
 };
@@ -46,8 +43,8 @@ struct StampContext {
   double gmin = 1e-9;
   double source_scale = 1.0;  ///< source-stepping homotopy factor
   const std::vector<double>* x = nullptr;  ///< current iterate (may be null in OP start)
-  MosBypass* bypass = nullptr;  ///< null = no bypass (scalar path)
-  /// True during a frozen partial re-assembly (engine_detail.hpp): the MNA
+  MosBypass* bypass = nullptr;  ///< null = no bypass (operating point)
+  /// True during a partial re-assembly (see analysis.cpp): the MNA
   /// slots still hold this device's last-stamped values, so a device whose
   /// stamp inputs are BITWISE unchanged since that stamp may return without
   /// stamping at all — the replay reproduces its values exactly.
@@ -79,8 +76,8 @@ class Device {
   /// True when the device's stamp values can change between accepted time
   /// points of one transient (dynamic state, nonlinearity, or explicit time
   /// dependence). Devices returning false — resistors — stamp once per
-  /// frozen transient; partial re-assembly replays their recorded values
-  /// verbatim on every later step (see engine_detail.hpp).
+  /// transient; partial re-assembly replays their recorded values verbatim
+  /// on every later step (see analysis.cpp).
   [[nodiscard]] virtual bool stamp_time_varying() const {
     return is_dynamic() || is_nonlinear();
   }
@@ -94,7 +91,7 @@ class Device {
   /// Called when a time step is accepted so dynamic devices can update
   /// their integration state. Returns true when that state — any input of
   /// the device's next stamp other than the iterate itself — changed
-  /// BITWISE, so the selective re-assembly walk (engine_detail.hpp) knows
+  /// BITWISE, so the selective re-assembly walk (analysis.cpp) knows
   /// the device must be revisited on the next step; devices without stamp
   /// state return false.
   virtual bool commit_step(const StampContext& ctx, const std::vector<double>& x);
@@ -148,7 +145,7 @@ class Capacitor final : public Device {
   double v_state_ = 0.0;  ///< voltage at the last accepted point
   double i_state_ = 0.0;  ///< current at the last accepted point (TRAP memory)
   // Inputs of the last transient stamp, for the ctx.replay quiescent skip
-  // (bitwise compare; only consulted during frozen partial re-assembly).
+  // (bitwise compare; only consulted during partial re-assembly).
   mutable double st_h_ = 0.0, st_v_ = 0.0, st_i_ = 0.0;
   mutable bool st_valid_ = false;
 };
@@ -234,8 +231,8 @@ class Mosfet final : public Device {
   [[nodiscard]] Eval square_law(double vgs, double vds) const;
 
   MosParams params_;
-  // Last evaluation, cached for MosBypass (only maintained when a bypass
-  // policy is active; a Circuit is used by one thread at a time).
+  // Last evaluation, cached for MosBypass (only maintained when the stamp
+  // context carries one; a Circuit is used by one thread at a time).
   mutable double bp_vd_ = 0.0, bp_vg_ = 0.0, bp_vs_ = 0.0;
   mutable Eval bp_e_{0.0, 0.0, 0.0};
   mutable bool bp_valid_ = false;

@@ -2,27 +2,25 @@
 // sources and auxiliary (branch-current) equations through this interface;
 // the analysis engine then factorizes with the dense or sparse solver.
 //
-// Two operating modes:
-//  - Default: every solve() rebuilds the solver state from scratch (sparse:
-//    triplets -> CSC -> symbolic + numeric LU; dense: copy + factor).
-//  - Structure-frozen (freeze_structure()): the first assemble/solve_into
-//    cycle learns the stamping structure — the exact (row, col) matrix add
-//    sequence, the rhs add sequence, the triplet -> CSC slot mapping with
-//    its duplicate-accumulation order, and the LU elimination ordering.
-//    Every later assemble writes numeric values into the learned slots and
-//    solve_into() scatters them (in the recorded accumulation order, so sums
-//    are bitwise those of a from-scratch assemble) and refactorizes in place
-//    into a caller-owned buffer: no triplet rebuild, no symbolic analysis,
-//    no per-iteration allocation. Results are bit-identical to the default
-//    mode (the sparse refactorization verifies its frozen pivot order and
-//    falls back to a full factor when values shift it).
+// The system is structure-frozen. The first assemble + solve_into() cycle
+// learns the stamping structure: the exact (row, col) matrix add sequence,
+// the rhs add sequence, the triplet -> CSC slot mapping with its
+// duplicate-accumulation order, and the LU elimination ordering. Every later
+// assemble must replay the same add sequence (enforced) and writes numeric
+// values into the learned slots; solve_into() scatters them in the recorded
+// accumulation order, so sums are bitwise those of a from-scratch assemble,
+// and refactorizes in place into a caller-owned buffer: no triplet rebuild,
+// no symbolic analysis, no per-iteration allocation. Results are
+// bit-identical to a from-scratch factor + solve (the sparse refactorization
+// verifies its frozen pivot order and falls back to a full factor when
+// values shift it).
 //
-// Because frozen slot values persist between assembles, a frozen assemble
-// may also be PARTIAL: seek() repositions the replay cursors to a recorded
-// mark() and only the devices whose values actually changed rewrite their
-// slots — everything else replays verbatim. The transient engine uses this
-// to restamp only nonlinear devices on Newton iterations >= 2 and only
-// time-varying devices on new time steps (see engine_detail.hpp).
+// Because slot values persist between assembles, a replay may also be
+// PARTIAL: seek() repositions the replay cursors to a recorded mark() and
+// only the devices whose values actually changed rewrite their slots —
+// everything else replays verbatim. The transient engine uses this to
+// restamp only nonlinear devices on Newton iterations >= 2 and only
+// time-varying devices on new time steps (see analysis.cpp).
 #pragma once
 
 #include <cstddef>
@@ -42,7 +40,8 @@ constexpr MnaIndex kGroundIndex = -1;
 
 class MnaSystem {
  public:
-  /// `use_sparse` selects the backing solver.
+  /// `use_sparse` selects the backing solver. A new system is learning:
+  /// its first assemble + solve_into() records the structure.
   MnaSystem(std::size_t unknowns, bool use_sparse);
 
   void reset();
@@ -53,17 +52,9 @@ class MnaSystem {
   /// rhs(row) += value; ground ignored.
   void add_rhs(MnaIndex row, double value);
 
-  /// Factorize and solve. Throws NumericalError on singularity.
-  [[nodiscard]] std::vector<double> solve() const;
-
-  /// Enter structure-frozen mode: the next assemble + solve_into() learns
-  /// the stamping structure, later assembles must replay the same add
-  /// sequence (enforced). Call once, before the first assemble.
-  void freeze_structure();
-  [[nodiscard]] bool frozen() const { return freeze_ != Freeze::kOff; }
   /// True once the learning assemble + solve has completed and later
   /// assembles replay (fully or partially) into the learned slots.
-  [[nodiscard]] bool replay_ready() const { return freeze_ == Freeze::kFrozen; }
+  [[nodiscard]] bool replay_ready() const { return learned_; }
 
   /// Replay cursor positions — a point in the learned add sequences.
   struct Mark {
@@ -75,7 +66,7 @@ class MnaSystem {
   /// replays). While learning, adds append, so the position is the sequence
   /// length; once replay-ready it is the replay cursor.
   [[nodiscard]] Mark mark() const {
-    if (freeze_ == Freeze::kFrozen) return {trip_cursor_, rhs_cursor_};
+    if (learned_) return {trip_cursor_, rhs_cursor_};
     return {trip_row_.size(), rhs_row_.size()};
   }
   /// Reposition the replay cursors to a recorded mark and flag this
@@ -89,19 +80,18 @@ class MnaSystem {
   /// only.
   void note_partial();
 
-  /// Factorize and solve into `x` (resized). Bit-identical to solve(); in
-  /// frozen mode this path is allocation-free after the first call and, for
-  /// the dense solver, factorizes the assembled matrix in place (the matrix
-  /// is consumed — reassemble before the next solve).
+  /// Factorize and solve into `x` (resized). Throws NumericalError on
+  /// singularity. Allocation-free after the first call; the dense solver
+  /// factorizes the assembled matrix in place (the matrix is consumed —
+  /// reassemble before the next solve).
   void solve_into(std::vector<double>& x);
 
   [[nodiscard]] std::size_t unknowns() const { return n_; }
   [[nodiscard]] bool sparse() const { return use_sparse_; }
 
-  /// Frozen-mode solve disposition counters (all zero in default mode):
-  /// how many solve_into() calls refactorized, rebuilt only the rhs against
-  /// the previous factorization, or returned the cached solution outright.
-  /// The batch kernel's settle-tail claim is observable here.
+  /// Solve disposition counters: how many solve_into() calls refactorized,
+  /// rebuilt only the rhs against the previous factorization, or returned
+  /// the cached solution outright.
   struct SolveStats {
     std::uint64_t refactored = 0;
     std::uint64_t rhs_only = 0;
@@ -110,14 +100,13 @@ class MnaSystem {
   [[nodiscard]] const SolveStats& solve_stats() const { return stats_; }
 
  private:
-  enum class Freeze { kOff, kLearning, kFrozen };
-
-  /// Build the frozen CSC image + triplet scatter program from the current
-  /// triplets, replicating SparseMatrix's duplicate-accumulation order so
-  /// scattered values match a rebuilt matrix bitwise.
+  /// Build the frozen CSC image + slot maps from the current triplets,
+  /// replicating SparseMatrix's duplicate-accumulation order so scattered
+  /// values match a rebuilt matrix bitwise.
   void learn_sparse_structure();
   /// Build the dense scatter program: slot k is the column-major offset of
-  /// triplet k, replayed in add order (the order direct += accumulated in).
+  /// triplet k, replayed in add order (the order a from-scratch += assemble
+  /// accumulates in).
   void learn_dense_structure();
   /// Group the learned rhs add sequence by row (add order preserved within
   /// each row) so dirty rows can be re-accumulated individually.
@@ -126,16 +115,14 @@ class MnaSystem {
   std::size_t n_;
   bool use_sparse_;
   linalg::DenseMatrix dense_;
-  // Sparse stamping accumulates triplets per solve; in frozen mode both
-  // backends record triplets (dense included) so values can be replayed.
+  // Learned matrix add sequence (both backends) and its replayed values.
   std::vector<std::size_t> trip_row_, trip_col_;
   std::vector<double> trip_val_;
   std::vector<double> rhs_;
 
-  // Structure-frozen state.
-  Freeze freeze_ = Freeze::kOff;
+  bool learned_ = false;                   // structure recorded, replaying
   bool partial_ = false;                   // current assemble used seek()
-  // Bitwise value-change tracking across frozen assembles: when no matrix
+  // Bitwise value-change tracking across replayed assembles: when no matrix
   // slot changed, the previous factorization is still THE factorization of
   // this system and is reused; when the rhs didn't change either, the
   // previous solution is returned outright. Both are bit-identical shortcuts
@@ -150,8 +137,7 @@ class MnaSystem {
   std::vector<std::size_t> rhs_row_;       // learned rhs add sequence
   std::vector<double> rhs_val_;
   std::unique_ptr<linalg::SparseMatrix> a_;  // frozen CSC, values rewritten
-  std::vector<std::size_t> scatter_src_;   // triplet index, accumulation order
-  std::vector<std::size_t> scatter_slot_;  // matching CSC / dense value slot
+  std::vector<std::size_t> dense_slot_;    // triplet index -> dense offset
   // Incremental scatter: rebuilding the whole CSC image per solve costs
   // O(triplets) even when one device restamped. The inverse maps below let
   // add() mark exactly the value slots / rhs rows its bit changes touch, and

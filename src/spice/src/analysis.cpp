@@ -6,8 +6,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
-#include "engine_detail.hpp"
 #include "ppd/cache/solve_cache.hpp"
 #include "ppd/obs/log.hpp"
 #include "ppd/obs/metrics.hpp"
@@ -22,18 +23,72 @@
 
 namespace ppd::spice {
 
-namespace detail {
-
 namespace {
 
 [[nodiscard]] bool bits_equal(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-}  // namespace
+struct NewtonOutcome {
+  bool converged = false;
+  int iterations = 0;
+  /// Inf-norm of the final iteration's UNCLAMPED node-voltage update [V].
+  /// Convergence itself is judged on the clamped update; this field exists
+  /// for failure diagnostics, where reporting the clamped value would make
+  /// every hard failure print dv_max instead of the true step.
+  double residual = 0.0;
+};
 
+/// Which subset of devices a replay-ready assemble must restamp. Ignored —
+/// every assemble is full — until the plan has been learned and the
+/// MnaSystem replays.
+enum class AssemblePhase {
+  kFull,           ///< stamp everything (learning pass, OP)
+  kStepRefresh,    ///< new time point: time-varying devices only
+  kIterateRefresh  ///< same time point, new Newton iterate: nonlinear only
+};
+
+/// Per-device replay windows into an MnaSystem's learned add sequences,
+/// recorded during the learning assemble. With a learned plan,
+/// kStepRefresh / kIterateRefresh assembles seek() to each listed device's
+/// window and restamp just that device; every untouched slot keeps the
+/// value it had, and solve_into() replays the full sequence in the original
+/// accumulation order — so partial assembles are bit-identical to full
+/// ones whenever the skipped devices' values are unchanged (linear stamps
+/// within a step; static stamps across the whole transient).
+struct AssemblePlan {
+  bool learned = false;
+  std::vector<std::size_t> refresh;      ///< device idx: stamp_time_varying()
+  std::vector<std::size_t> nonlinear;    ///< device idx: is_nonlinear()
+  std::vector<MnaSystem::Mark> marks;    ///< per device, slot-window starts
+
+  // Selective (dirty-driven) refresh. The refresh/nonlinear lists above are
+  // membership tests (which devices CAN change); the machinery below tracks
+  // which devices DID change since their slots were last written, so a
+  // partial walk visits only those. Three channels feed it:
+  //   - node_watch: nonlinear stamps are functions of the iterate, so the
+  //     Newton update marks every x entry whose bits moved (node_dirty) and
+  //     the walk visits the nonlinear devices watching those entries;
+  //   - dev_dirty: dynamic stamps are functions of committed integration
+  //     state, so commit_step() reports bitwise state changes per device;
+  //   - sources: explicit time dependence, revisited every new time point.
+  // Skipped devices' slots replay verbatim, which is exactly the bit-
+  // identity contract of partial assembly — the dirty sets only ever ADD
+  // visits relative to the minimal correct set, never remove one.
+  std::vector<std::size_t> sources;      ///< time-varying, static state
+  std::vector<std::vector<std::uint32_t>> node_watch;  ///< x idx -> nonlinear
+  std::vector<char> node_dirty;   ///< x bits moved since the last walk
+  std::vector<char> dev_dirty;    ///< commit state moved since the last walk
+  std::vector<std::uint32_t> visit_epoch;  ///< per device, walk dedupe
+  std::uint32_t epoch = 0;
+  bool all_dirty = true;   ///< conservative reset: next walk is a full one
+};
+
+/// Stamp every device plus the global gmin-to-ground leak — or, given a
+/// learned plan and a replay-ready MnaSystem, only the phase's subset.
 void assemble(Circuit& circuit, MnaSystem& mna, const StampContext& ctx,
-              AssemblePlan* plan, AssemblePhase phase) {
+              AssemblePlan* plan = nullptr,
+              AssemblePhase phase = AssemblePhase::kFull) {
   if (plan != nullptr && plan->learned && mna.replay_ready() &&
       phase != AssemblePhase::kFull) {
     // Partial re-assembly: restamp only the devices whose values can have
@@ -45,7 +100,7 @@ void assemble(Circuit& circuit, MnaSystem& mna, const StampContext& ctx,
     StampContext rctx = ctx;
     rctx.replay = true;  // slots retain values: quiescent devices may skip
     mna.note_partial();
-    if (plan->selective && !plan->all_dirty) {
+    if (!plan->all_dirty) {
       // Dirty-driven walk: only devices whose stamp inputs actually moved
       // since their last visit. The epoch dedupes a device watched by
       // several dirty nodes within one walk.
@@ -77,20 +132,18 @@ void assemble(Circuit& circuit, MnaSystem& mna, const StampContext& ctx,
       mna.seek(plan->marks[i]);
       devices[i]->stamp(mna, rctx);
     }
-    if (plan->selective) {
-      // A full list walk consumes every pending change its phase covers:
-      // node-driven dirt only ever targets nonlinear devices (both lists),
-      // commit-driven dirt needs the refresh list (kStepRefresh only).
-      std::fill(plan->node_dirty.begin(), plan->node_dirty.end(), 0);
-      if (phase == AssemblePhase::kStepRefresh) {
-        std::fill(plan->dev_dirty.begin(), plan->dev_dirty.end(), 0);
-        plan->all_dirty = false;
-      }
+    // A full list walk consumes every pending change its phase covers:
+    // node-driven dirt only ever targets nonlinear devices (both lists),
+    // commit-driven dirt needs the refresh list (kStepRefresh only).
+    std::fill(plan->node_dirty.begin(), plan->node_dirty.end(), 0);
+    if (phase == AssemblePhase::kStepRefresh) {
+      std::fill(plan->dev_dirty.begin(), plan->dev_dirty.end(), 0);
+      plan->all_dirty = false;
     }
     return;
   }
   mna.reset();
-  const bool learn = plan != nullptr && mna.frozen() && !mna.replay_ready();
+  const bool learn = plan != nullptr && !mna.replay_ready();
   if (learn) {
     plan->refresh.clear();
     plan->nonlinear.clear();
@@ -129,42 +182,44 @@ void assemble(Circuit& circuit, MnaSystem& mna, const StampContext& ctx,
     plan->visit_epoch.assign(circuit.devices().size(), 0);
     plan->epoch = 0;
     plan->all_dirty = true;
-    plan->selective = true;
     plan->learned = true;
   }
 }
-
-}  // namespace detail
-
-namespace {
-
-using detail::NewtonOutcome;
-using detail::NewtonWorkspace;
 
 /// Histogram of iterations-to-convergence per Newton solve; 1..256 covers
 /// everything max_iterations allows, log bins keep the fast common case
 /// (2-5 iterations) resolved.
 void record_newton(const NewtonOutcome& out) {
   if (!obs::metrics_enabled()) return;
-  obs::counter("spice.newton.solves").add();
-  if (!out.converged) obs::counter("spice.newton.nonconverged").add();
-  obs::histogram("spice.newton.iterations", {1.0, 256.0, 24})
-      .record(static_cast<double>(out.iterations));
+  static obs::Counter& solves = obs::counter("spice.newton.solves");
+  static obs::Histogram& iterations =
+      obs::histogram("spice.newton.iterations", {1.0, 256.0, 24});
+  solves.add();
+  if (!out.converged) {
+    static obs::Counter& nonconverged =
+        obs::counter("spice.newton.nonconverged");
+    nonconverged.add();
+  }
+  iterations.record(static_cast<double>(out.iterations));
 }
 
+/// Newton-Raphson: iterate solves of the linearized system until the voltage
+/// update is below tolerance. `x` carries the initial guess in and the
+/// solution out; `x_new` is the caller-owned solve buffer. `first_phase`
+/// applies to the first assemble; later iterations use kIterateRefresh (a
+/// no-op downgrade to kFull without a learned plan).
 NewtonOutcome newton_solve_impl(Circuit& circuit, MnaSystem& mna,
                                 StampContext ctx, const NewtonOptions& opt,
                                 std::vector<double>& x,
+                                std::vector<double>& x_new,
                                 const resil::Deadline& deadline,
-                                NewtonWorkspace* ws, detail::AssemblePlan* plan,
-                                detail::AssemblePhase first_phase) {
+                                AssemblePlan* plan, AssemblePhase first_phase) {
   const std::size_t node_unknowns = circuit.node_count() - 1;
   NewtonOutcome out;
   // Chaos seam: poison the first iterate so the non-finite guard below —
   // the real hard-failure path — trips. No-op without an active FaultScope.
   const bool poison_first = resil::inject_newton_nan();
 
-  std::vector<double> x_new_local;
   for (int it = 0; it < opt.max_iterations; ++it) {
     if (deadline.expired())
       throw TimeoutError("Newton solve exceeded its wall-clock budget (" +
@@ -172,33 +227,26 @@ NewtonOutcome newton_solve_impl(Circuit& circuit, MnaSystem& mna,
     ctx.x = &x;
     // Only the iterate moves between iterations of one solve, so after the
     // first assemble a learned plan needs nothing but the nonlinear stamps.
-    detail::assemble(circuit, mna, ctx, plan,
-                     it == 0 ? first_phase
-                             : detail::AssemblePhase::kIterateRefresh);
+    assemble(circuit, mna, ctx, plan,
+             it == 0 ? first_phase : AssemblePhase::kIterateRefresh);
     try {
-      // Same linear solve either way; the workspace variant reuses the
-      // caller's buffer (and the frozen factorization path of MnaSystem).
-      if (ws != nullptr)
-        mna.solve_into(ws->x_new);
-      else
-        x_new_local = mna.solve();
+      mna.solve_into(x_new);
     } catch (const NumericalError&) {
       // Singular linearization (e.g. fully cut-off stacks at a flat start):
       // report non-convergence and let the caller's homotopy ladder or step
       // control take over.
       return out;
     }
-    const std::vector<double>& x_new = ws != nullptr ? ws->x_new : x_new_local;
     ++out.iterations;
 
     // Clamp node-voltage updates (not branch currents) to aid convergence.
     // The convergence test and the applied update use the clamped step; the
     // reported residual is the unclamped inf-norm, so failure diagnostics
     // show the true update instead of saturating at dv_max.
-    // With a selective plan armed, record which node entries the update
-    // actually moved BITWISE — that dirty set is what the next partial
-    // assemble's device walk is driven by (see detail::assemble).
-    const bool track = plan != nullptr && plan->selective &&
+    // With a learned plan, record which node entries the update actually
+    // moved BITWISE — that dirty set is what the next partial assemble's
+    // device walk is driven by (see assemble).
+    const bool track = plan != nullptr && plan->learned &&
                        plan->node_dirty.size() >= node_unknowns;
     bool converged = true;
     double max_dv = 0.0;
@@ -211,7 +259,7 @@ NewtonOutcome newton_solve_impl(Circuit& circuit, MnaSystem& mna,
           converged = false;
         const double before = x[i];
         x[i] += dv;
-        if (track && !detail::bits_equal(before, x[i]))
+        if (track && !bits_equal(before, x[i]))
           plan->node_dirty[i] = 1;
       } else {
         x[i] = x_new[i];
@@ -233,14 +281,12 @@ NewtonOutcome newton_solve_impl(Circuit& circuit, MnaSystem& mna,
   return out;
 }
 
-}  // namespace
-
-namespace detail {
-
 NewtonOutcome newton_solve(Circuit& circuit, MnaSystem& mna, StampContext ctx,
                            const NewtonOptions& opt, std::vector<double>& x,
-                           const resil::Deadline& deadline, NewtonWorkspace* ws,
-                           AssemblePlan* plan, AssemblePhase first_phase) {
+                           std::vector<double>& x_new,
+                           const resil::Deadline& deadline,
+                           AssemblePlan* plan = nullptr,
+                           AssemblePhase first_phase = AssemblePhase::kFull) {
   // Chaos seam: report non-convergence without solving, exercising the
   // callers' recovery ladders. No-op without an active FaultScope.
   if (resil::inject_newton_nonconvergence()) {
@@ -249,17 +295,11 @@ NewtonOutcome newton_solve(Circuit& circuit, MnaSystem& mna, StampContext ctx,
     return out;
   }
   const NewtonOutcome out = newton_solve_impl(circuit, mna, ctx, opt, x,
-                                              deadline, ws, plan, first_phase);
+                                              x_new, deadline, plan,
+                                              first_phase);
   record_newton(out);
   return out;
 }
-
-}  // namespace detail
-
-namespace {
-
-using detail::assemble;
-using detail::newton_solve;
 
 /// Run a homotopy schedule: solve each context in order, each stage starting
 /// from the previous stage's solution; every stage must converge. The gmin
@@ -268,10 +308,11 @@ using detail::newton_solve;
 bool schedule_solve(Circuit& circuit, MnaSystem& mna,
                     const std::vector<StampContext>& schedule,
                     const NewtonOptions& opt, std::vector<double>& x,
+                    std::vector<double>& x_new,
                     const resil::Deadline& deadline, NewtonOutcome* last) {
   NewtonOutcome out;
   for (const StampContext& ctx : schedule) {
-    out = newton_solve(circuit, mna, ctx, opt, x, deadline);
+    out = newton_solve(circuit, mna, ctx, opt, x, x_new, deadline);
     if (last != nullptr) *last = out;
     if (!out.converged) return false;
   }
@@ -317,7 +358,7 @@ bool op_verified_at(Circuit& circuit, MnaSystem& mna, StampContext ctx,
   assemble(circuit, mna, ctx);
   std::vector<double> x_new;
   try {
-    x_new = mna.solve();
+    mna.solve_into(x_new);
   } catch (const NumericalError&) {
     return false;
   }
@@ -329,13 +370,9 @@ bool op_verified_at(Circuit& circuit, MnaSystem& mna, StampContext ctx,
   return true;
 }
 
-}  // namespace
-
-namespace detail {
-
-/// run_op with the wall-clock deadline supplied by the caller, so transient
-/// drivers can thread ONE shared deadline through both phases instead of
-/// granting the operating point a second full budget.
+/// run_op with the wall-clock deadline supplied by the caller, so
+/// run_transient can thread ONE shared deadline through both phases instead
+/// of granting the operating point a second full budget.
 OpResult run_op_with_deadline(Circuit& circuit, const OpOptions& options,
                               const resil::Deadline& deadline) {
   const obs::Span span("spice.run_op");
@@ -413,7 +450,7 @@ OpResult run_op_with_deadline(Circuit& circuit, const OpOptions& options,
   if (options.allow_gmin_stepping) policy.rungs.push_back({"gmin-step", 1});
   if (options.allow_source_stepping) policy.rungs.push_back({"source-step", 1});
 
-  std::vector<double> x;
+  std::vector<double> x, x_new;
   NewtonOutcome last;
   const auto try_rung = [&](const resil::RetryRung& rung, int) {
     x = x0;  // every rung restarts from the (possibly biased) flat start
@@ -438,8 +475,8 @@ OpResult run_op_with_deadline(Circuit& circuit, const OpOptions& options,
         schedule.push_back(step_ctx);
       }
     }
-    return schedule_solve(circuit, mna, schedule, options.newton, x, deadline,
-                          &last);
+    return schedule_solve(circuit, mna, schedule, options.newton, x, x_new,
+                          deadline, &last);
   };
 
   const resil::LadderOutcome outcome =
@@ -485,47 +522,74 @@ OpResult run_op_with_deadline(Circuit& circuit, const OpOptions& options,
   throw NumericalError(msg);
 }
 
-void init_transient_result(const Circuit& circuit,
-                           const std::vector<NodeId>& probe,
-                           TransientResult& result,
-                           std::vector<std::size_t>& probe_list) {
-  result.node_names.resize(circuit.node_count());
-  result.node_waves.resize(circuit.node_count());
-  for (std::size_t i = 0; i < circuit.node_count(); ++i)
-    result.node_names[i] = circuit.node_name(static_cast<NodeId>(i));
-  result.probed.assign(circuit.node_count(), probe.empty());
-  result.probed[0] = false;
-  for (NodeId n : probe) {
-    PPD_REQUIRE(n > 0 && static_cast<std::size_t>(n) < circuit.node_count(),
-                "probe node out of range");
-    result.probed[static_cast<std::size_t>(n)] = true;
-  }
-  probe_list.clear();
-  for (std::size_t i = 1; i < circuit.node_count(); ++i)
-    if (result.probed[i]) probe_list.push_back(i);
-}
+/// Transient state machine: one step() call is one attempted time step
+/// (accepted, rejected, or nothing left to do). Owns the step size, the
+/// adaptive controllers (iteration-count and LTE), the end-of-sweep
+/// snapping, the iterate and solve buffers, the assemble plan and the
+/// MOSFET bypass. run_transient owns the circuit, the MnaSystem, the OP
+/// phase and waveform recording.
+class TransientStepper {
+ public:
+  enum class Outcome { kAccepted, kRejected, kFinished };
+
+  /// `x_op` is the operating point.
+  TransientStepper(Circuit& circuit, MnaSystem& mna,
+                   const TransientOptions& options, resil::Deadline deadline,
+                   const std::vector<double>& x_op);
+
+  /// Attempt one step. Throws TimeoutError on deadline expiry and
+  /// NumericalError when Newton fails at the minimum step or diverges.
+  Outcome step();
+
+  /// Accumulated time, snapped to exactly t_stop at the end of the sweep.
+  [[nodiscard]] double time() const { return t_; }
+  [[nodiscard]] const std::vector<double>& x() const { return x_; }
+  [[nodiscard]] int last_iterations() const { return last_iterations_; }
+  /// True when the sweep ended by snapping a sub-dt_min sliver to t_stop
+  /// without integrating it (run_transient records one more point).
+  [[nodiscard]] bool snapped_without_step() const { return snapped_; }
+  [[nodiscard]] const MosBypass& bypass() const { return bypass_; }
+
+ private:
+  Circuit& circuit_;
+  MnaSystem& mna_;
+  const TransientOptions& options_;
+  resil::Deadline deadline_;
+  // Bit-safe quiescent-MOSFET bypass: a cached model evaluation is reused
+  // only while the terminal voltages are bitwise unchanged.
+  MosBypass bypass_;
+  std::size_t node_unknowns_;
+  double t_stop_;
+  double t_end_;  // relative end-of-sweep guard
+  double t_ = 0.0;
+  double h_;
+  double h_prev_ = 0.0;
+  double stamp_h_ = 0.0;  // h of the last attempted solve (bitwise compare)
+  bool have_stamp_h_ = false;
+  bool have_history_ = false;
+  bool just_rejected_ = false;
+  bool snapped_ = false;
+  int last_iterations_ = 0;
+  AssemblePlan plan_;  // partial re-assembly windows
+  std::vector<double> x_, x_try_, x_prev_, x_new_;
+};
 
 TransientStepper::TransientStepper(Circuit& circuit, MnaSystem& mna,
                                    const TransientOptions& options,
-                                   double t_stop, resil::Deadline deadline,
-                                   const std::vector<double>& x_op,
-                                   NewtonWorkspace* ws, MosBypass* bypass)
+                                   resil::Deadline deadline,
+                                   const std::vector<double>& x_op)
     : circuit_(circuit),
       mna_(mna),
       options_(options),
       deadline_(deadline),
-      ws_(ws),
-      bypass_(bypass),
       node_unknowns_(circuit.node_count() - 1),
-      t_stop_(t_stop),
+      t_stop_(options.t_stop),
       // Relative end-of-sweep guard: accumulated t += h carries rounding at
       // the scale of t_stop, so the old absolute 1e-21 epsilon was
       // meaningless against nanosecond sweeps.
-      t_end_(t_stop * (1.0 - 1e-12)),
+      t_end_(options.t_stop * (1.0 - 1e-12)),
       h_(options.dt),
-      x_(x_op) {
-  PPD_REQUIRE(t_stop_ > 0.0, "t_stop must be positive");
-}
+      x_(x_op) {}
 
 TransientStepper::Outcome TransientStepper::step() {
   if (t_ >= t_end_) return Outcome::kFinished;
@@ -558,7 +622,7 @@ TransientStepper::Outcome TransientStepper::step() {
   ctx.t = t_ + h_;
   ctx.h = h_;
   ctx.gmin = options_.newton.gmin;
-  ctx.bypass = bypass_;
+  ctx.bypass = &bypass_;
 
   // A new step size invalidates every dynamic companion (geq = C/h) at
   // once; selective refresh must not skip caps on state bits alone, so a
@@ -571,10 +635,10 @@ TransientStepper::Outcome TransientStepper::step() {
   // Entering a step only the time-varying stamps can differ from the slots'
   // recorded values (static stamps are constant across the whole transient),
   // so a learned plan assembles kStepRefresh here and kIterateRefresh inside
-  // the Newton loop. Unfrozen MnaSystems (the scalar path) ignore the plan.
+  // the Newton loop.
   const NewtonOutcome outcome =
-      newton_solve(circuit_, mna_, ctx, options_.newton, x_try_, deadline_,
-                   ws_, &plan_, AssemblePhase::kStepRefresh);
+      newton_solve(circuit_, mna_, ctx, options_.newton, x_try_, x_new_,
+                   deadline_, &plan_, AssemblePhase::kStepRefresh);
   last_iterations_ = outcome.iterations;
 
   if (!outcome.converged) {
@@ -621,7 +685,7 @@ TransientStepper::Outcome TransientStepper::step() {
     // Commit reports bitwise state changes; with selective refresh armed
     // those become next step's restamp set (untracked otherwise).
     const bool state_moved = devs[i]->commit_step(ctx, x_);
-    if (state_moved && plan_.selective) plan_.dev_dirty[i] = 1;
+    if (state_moved && plan_.learned) plan_.dev_dirty[i] = 1;
   }
   t_ += h_;
   if (t_ >= t_end_) t_ = t_stop_;  // record the final point at exactly t_stop
@@ -650,7 +714,7 @@ TransientStepper::Outcome TransientStepper::step() {
   return Outcome::kAccepted;
 }
 
-}  // namespace detail
+}  // namespace
 
 double OpResult::voltage(NodeId n) const {
   if (n == kGround) return 0.0;
@@ -660,7 +724,7 @@ double OpResult::voltage(NodeId n) const {
 }
 
 OpResult run_op(Circuit& circuit, const OpOptions& options) {
-  return detail::run_op_with_deadline(
+  return run_op_with_deadline(
       circuit, options, resil::Deadline::after(options.budget_seconds));
 }
 
@@ -691,7 +755,7 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options)
   // run for twice its budget). An explicit op.budget_seconds still tightens
   // the OP phase further when set.
   const resil::Deadline deadline = resil::Deadline::after(options.budget_seconds);
-  const OpResult op = detail::run_op_with_deadline(
+  const OpResult op = run_op_with_deadline(
       circuit, options.op,
       resil::Deadline::earliest(
           deadline, resil::Deadline::after(options.op.budget_seconds)));
@@ -704,8 +768,20 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options)
   for (const auto& dev : circuit.devices()) dev->begin_transient(op.x);
 
   TransientResult result;
+  result.node_names.resize(circuit.node_count());
+  result.node_waves.resize(circuit.node_count());
+  for (std::size_t i = 0; i < circuit.node_count(); ++i)
+    result.node_names[i] = circuit.node_name(static_cast<NodeId>(i));
+  result.probed.assign(circuit.node_count(), options.probe.empty());
+  result.probed[0] = false;
+  for (NodeId p : options.probe) {
+    PPD_REQUIRE(p > 0 && static_cast<std::size_t>(p) < circuit.node_count(),
+                "probe node out of range");
+    result.probed[static_cast<std::size_t>(p)] = true;
+  }
   std::vector<std::size_t> probe_list;
-  detail::init_transient_result(circuit, options.probe, result, probe_list);
+  for (std::size_t i = 1; i < circuit.node_count(); ++i)
+    if (result.probed[i]) probe_list.push_back(i);
 
   auto record = [&](double t, const std::vector<double>& x) {
     for (std::size_t i : probe_list) result.node_waves[i].append(t, x[i - 1]);
@@ -713,15 +789,13 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options)
   // Record the operating point at t = 0.
   record(0.0, op.x);
 
-  detail::TransientStepper stepper(circuit, mna, options, options.t_stop,
-                                   deadline, op.x, /*ws=*/nullptr,
-                                   /*bypass=*/nullptr);
+  TransientStepper stepper(circuit, mna, options, deadline, op.x);
   for (;;) {
     const auto outcome = stepper.step();
-    if (outcome == detail::TransientStepper::Outcome::kFinished) break;
+    if (outcome == TransientStepper::Outcome::kFinished) break;
     result.newton_iterations +=
         static_cast<std::size_t>(stepper.last_iterations());
-    if (outcome == detail::TransientStepper::Outcome::kAccepted) {
+    if (outcome == TransientStepper::Outcome::kAccepted) {
       record(stepper.time(), stepper.x());
       ++result.steps;
     } else {
@@ -735,6 +809,8 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options)
     obs::counter("spice.transient.runs").add();
     obs::counter("spice.transient.steps").add(result.steps);
     obs::counter("spice.transient.rejected_steps").add(result.rejected_steps);
+    obs::counter("spice.bypass.hits").add(stepper.bypass().hits);
+    obs::counter("spice.bypass.evals").add(stepper.bypass().evals);
     obs::histogram("spice.transient.seconds", {1e-6, 1e4, 50})
         .record(std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                               tran_start)

@@ -103,8 +103,8 @@ void Capacitor::stamp(MnaSystem& mna, const StampContext& ctx) const {
   // (h, v_state_, i_state_); when all three are bitwise what they were at
   // the last stamp, a replaying assemble would rewrite the exact same
   // numbers — let the slots keep them instead. This is what makes settle-
-  // tail steps cheap in the batched kernel: under backward Euler a settled
-  // node's state freezes bitwise and its capacitors drop out of assembly.
+  // tail steps cheap: under backward Euler a settled node's state freezes
+  // bitwise and its capacitors drop out of assembly.
   if (ctx.replay && st_valid_ && bits_equal(ctx.h, st_h_) &&
       bits_equal(v_state_, st_v_) && bits_equal(i_state_, st_i_)) {
     return;
@@ -256,32 +256,20 @@ void Mosfet::stamp(MnaSystem& mna, const StampContext& ctx) const {
     vg = volt(*ctx.x, 1);
     vs = volt(*ctx.x, 2);
   }
-  // Quiescent replay skip: during a frozen partial re-assembly with the
-  // bit-safe bypass policy (tol = 0), terminal voltages bitwise equal to the
-  // last stamp's mean the stamp would rewrite exactly the values already in
-  // the slots — skip the writes (and the evaluation) entirely. Requires
-  // tol = 0: with a loose tolerance the written values depend on the cached
-  // linearization point, not just the current voltages.
-  if (ctx.replay && ctx.bypass != nullptr && ctx.bypass->tol == 0.0 &&
-      bp_valid_ && bits_equal(vd, bp_vd_) && bits_equal(vg, bp_vg_) &&
-      bits_equal(vs, bp_vs_)) {
+  // Quiescent bypass: terminal voltages bitwise equal to the cached
+  // evaluation's make the stamp identical to an evaluated one. During a
+  // partial re-assembly the slots already hold exactly those values, so the
+  // writes are skipped too; otherwise the cached evaluation is restamped.
+  const bool quiescent = ctx.bypass != nullptr && bp_valid_ &&
+                         bits_equal(vd, bp_vd_) && bits_equal(vg, bp_vg_) &&
+                         bits_equal(vs, bp_vs_);
+  if (quiescent && ctx.replay) {
     ++ctx.bypass->hits;
     return;
   }
-  // Quiescent bypass: reuse the cached evaluation (and its linearization
-  // point) when the terminal voltages moved by at most the policy tolerance.
-  // At tol = 0 this requires bitwise equality, so the stamp is identical to
-  // an un-bypassed one.
   Eval e{0.0, 0.0, 0.0};
-  double lvd = vd, lvg = vg, lvs = vs;  // linearization point actually used
-  if (ctx.bypass != nullptr && bp_valid_ &&
-      std::abs(vd - bp_vd_) <= ctx.bypass->tol &&
-      std::abs(vg - bp_vg_) <= ctx.bypass->tol &&
-      std::abs(vs - bp_vs_) <= ctx.bypass->tol) {
+  if (quiescent) {
     e = bp_e_;
-    lvd = bp_vd_;
-    lvg = bp_vg_;
-    lvs = bp_vs_;
     ++ctx.bypass->hits;
   } else {
     e = evaluate(vd, vg, vs);
@@ -296,8 +284,8 @@ void Mosfet::stamp(MnaSystem& mna, const StampContext& ctx) const {
   }
   // Linearized channel current (drain -> source):
   //   i ~= ids0 + gm (vgs - vgs0) + gds (vds - vds0)
-  const double vgs0 = lvg - lvs;
-  const double vds0 = lvd - lvs;
+  const double vgs0 = vg - vs;
+  const double vds0 = vd - vs;
   const double ieq = e.ids - e.gm * vgs0 - e.gds * vds0;
   mna.add(d, g, e.gm);
   mna.add(d, s, -e.gm - e.gds);

@@ -22,7 +22,7 @@ MnaSystem::MnaSystem(std::size_t unknowns, bool use_sparse)
 }
 
 void MnaSystem::reset() {
-  if (freeze_ == Freeze::kFrozen) {
+  if (learned_) {
     // Keep the learned structure and its values; replay from the top. The
     // matrix image and rhs are rebuilt from the slot arrays at solve time.
     trip_cursor_ = 0;
@@ -33,22 +33,18 @@ void MnaSystem::reset() {
   trip_row_.clear();
   trip_col_.clear();
   trip_val_.clear();
-  if (!use_sparse_) dense_.set_zero();
-  if (freeze_ == Freeze::kLearning) {
-    rhs_row_.clear();
-    rhs_val_.clear();
-  }
+  rhs_row_.clear();
+  rhs_val_.clear();
   std::fill(rhs_.begin(), rhs_.end(), 0.0);
 }
 
 void MnaSystem::note_partial() {
-  PPD_REQUIRE(freeze_ == Freeze::kFrozen,
-              "note_partial() requires a replay-ready MNA");
+  PPD_REQUIRE(learned_, "note_partial() requires a replay-ready MNA");
   partial_ = true;
 }
 
 void MnaSystem::seek(const Mark& m) {
-  PPD_REQUIRE(freeze_ == Freeze::kFrozen, "seek() requires a replay-ready MNA");
+  PPD_REQUIRE(learned_, "seek() requires a replay-ready MNA");
   PPD_REQUIRE(m.trip <= trip_row_.size() && m.rhs <= rhs_row_.size(),
               "seek() mark out of range");
   trip_cursor_ = m.trip;
@@ -61,7 +57,7 @@ void MnaSystem::add(MnaIndex row, MnaIndex col, double value) {
   const auto r = static_cast<std::size_t>(row);
   const auto c = static_cast<std::size_t>(col);
   PPD_REQUIRE(r < n_ && c < n_, "MNA index out of range");
-  if (freeze_ == Freeze::kFrozen) {
+  if (learned_) {
     PPD_REQUIRE(trip_cursor_ < trip_row_.size() &&
                     trip_row_[trip_cursor_] == r && trip_col_[trip_cursor_] == c,
                 "frozen MNA assemble diverged from the learned structure");
@@ -80,55 +76,32 @@ void MnaSystem::add(MnaIndex row, MnaIndex col, double value) {
     }
     return;
   }
-  if (use_sparse_ || freeze_ == Freeze::kLearning) {
-    trip_row_.push_back(r);
-    trip_col_.push_back(c);
-    trip_val_.push_back(value);
-  }
-  if (!use_sparse_) dense_(r, c) += value;
+  trip_row_.push_back(r);
+  trip_col_.push_back(c);
+  trip_val_.push_back(value);
 }
 
 void MnaSystem::add_rhs(MnaIndex row, double value) {
   if (row < 0) return;
   const auto r = static_cast<std::size_t>(row);
   PPD_REQUIRE(r < n_, "MNA rhs index out of range");
-  if (freeze_ == Freeze::kFrozen) {
+  if (learned_) {
     PPD_REQUIRE(rhs_cursor_ < rhs_row_.size() && rhs_row_[rhs_cursor_] == r,
                 "frozen MNA rhs assemble diverged from the learned structure");
     double& slot = rhs_val_[rhs_cursor_++];
     if (!bits_equal(slot, value)) {
       slot = value;
       rhs_changed_ = true;
-      if (!rhs_ptr_.empty() && !rhs_row_dirty_[r]) {
+      if (!rhs_row_dirty_[r]) {
         rhs_row_dirty_[r] = 1;
         dirty_rhs_rows_.push_back(r);
       }
     }
     return;
   }
-  if (freeze_ == Freeze::kLearning) {
-    rhs_row_.push_back(r);
-    rhs_val_.push_back(value);
-  }
+  rhs_row_.push_back(r);
+  rhs_val_.push_back(value);
   rhs_[r] += value;
-}
-
-std::vector<double> MnaSystem::solve() const {
-  if (use_sparse_) {
-    linalg::SparseBuilder b(n_, n_);
-    for (std::size_t k = 0; k < trip_row_.size(); ++k)
-      b.add(trip_row_[k], trip_col_[k], trip_val_[k]);
-    const linalg::SparseMatrix a(b);
-    const linalg::SparseLu lu(a);
-    return lu.solve(rhs_);
-  }
-  const linalg::DenseLu lu(dense_);
-  return lu.solve(rhs_);
-}
-
-void MnaSystem::freeze_structure() {
-  PPD_REQUIRE(freeze_ == Freeze::kOff, "structure already frozen");
-  freeze_ = Freeze::kLearning;
 }
 
 void MnaSystem::learn_sparse_structure() {
@@ -155,10 +128,12 @@ void MnaSystem::learn_sparse_structure() {
     src[pos] = k;
   }
 
-  scatter_src_.clear();
-  scatter_slot_.clear();
-  scatter_src_.reserve(nt);
-  scatter_slot_.reserve(nt);
+  // slot_src_ lists triplets in accumulation order; scatter_slot holds the
+  // CSC slot each of them lands in.
+  slot_src_.clear();
+  slot_src_.reserve(nt);
+  std::vector<std::size_t> scatter_slot;
+  scatter_slot.reserve(nt);
   std::size_t slot = 0;  // next CSC slot to open, globally increasing
   for (std::size_t c = 0; c < n_; ++c) {
     const std::size_t lo = count[c];
@@ -174,22 +149,20 @@ void MnaSystem::learn_sparse_structure() {
       if (first || rows[pos] != prev_row) ++slot;  // opens a new CSC entry
       first = false;
       prev_row = rows[pos];
-      scatter_src_.push_back(src[pos]);
-      scatter_slot_.push_back(slot - 1);
+      slot_src_.push_back(src[pos]);
+      scatter_slot.push_back(slot - 1);
     }
   }
   PPD_REQUIRE(slot == a_->nonzeros(), "scatter program out of sync with CSC");
 
-  // Inverse maps for incremental re-scatter. scatter_slot_ is non-decreasing
+  // Inverse maps for incremental re-scatter. scatter_slot is non-decreasing
   // (slots open in order), so the contributions to one slot are contiguous
-  // in scatter order and a counting pass yields a slot -> triplets CSR whose
+  // in slot_src_ and a counting pass yields a slot -> triplets CSR whose
   // within-slot order IS the accumulation order.
   trip_slot_.assign(nt, 0);
-  for (std::size_t i = 0; i < nt; ++i)
-    trip_slot_[scatter_src_[i]] = scatter_slot_[i];
-  slot_src_ = scatter_src_;
+  for (std::size_t i = 0; i < nt; ++i) trip_slot_[slot_src_[i]] = scatter_slot[i];
   slot_ptr_.assign(slot + 1, 0);
-  for (std::size_t s : scatter_slot_) ++slot_ptr_[s + 1];
+  for (std::size_t s : scatter_slot) ++slot_ptr_[s + 1];
   for (std::size_t s = 0; s < slot; ++s) slot_ptr_[s + 1] += slot_ptr_[s];
   slot_dirty_.assign(slot, 0);
   dirty_slots_.clear();
@@ -211,104 +184,84 @@ void MnaSystem::learn_rhs_rows() {
 }
 
 void MnaSystem::learn_dense_structure() {
-  // Direct += assembly accumulated in add order; scattering the recorded
-  // triplets in that same order reproduces every cell sum bitwise.
-  scatter_src_.clear();
-  scatter_slot_.clear();
-  scatter_src_.reserve(trip_row_.size());
-  scatter_slot_.reserve(trip_row_.size());
-  for (std::size_t k = 0; k < trip_row_.size(); ++k) {
-    scatter_src_.push_back(k);
-    scatter_slot_.push_back(trip_col_[k] * n_ + trip_row_[k]);  // column-major
-  }
+  // A from-scratch dense assemble accumulates every cell in add order;
+  // scattering the recorded triplets in that same order reproduces every
+  // cell sum bitwise.
+  dense_slot_.resize(trip_row_.size());
+  for (std::size_t k = 0; k < trip_row_.size(); ++k)
+    dense_slot_[k] = trip_col_[k] * n_ + trip_row_[k];  // column-major
 }
 
 void MnaSystem::solve_into(std::vector<double>& x) {
-  if (freeze_ == Freeze::kOff) {
-    x = solve();
-    return;
-  }
-  bool refactor = true;
-  if (freeze_ == Freeze::kLearning) {
-    // The learning assemble stamped dense_/rhs_ directly while recording the
-    // add sequences; factor from those values and arm replay mode.
+  if (!learned_) {
+    // The learning assemble recorded the add sequences (and accumulated
+    // rhs_ directly); build the replay programs and arm replay mode. The
+    // matrix image is then built like any replayed one.
     if (use_sparse_)
       learn_sparse_structure();
     else
       learn_dense_structure();
     learn_rhs_rows();
-    freeze_ = Freeze::kFrozen;
+    learned_ = true;
     trip_cursor_ = trip_row_.size();
     rhs_cursor_ = rhs_row_.size();
-  } else {
-    PPD_REQUIRE(partial_ || (trip_cursor_ == trip_row_.size() &&
-                             rhs_cursor_ == rhs_row_.size()),
-                "frozen MNA assemble is incomplete");
-    partial_ = false;
-    // No slot changed bits since the last solve: this is bitwise the same
-    // system, so the last solution IS this solve's result.
-    if (!mat_changed_ && !rhs_changed_ && solve_cached_) {
-      ++stats_.cached;
-      x = cached_x_;
-      return;
-    }
-    if (rhs_changed_) {
-      if (!rhs_ptr_.empty()) {
-        // Only rows whose slot values changed bits need re-accumulation;
-        // every other rhs_[r] already holds its (bitwise) rebuild sum.
-        for (std::size_t r : dirty_rhs_rows_) {
-          double acc = 0.0;
-          for (std::size_t k = rhs_ptr_[r]; k < rhs_ptr_[r + 1]; ++k)
-            acc += rhs_val_[rhs_src_[k]];
-          rhs_[r] = acc;
-          rhs_row_dirty_[r] = 0;
-        }
-        dirty_rhs_rows_.clear();
-      } else {
-        std::fill(rhs_.begin(), rhs_.end(), 0.0);
-        for (std::size_t k = 0; k < rhs_row_.size(); ++k)
-          rhs_[rhs_row_[k]] += rhs_val_[k];
-      }
-    }
-    if (mat_changed_ || !factor_ok_) {
-      if (use_sparse_) {
-        // The CSC image persists between solves (the factorization reads it,
-        // never writes it), so only dirty slots re-accumulate.
-        auto& av = a_->mutable_values();
-        for (std::size_t s : dirty_slots_) {
-          double acc = 0.0;
-          for (std::size_t k = slot_ptr_[s]; k < slot_ptr_[s + 1]; ++k)
-            acc += trip_val_[slot_src_[k]];
-          av[s] = acc;
-          slot_dirty_[s] = 0;
-        }
-        dirty_slots_.clear();
-      } else {
-        dense_.set_zero();
-        double* d = dense_.data();
-        for (std::size_t i = 0; i < scatter_src_.size(); ++i)
-          d[scatter_slot_[i]] += trip_val_[scatter_src_[i]];
-      }
-    } else {
-      // An unchanged matrix re-solves against the factorization already in
-      // dense_/slu_ — the factors of bitwise these values.
-      refactor = false;
-    }
   }
+  PPD_REQUIRE(partial_ || (trip_cursor_ == trip_row_.size() &&
+                           rhs_cursor_ == rhs_row_.size()),
+              "frozen MNA assemble is incomplete");
+  partial_ = false;
+  // No slot changed bits since the last solve: this is bitwise the same
+  // system, so the last solution IS this solve's result.
+  if (!mat_changed_ && !rhs_changed_ && solve_cached_) {
+    ++stats_.cached;
+    x = cached_x_;
+    return;
+  }
+  if (rhs_changed_) {
+    // Only rows whose slot values changed bits need re-accumulation;
+    // every other rhs_[r] already holds its (bitwise) rebuild sum.
+    for (std::size_t r : dirty_rhs_rows_) {
+      double acc = 0.0;
+      for (std::size_t k = rhs_ptr_[r]; k < rhs_ptr_[r + 1]; ++k)
+        acc += rhs_val_[rhs_src_[k]];
+      rhs_[r] = acc;
+      rhs_row_dirty_[r] = 0;
+    }
+    dirty_rhs_rows_.clear();
+  }
+  // An unchanged matrix re-solves against the factorization already in
+  // dense_/slu_ — the factors of bitwise these values.
+  const bool refactor = mat_changed_ || !factor_ok_;
   if (refactor) {
     ++stats_.refactored;
     factor_ok_ = false;
     solve_cached_ = false;
     if (use_sparse_) {
+      // The CSC image persists between solves (the factorization reads it,
+      // never writes it), so only dirty slots re-accumulate.
+      auto& av = a_->mutable_values();
+      for (std::size_t s : dirty_slots_) {
+        double acc = 0.0;
+        for (std::size_t k = slot_ptr_[s]; k < slot_ptr_[s + 1]; ++k)
+          acc += trip_val_[slot_src_[k]];
+        av[s] = acc;
+        slot_dirty_[s] = 0;
+      }
+      dirty_slots_.clear();
       if (!slu_.factored() || !slu_.refactor(*a_)) slu_.factor(*a_);
     } else {
-      // In-place factorization consumes dense_; the next solve rebuilds it
-      // from the recorded slots.
+      // In-place factorization consumes dense_, so every dense factor
+      // rebuilds it from the recorded slots, in add order.
+      dense_.set_zero();
+      double* d = dense_.data();
+      for (std::size_t k = 0; k < dense_slot_.size(); ++k)
+        d[dense_slot_[k]] += trip_val_[k];
       dlw_.factor(dense_);
     }
     factor_ok_ = true;
+  } else {
+    ++stats_.rhs_only;
   }
-  if (!refactor) ++stats_.rhs_only;
   if (use_sparse_)
     slu_.solve_into(rhs_, x);
   else

@@ -319,20 +319,21 @@ PYEOF
 kill -TERM "$rec2_pid"
 wait "$rec2_pid"
 
-echo "== batch kernel stage (batched vs scalar coverage, byte-identical) =="
-# The factor-once/solve-many kernel's end-to-end contract: routing a sweep
-# through --batch changes throughput, never bytes. Two fresh processes (no
-# shared solve cache), identical CSVs.
+echo "== golden stage (ppdtool output byte-identical to tests/golden) =="
+# The transient engine's end-to-end contract: restructuring the engine
+# (frozen MNA, selective restamping, bitwise MOSFET bypass) changes speed,
+# never bytes. Fresh outputs must equal the committed goldens exactly.
+golden="$repo/tests/golden"
 "$build/tools/ppdtool" coverage --method=pulse --samples=4 --points=3 \
-  --csv > "$obs_dir/cov-scalar.csv"
-"$build/tools/ppdtool" coverage --method=pulse --samples=4 --points=3 \
-  --batch --csv > "$obs_dir/cov-batch.csv"
-cmp "$obs_dir/cov-scalar.csv" "$obs_dir/cov-batch.csv"
+  --csv > "$obs_dir/coverage_pulse.csv"
+cmp "$obs_dir/coverage_pulse.csv" "$golden/coverage_pulse.csv"
 "$build/tools/ppdtool" coverage --method=delay --samples=4 --points=3 \
-  --csv > "$obs_dir/covd-scalar.csv"
-"$build/tools/ppdtool" coverage --method=delay --samples=4 --points=3 \
-  --batch --csv > "$obs_dir/covd-batch.csv"
-cmp "$obs_dir/covd-scalar.csv" "$obs_dir/covd-batch.csv"
+  --csv > "$obs_dir/coverage_delay.csv"
+cmp "$obs_dir/coverage_delay.csv" "$golden/coverage_delay.csv"
+"$build/tools/ppdtool" rmin --samples=4 > "$obs_dir/rmin.txt"
+cmp "$obs_dir/rmin.txt" "$golden/rmin.txt"
+"$build/tools/ppdtool" transfer > "$obs_dir/transfer.txt"
+cmp "$obs_dir/transfer.txt" "$golden/transfer.txt"
 
 echo "== bench gate (perf-regression rules over bench output) =="
 # tools/bench_gate.py compares a bench's JSON rows against the committed
@@ -368,11 +369,13 @@ for san in thread undefined; do
   "$sbuild/tests/test_recovery" --gtest_brief=1
   echo "-- $san: test_sta"
   "$sbuild/tests/test_sta" --gtest_brief=1
-  # The batch kernel advancing N samples while resistance columns fan out
-  # over the exec pool — the shared-nothing-per-sample claim under the race
-  # detector (and UBSan for the bit-punning change tracking).
-  echo "-- $san: test_core (batch kernel)"
-  "$sbuild/tests/test_core" --gtest_filter='CoverageBatch.*' --gtest_brief=1
+  # The frozen transient engine driven across exec lanes — one circuit and
+  # MnaSystem per sample, nothing shared — under the race detector (and
+  # UBSan for the bit-punning change tracking).
+  echo "-- $san: test_core (transient engine across lanes)"
+  "$sbuild/tests/test_core" \
+    --gtest_filter='PulseCoverageThreads.*:DelayCoverageThreads.*:RminThreads.*' \
+    --gtest_brief=1
 done
 
 if command -v clang-tidy >/dev/null 2>&1; then

@@ -11,13 +11,11 @@
 //                     [--r-lo=ohm] [--r-hi=ohm] [--points=N] [--samples=N]
 //                     [--strict] [--solve-budget=s] [--sweep-budget=s]
 //                     [--checkpoint=FILE] [--resume=FILE] [--threads=N]
-//                     [--batch] [--fault-plan=SPEC] [--quarantine-json=FILE]
+//                     [--fault-plan=SPEC] [--quarantine-json=FILE]
 //       Monte-Carlo fault-coverage sweep (Figs. 6-9 style). Runs in
 //       quarantine mode by default (failing samples are recorded and
 //       skipped); --strict restores fail-fast. --resume continues an
-//       interrupted sweep from its checkpoint file. --batch routes the
-//       electrical work through the factor-once/solve-many kernel
-//       (bit-identical results, much higher MC throughput). --fault-plan
+//       interrupted sweep from its checkpoint file. --fault-plan
 //       (or the PPD_FAULT_PLAN env var) injects deterministic faults, e.g.
 //       "seed=13,newton=0.35,nan=0.08" — see ppd/resil/faultplan.hpp.
 //       SIGINT/SIGTERM cancel the sweep cleanly: the checkpoint (if
@@ -25,7 +23,7 @@
 //
 //   ppdtool rmin      [--fault=KIND] [--stage=N] [--samples=N] [--sigma=F]
 //                     [--r-lo=ohm] [--r-hi=ohm] [--steps=N]
-//                     [--target-coverage=F] [--threads=N] [--batch]
+//                     [--target-coverage=F] [--threads=N]
 //       Bisect the minimum detectable fault resistance R_min of the pulse
 //       test (Fig. 10 style). Same signal semantics as coverage.
 //
