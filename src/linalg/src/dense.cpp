@@ -1,5 +1,6 @@
 #include "ppd/linalg/dense.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -100,13 +101,30 @@ double DenseLu::determinant() const {
   return det;
 }
 
+void DenseLuWorkspace::set_structure(std::size_t n,
+                                     const std::vector<std::size_t>& cells) {
+  mask_n_ = n;
+  mask_.assign(n * n, 0);
+  for (std::size_t c : cells) {
+    PPD_REQUIRE(c < n * n, "structure cell out of range");
+    mask_[c] = 1;
+  }
+  learned_ = false;
+}
+
 void DenseLuWorkspace::factor(DenseMatrix& a, double pivot_tol) {
   PPD_REQUIRE(a.rows() == a.cols(), "LU needs a square matrix");
   const std::size_t n = a.rows();
+  PPD_REQUIRE(mask_.empty() || mask_n_ == n,
+              "matrix order differs from the workspace structure");
   lu_ = &a;
   perm_.resize(n);
   std::iota(perm_.begin(), perm_.end(), std::size_t{0});
+  piv_.resize(n);
   double* d = a.data();  // column-major: (r, c) at d[c * n + r]
+  // The restricted update holds while this factor's pivots repeat the
+  // learned ones; from the first that differs the full loop takes over.
+  bool on_pattern = learned_;
 
   // Same pivot choices and per-entry arithmetic as DenseLu; only the update
   // traversal runs column-major (each entry still receives the identical
@@ -125,12 +143,28 @@ void DenseLuWorkspace::factor(DenseMatrix& a, double pivot_tol) {
     if (!(piv_mag > pivot_tol))
       throw NumericalError("DenseLu: matrix is numerically singular at column " +
                            std::to_string(k));
+    piv_[k] = piv;
+    if (on_pattern && piv != learned_piv_[k]) on_pattern = false;
     if (piv != k) {
       for (std::size_t c = 0; c < n; ++c) std::swap(d[c * n + k], d[c * n + piv]);
       std::swap(perm_[k], perm_[piv]);
     }
     const double inv_piv = 1.0 / colk[k];
     for (std::size_t r = k + 1; r < n; ++r) colk[r] *= inv_piv;
+    if (on_pattern) {
+      const std::uint32_t* l_begin = l_idx_.data() + l_ptr_[k];
+      const std::uint32_t* l_end = l_idx_.data() + l_ptr_[k + 1];
+      for (std::uint32_t ui = u_ptr_[k]; ui < u_ptr_[k + 1]; ++ui) {
+        double* colc = d + std::size_t{u_idx_[ui]} * n;
+        const double pk = colc[k];
+        if (pk == 0.0) continue;
+        for (const std::uint32_t* r = l_begin; r != l_end; ++r) {
+          const double m = colk[*r];
+          if (m != 0.0) colc[*r] -= m * pk;
+        }
+      }
+      continue;
+    }
     for (std::size_t c = k + 1; c < n; ++c) {
       double* colc = d + c * n;
       const double pk = colc[k];
@@ -141,6 +175,44 @@ void DenseLuWorkspace::factor(DenseMatrix& a, double pivot_tol) {
       }
     }
   }
+  if (on_pattern) {
+    ++stats_.pattern;
+  } else {
+    ++stats_.full;
+    if (!mask_.empty()) learn_pattern();
+  }
+}
+
+void DenseLuWorkspace::learn_pattern() {
+  // Replay the elimination symbolically: swap mask rows as the pivots did,
+  // read step k's L rows / U columns off the swapped mask, and mark their
+  // product as fill. This is a superset of every value pattern a factor
+  // with these pivots can produce, because an update only ever writes
+  // (r, c) when both (r, k) and (k, c) are non-zero.
+  const std::size_t n = mask_n_;
+  std::vector<char> m = mask_;
+  l_ptr_.assign(1, 0);
+  u_ptr_.assign(1, 0);
+  l_idx_.clear();
+  u_idx_.clear();
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t p = piv_[k];
+    if (p != k)
+      for (std::size_t c = 0; c < n; ++c) std::swap(m[c * n + k], m[c * n + p]);
+    const std::size_t l0 = l_idx_.size();
+    const std::size_t u0 = u_idx_.size();
+    for (std::size_t r = k + 1; r < n; ++r)
+      if (m[k * n + r]) l_idx_.push_back(static_cast<std::uint32_t>(r));
+    for (std::size_t c = k + 1; c < n; ++c)
+      if (m[c * n + k]) u_idx_.push_back(static_cast<std::uint32_t>(c));
+    for (std::size_t ui = u0; ui < u_idx_.size(); ++ui)
+      for (std::size_t li = l0; li < l_idx_.size(); ++li)
+        m[std::size_t{u_idx_[ui]} * n + l_idx_[li]] = 1;
+    l_ptr_.push_back(static_cast<std::uint32_t>(l_idx_.size()));
+    u_ptr_.push_back(static_cast<std::uint32_t>(u_idx_.size()));
+  }
+  learned_piv_ = piv_;
+  learned_ = true;
 }
 
 void DenseLuWorkspace::solve_into(const std::vector<double>& b,
@@ -164,8 +236,12 @@ void DenseLuWorkspace::solve_into(const std::vector<double>& b,
 }
 
 double norm_inf(const std::vector<double>& v) {
+  // std::max drops NaN (every comparison with it is false), so test for it.
   double m = 0.0;
-  for (double x : v) m = std::max(m, std::abs(x));
+  for (double x : v) {
+    if (std::isnan(x)) return x;
+    m = std::max(m, std::abs(x));
+  }
   return m;
 }
 

@@ -8,6 +8,7 @@
 // Figs. 6-9.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@ namespace ppd::spice {
 /// Node handle. 0 is ground.
 using NodeId = int;
 constexpr NodeId kGround = 0;
+static_assert(kGround - 1 == kGroundIndex, "Device::idx maps node n to row n - 1");
 
 enum class AnalysisMode { kOperatingPoint, kTransient };
 enum class Integrator { kBackwardEuler, kTrapezoidal };
@@ -31,6 +33,22 @@ enum class Integrator { kBackwardEuler, kTrapezoidal };
 struct MosBypass {
   std::uint64_t hits = 0;   ///< stamps served from the cached evaluation
   std::uint64_t evals = 0;  ///< stamps that re-evaluated the model
+};
+
+/// Slots of a two-terminal conductance stamp: +g at (a, a) and (b, b), -g at
+/// (a, b) and (b, a), bound and written in that order.
+struct ConductanceSlots {
+  std::array<MnaSlot, 4> s{};
+
+  void bind(MnaSystem& mna, MnaIndex a, MnaIndex b) {
+    s = {mna.bind(a, a), mna.bind(b, b), mna.bind(a, b), mna.bind(b, a)};
+  }
+  void set(MnaSystem& mna, double g) const {
+    mna.set(s[0], g);
+    mna.set(s[1], g);
+    mna.set(s[2], -g);
+    mna.set(s[3], -g);
+  }
 };
 
 /// Everything a device needs to stamp its (linearized, discretized)
@@ -47,7 +65,7 @@ struct StampContext {
   /// True during a partial re-assembly (see analysis.cpp): the MNA
   /// slots still hold this device's last-stamped values, so a device whose
   /// stamp inputs are BITWISE unchanged since that stamp may return without
-  /// stamping at all — the replay reproduces its values exactly.
+  /// stamping at all — the slots already hold its values exactly.
   bool replay = false;
 };
 
@@ -76,13 +94,18 @@ class Device {
   /// True when the device's stamp values can change between accepted time
   /// points of one transient (dynamic state, nonlinearity, or explicit time
   /// dependence). Devices returning false — resistors — stamp once per
-  /// transient; partial re-assembly replays their recorded values verbatim
-  /// on every later step (see analysis.cpp).
+  /// transient; partial re-assembly leaves their slot values in place on
+  /// every later step (see analysis.cpp).
   [[nodiscard]] virtual bool stamp_time_varying() const {
     return is_dynamic() || is_nonlinear();
   }
 
-  /// Stamp the device into the MNA system.
+  /// Bind every matrix and rhs slot stamp() writes, in stamp order, into a
+  /// system that is still binding. Every stamp() into that system (in any
+  /// mode) writes only these slots.
+  virtual void bind(MnaSystem& mna) = 0;
+
+  /// Stamp the device into the MNA system it was last bound to.
   virtual void stamp(MnaSystem& mna, const StampContext& ctx) const = 0;
 
   /// Called once when a transient starts, with the operating point.
@@ -97,10 +120,15 @@ class Device {
   virtual bool commit_step(const StampContext& ctx, const std::vector<double>& x);
 
  protected:
-  /// MNA index of terminal `i` (kGroundIndex for ground).
-  [[nodiscard]] MnaIndex idx(std::size_t i) const;
-  /// Voltage of terminal `i` under iterate `x` (0 for ground).
-  [[nodiscard]] double volt(const std::vector<double>& x, std::size_t i) const;
+  /// MNA index of terminal `i`: node n is row n - 1, so ground (node 0)
+  /// maps to kGroundIndex. `i` must be a valid terminal.
+  [[nodiscard]] MnaIndex idx(std::size_t i) const { return nodes_[i] - 1; }
+  /// Voltage of terminal `i` under iterate `x` (0 for ground). `x` must
+  /// hold every unknown.
+  [[nodiscard]] double volt(const std::vector<double>& x, std::size_t i) const {
+    const MnaIndex m = idx(i);
+    return m < 0 ? 0.0 : x[static_cast<std::size_t>(m)];
+  }
 
   std::size_t aux_base_ = 0;
 
@@ -117,10 +145,12 @@ class Resistor final : public Device {
   [[nodiscard]] double resistance() const { return ohms_; }
   void set_resistance(double ohms);
 
+  void bind(MnaSystem& mna) override;
   void stamp(MnaSystem& mna, const StampContext& ctx) const override;
 
  private:
   double ohms_;
+  ConductanceSlots g_;
 };
 
 /// Linear capacitor between nodes()[0] and nodes()[1]. Open in OP (modulo a
@@ -134,6 +164,7 @@ class Capacitor final : public Device {
   void set_capacitance(double farads);
 
   [[nodiscard]] bool is_dynamic() const override { return true; }
+  void bind(MnaSystem& mna) override;
   void stamp(MnaSystem& mna, const StampContext& ctx) const override;
   void begin_transient(const std::vector<double>& x_op) override;
   bool commit_step(const StampContext& ctx, const std::vector<double>& x) override;
@@ -142,6 +173,8 @@ class Capacitor final : public Device {
   [[nodiscard]] double branch_voltage(const std::vector<double>& x) const;
 
   double farads_;
+  ConductanceSlots g_;       ///< gmin (OP) or the companion geq (transient)
+  MnaSlot rhs_a_ = kSinkSlot, rhs_b_ = kSinkSlot;  ///< companion source
   double v_state_ = 0.0;  ///< voltage at the last accepted point
   double i_state_ = 0.0;  ///< current at the last accepted point (TRAP memory)
   // Inputs of the last transient stamp, for the ctx.replay quiescent skip
@@ -162,8 +195,9 @@ class VoltageSource final : public Device {
 
   [[nodiscard]] std::size_t aux_rows() const override { return 1; }
   // Conservatively time-varying: the rhs tracks value_at(t). A DC spec
-  // could replay, but sources are too few for the distinction to matter.
+  // could stamp once, but sources are too few for the distinction to matter.
   [[nodiscard]] bool stamp_time_varying() const override { return true; }
+  void bind(MnaSystem& mna) override;
   void stamp(MnaSystem& mna, const StampContext& ctx) const override;
 
   /// MNA index of this source's branch current (valid after finalize).
@@ -173,6 +207,8 @@ class VoltageSource final : public Device {
 
  private:
   SourceSpec spec_;
+  std::array<MnaSlot, 4> m_{};  ///< (p, br) (m, br) (br, p) (br, m)
+  MnaSlot rhs_ = kSinkSlot;     ///< branch row
 };
 
 /// Independent current source injecting into nodes()[0], out of nodes()[1].
@@ -184,10 +220,12 @@ class CurrentSource final : public Device {
   void set_spec(SourceSpec spec) { spec_ = std::move(spec); }
 
   [[nodiscard]] bool stamp_time_varying() const override { return true; }
+  void bind(MnaSystem& mna) override;
   void stamp(MnaSystem& mna, const StampContext& ctx) const override;
 
  private:
   SourceSpec spec_;
+  MnaSlot rhs_into_ = kSinkSlot, rhs_out_ = kSinkSlot;
 };
 
 enum class MosType { kNmos, kPmos };
@@ -215,6 +253,7 @@ class Mosfet final : public Device {
   [[nodiscard]] const MosParams& params() const { return params_; }
 
   [[nodiscard]] bool is_nonlinear() const override { return true; }
+  void bind(MnaSystem& mna) override;
   void stamp(MnaSystem& mna, const StampContext& ctx) const override;
 
   /// Drain current (drain->source through the channel) and its partial
@@ -231,6 +270,10 @@ class Mosfet final : public Device {
   [[nodiscard]] Eval square_law(double vgs, double vds) const;
 
   MosParams params_;
+  /// Channel stamp (d, g) (d, s) (d, d) (s, g) (s, s) (s, d).
+  std::array<MnaSlot, 6> m_{};
+  MnaSlot rhs_d_ = kSinkSlot, rhs_s_ = kSinkSlot;
+  ConductanceSlots gmin_;  ///< gmin across the channel, (d, s)
   // Last evaluation, cached for MosBypass (only maintained when the stamp
   // context carries one; a Circuit is used by one thread at a time).
   mutable double bp_vd_ = 0.0, bp_vg_ = 0.0, bp_vs_ = 0.0;

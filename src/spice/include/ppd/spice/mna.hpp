@@ -2,27 +2,29 @@
 // sources and auxiliary (branch-current) equations through this interface;
 // the analysis engine then factorizes with the dense or sparse solver.
 //
-// The system is structure-frozen. The first assemble + solve_into() cycle
-// learns the stamping structure: the exact (row, col) matrix add sequence,
-// the rhs add sequence, the triplet -> CSC slot mapping with its
-// duplicate-accumulation order, and the LU elimination ordering. Every later
-// assemble must replay the same add sequence (enforced) and writes numeric
-// values into the learned slots; solve_into() scatters them in the recorded
-// accumulation order, so sums are bitwise those of a from-scratch assemble,
-// and refactorizes in place into a caller-owned buffer: no triplet rebuild,
-// no symbolic analysis, no per-iteration allocation. Results are
-// bit-identical to a from-scratch factor + solve (the sparse refactorization
-// verifies its frozen pivot order and falls back to a full factor when
-// values shift it).
+// Slot-bound stamping (the classic SPICE pointer-to-element setup). Each
+// matrix or rhs contribution a device will ever make is bound once, up
+// front: bind() / bind_rhs() append one (row, col) / row entry to the add
+// sequence and return its slot. freeze() then learns the solver structure
+// from that sequence: which cell (CSC slot or dense offset) each slot feeds
+// and in what order duplicates accumulate, plus the dense LU's structural
+// mask. Every later stamp writes a value straight into its slot with the
+// inline set() / set_rhs(); solve_into() re-accumulates the cells whose
+// slots changed, each in its recorded order, so sums are bitwise those of a
+// from-scratch `A(row, col) += value` assemble, and refactorizes in place
+// into a caller-owned buffer: no triplet rebuild, no symbolic analysis, no
+// per-iteration allocation. Results are bit-identical to a from-scratch
+// factor + solve (the sparse refactorization verifies its frozen pivot order
+// and falls back to a full factor when values shift it; the dense factor
+// runs its restricted update only while pivots repeat the learned ones).
 //
-// Because slot values persist between assembles, a replay may also be
-// PARTIAL: seek() repositions the replay cursors to a recorded mark() and
-// only the devices whose values actually changed rewrite their slots —
-// everything else replays verbatim. The transient engine uses this to
-// restamp only nonlinear devices on Newton iterations >= 2 and only
-// time-varying devices on new time steps (see analysis.cpp).
+// Ground rows and columns bind to a sink slot whose writes are discarded,
+// so stamp code needs no ground branch. Because slot values persist between
+// assembles, an assemble may restamp only the devices whose values changed;
+// every other slot keeps its value (see analysis.cpp).
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -38,52 +40,60 @@ namespace ppd::spice {
 using MnaIndex = int;
 constexpr MnaIndex kGroundIndex = -1;
 
+/// A bound matrix or rhs contribution of an MnaSystem (see bind()).
+using MnaSlot = std::uint32_t;
+/// The slot ground entries bind to: its writes are discarded.
+constexpr MnaSlot kSinkSlot = 0;
+
 class MnaSystem {
  public:
-  /// `use_sparse` selects the backing solver. A new system is learning:
-  /// its first assemble + solve_into() records the structure.
+  /// `use_sparse` selects the backing solver. A new system is binding:
+  /// bind its entries, then freeze() it before the first write.
   MnaSystem(std::size_t unknowns, bool use_sparse);
 
-  void reset();
+  /// Append A(row, col) to the add sequence and return its slot. A ground
+  /// row or column returns kSinkSlot. Binding phase only.
+  [[nodiscard]] MnaSlot bind(MnaIndex row, MnaIndex col);
+  /// Append rhs(row) to the rhs add sequence and return its slot; ground
+  /// returns kSinkSlot. Binding phase only.
+  [[nodiscard]] MnaSlot bind_rhs(MnaIndex row);
 
-  /// A(row, col) += value; ground indices are ignored.
-  void add(MnaIndex row, MnaIndex col, double value);
+  /// End the binding phase: learn the solver structure from the bound
+  /// sequence. Every slot starts at +0.0.
+  void freeze();
 
-  /// rhs(row) += value; ground ignored.
-  void add_rhs(MnaIndex row, double value);
-
-  /// True once the learning assemble + solve has completed and later
-  /// assembles replay (fully or partially) into the learned slots.
-  [[nodiscard]] bool replay_ready() const { return learned_; }
-
-  /// Replay cursor positions — a point in the learned add sequences.
-  struct Mark {
-    std::size_t trip = 0;
-    std::size_t rhs = 0;
-  };
-  /// Current position in the add sequences (valid during the learning
-  /// assemble, where it delimits per-device slot windows for later partial
-  /// replays). While learning, adds append, so the position is the sequence
-  /// length; once replay-ready it is the replay cursor.
-  [[nodiscard]] Mark mark() const {
-    if (learned_) return {trip_cursor_, rhs_cursor_};
-    return {trip_row_.size(), rhs_row_.size()};
+  /// Set the value of a bound matrix slot (its contribution to the cell it
+  /// was bound to). Frozen systems only. Small enough to inline into every
+  /// stamp: the dirty queues are preallocated, so there is no growth path.
+  void set(MnaSlot s, double value) {
+    double& slot = val_[s];
+    if (bits_equal(slot, value)) return;
+    slot = value;
+    // The sink maps to a cell that is permanently flagged dirty, so it is
+    // never queued.
+    const std::size_t c = cell_[s];
+    if (!cell_dirty_[c]) {
+      cell_dirty_[c] = 1;
+      dirty_cells_[n_dirty_cells_++] = c;
+    }
   }
-  /// Reposition the replay cursors to a recorded mark and flag this
-  /// assemble as partial: slots not rewritten before solve_into() keep
-  /// their previous values. replay_ready() only.
-  void seek(const Mark& m);
 
-  /// Flag the in-progress assemble as partial without repositioning the
-  /// cursors — for selective walks that may visit zero devices (an empty
-  /// walk is a valid partial assemble: every slot replays). replay_ready()
-  /// only.
-  void note_partial();
+  /// Set the value of a bound rhs slot. Frozen systems only.
+  void set_rhs(MnaSlot s, double value) {
+    double& slot = rhs_val_[s];
+    if (bits_equal(slot, value)) return;
+    slot = value;
+    // The sink's row (n) is permanently flagged dirty, so it is never queued.
+    const std::size_t r = rhs_row_[s];
+    if (!rhs_row_dirty_[r]) {
+      rhs_row_dirty_[r] = 1;
+      dirty_rhs_rows_[n_dirty_rhs_rows_++] = r;
+    }
+  }
 
   /// Factorize and solve into `x` (resized). Throws NumericalError on
   /// singularity. Allocation-free after the first call; the dense solver
-  /// factorizes the assembled matrix in place (the matrix is consumed —
-  /// reassemble before the next solve).
+  /// factorizes a copy of its matrix image in place.
   void solve_into(std::vector<double>& x);
 
   [[nodiscard]] std::size_t unknowns() const { return n_; }
@@ -98,60 +108,63 @@ class MnaSystem {
     std::uint64_t cached = 0;
   };
   [[nodiscard]] const SolveStats& solve_stats() const { return stats_; }
+  /// Restricted vs full dense factors (zero on the sparse backend).
+  [[nodiscard]] const linalg::DenseLuWorkspace::Stats& dense_lu_stats() const {
+    return dlw_.stats();
+  }
 
  private:
-  /// Build the frozen CSC image + slot maps from the current triplets,
-  /// replicating SparseMatrix's duplicate-accumulation order so scattered
-  /// values match a rebuilt matrix bitwise.
+  [[nodiscard]] static bool bits_equal(double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  }
+
+  /// Map every slot to its CSC slot and order each CSC slot's slots the
+  /// way SparseMatrix merges duplicates, so scattered values match a
+  /// rebuilt matrix bitwise.
   void learn_sparse_structure();
-  /// Build the dense scatter program: slot k is the column-major offset of
-  /// triplet k, replayed in add order (the order a from-scratch += assemble
-  /// accumulates in).
+  /// Map every slot to its dense cell (one per distinct column-major
+  /// offset), bind order kept per cell (the order a from-scratch +=
+  /// assemble accumulates in), and hand the dense LU its structural mask.
   void learn_dense_structure();
-  /// Group the learned rhs add sequence by row (add order preserved within
-  /// each row) so dirty rows can be re-accumulated individually.
-  void learn_rhs_rows();
 
   std::size_t n_;
   bool use_sparse_;
-  linalg::DenseMatrix dense_;
-  // Learned matrix add sequence (both backends) and its replayed values.
+  bool frozen_ = false;
+  // Bound matrix sequence: slot s >= 1 is entry (trip_row_[s], trip_col_[s])
+  // with value val_[s]; slot 0 is the sink.
   std::vector<std::size_t> trip_row_, trip_col_;
-  std::vector<double> trip_val_;
-  std::vector<double> rhs_;
-
-  bool learned_ = false;                   // structure recorded, replaying
-  bool partial_ = false;                   // current assemble used seek()
-  // Bitwise value-change tracking across replayed assembles: when no matrix
-  // slot changed, the previous factorization is still THE factorization of
-  // this system and is reused; when the rhs didn't change either, the
-  // previous solution is returned outright. Both are bit-identical shortcuts
-  // (same bits in -> same bits out of a deterministic solver).
-  bool mat_changed_ = true;
-  bool rhs_changed_ = true;
-  bool factor_ok_ = false;                 // dense_/slu_ hold a live factorization
-  bool solve_cached_ = false;              // cached_x_ matches current values
-  std::vector<double> cached_x_;
-  std::size_t trip_cursor_ = 0;            // replay position during assembles
-  std::size_t rhs_cursor_ = 0;
-  std::vector<std::size_t> rhs_row_;       // learned rhs add sequence
+  std::vector<double> val_;
+  std::vector<std::size_t> rhs_row_;       // bound rhs sequence (0: sink, row n)
   std::vector<double> rhs_val_;
-  std::unique_ptr<linalg::SparseMatrix> a_;  // frozen CSC, values rewritten
-  std::vector<std::size_t> dense_slot_;    // triplet index -> dense offset
-  // Incremental scatter: rebuilding the whole CSC image per solve costs
-  // O(triplets) even when one device restamped. The inverse maps below let
-  // add() mark exactly the value slots / rhs rows its bit changes touch, and
-  // solve_into() re-accumulates only those (in the recorded order, so the
-  // sums stay bitwise full-rebuild sums). Matrix-side maps are sparse-only:
-  // the dense in-place factorization consumes the matrix image, so dense
-  // rebuilds are always full. rhs maps serve both backends.
-  std::vector<std::size_t> trip_slot_;     // triplet index -> its CSC slot
-  std::vector<std::size_t> slot_ptr_, slot_src_;  // slot -> triplets, in order
-  std::vector<char> slot_dirty_;
-  std::vector<std::size_t> dirty_slots_;
-  std::vector<std::size_t> rhs_ptr_, rhs_src_;    // row -> rhs adds, in order
+
+  // Assembled images, kept between solves: every matrix cell (a CSC slot,
+  // or a distinct dense offset) and rhs row holds the sum of its slots.
+  // set() queues exactly the cells / rows whose slot bits changed, and
+  // solve_into() re-accumulates only those, each in its recorded order, so
+  // the sums stay bitwise full-rebuild sums. No queued cell means the
+  // previous factorization is still THE factorization of this system; no
+  // queued rhs row either means the previous solution is this solve's
+  // result (same bits in -> same bits out of a deterministic solver).
+  std::unique_ptr<linalg::SparseMatrix> a_;  // sparse image (frozen CSC)
+  std::vector<double> image_;      // dense image, one value per cell
+  std::vector<std::size_t> cell_offset_;  // dense cell -> column-major offset
+  linalg::DenseMatrix dense_;      // dense factor buffer (consumes a copy)
+  std::vector<double> rhs_;
+  std::vector<std::size_t> cell_;  // slot -> cell (the sink: an extra cell)
+  std::vector<std::size_t> cell_ptr_, cell_src_;  // cell -> slots, in order
+  std::vector<std::size_t> rhs_ptr_, rhs_src_;    // row -> rhs slots, in order
+  // Dirty queues hold each cell / row at most once (the flag arrays
+  // dedupe), so they are sized once and never grow.
+  std::vector<char> cell_dirty_;
+  std::vector<std::size_t> dirty_cells_;
+  std::size_t n_dirty_cells_ = 0;
   std::vector<char> rhs_row_dirty_;
   std::vector<std::size_t> dirty_rhs_rows_;
+  std::size_t n_dirty_rhs_rows_ = 0;
+  bool first_scatter_ = true;     // no matrix values accumulated yet
+  bool factor_ok_ = false;        // dense_/slu_ hold a live factorization
+  bool solve_cached_ = false;     // cached_x_ matches current values
+  std::vector<double> cached_x_;
   linalg::SparseLu slu_;
   linalg::DenseLuWorkspace dlw_;
   SolveStats stats_;

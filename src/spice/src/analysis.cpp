@@ -39,28 +39,43 @@ struct NewtonOutcome {
   double residual = 0.0;
 };
 
-/// Which subset of devices a replay-ready assemble must restamp. Ignored —
-/// every assemble is full — until the plan has been learned and the
-/// MnaSystem replays.
+/// A circuit's MnaSystem with every slot bound and the structure frozen:
+/// each device binds its own slots, in device order, then the per-node
+/// gmin-to-ground leak binds here — the order a full assemble stamps in.
+struct CircuitMna {
+  CircuitMna(Circuit& circuit, bool use_sparse)
+      : mna(circuit.unknown_count(), use_sparse) {
+    for (const auto& dev : circuit.devices()) dev->bind(mna);
+    leak.resize(circuit.node_count() - 1);
+    for (std::size_t i = 0; i < leak.size(); ++i)
+      leak[i] = mna.bind(static_cast<MnaIndex>(i), static_cast<MnaIndex>(i));
+    mna.freeze();
+  }
+
+  MnaSystem mna;
+  std::vector<MnaSlot> leak;
+};
+
+/// Which subset of devices an assemble must restamp. Ignored — every
+/// assemble is full — until the plan has been learned.
 enum class AssemblePhase {
-  kFull,           ///< stamp everything (learning pass, OP)
+  kFull,           ///< stamp everything (first assemble, OP)
   kStepRefresh,    ///< new time point: time-varying devices only
   kIterateRefresh  ///< same time point, new Newton iterate: nonlinear only
 };
 
-/// Per-device replay windows into an MnaSystem's learned add sequences,
-/// recorded during the learning assemble. With a learned plan,
-/// kStepRefresh / kIterateRefresh assembles seek() to each listed device's
-/// window and restamp just that device; every untouched slot keeps the
-/// value it had, and solve_into() replays the full sequence in the original
-/// accumulation order — so partial assembles are bit-identical to full
-/// ones whenever the skipped devices' values are unchanged (linear stamps
-/// within a step; static stamps across the whole transient).
+/// Which devices a partial assemble restamps, recorded during the first
+/// (full) assemble. With a learned plan, kStepRefresh / kIterateRefresh
+/// assembles restamp just the listed devices, each writing its own bound
+/// slots; every untouched slot keeps the value it had, and solve_into()
+/// accumulates all slots in bind order — so partial assembles are
+/// bit-identical to full ones whenever the skipped devices' values are
+/// unchanged (linear stamps within a step; static stamps across the whole
+/// transient).
 struct AssemblePlan {
   bool learned = false;
   std::vector<std::size_t> refresh;      ///< device idx: stamp_time_varying()
   std::vector<std::size_t> nonlinear;    ///< device idx: is_nonlinear()
-  std::vector<MnaSystem::Mark> marks;    ///< per device, slot-window starts
 
   // Selective (dirty-driven) refresh. The refresh/nonlinear lists above are
   // membership tests (which devices CAN change); the machinery below tracks
@@ -72,7 +87,7 @@ struct AssemblePlan {
   //   - dev_dirty: dynamic stamps are functions of committed integration
   //     state, so commit_step() reports bitwise state changes per device;
   //   - sources: explicit time dependence, revisited every new time point.
-  // Skipped devices' slots replay verbatim, which is exactly the bit-
+  // Skipped devices' slots keep their values, which is exactly the bit-
   // identity contract of partial assembly — the dirty sets only ever ADD
   // visits relative to the minimal correct set, never remove one.
   std::vector<std::size_t> sources;      ///< time-varying, static state
@@ -85,21 +100,20 @@ struct AssemblePlan {
 };
 
 /// Stamp every device plus the global gmin-to-ground leak — or, given a
-/// learned plan and a replay-ready MnaSystem, only the phase's subset.
-void assemble(Circuit& circuit, MnaSystem& mna, const StampContext& ctx,
+/// learned plan, only the phase's subset.
+void assemble(Circuit& circuit, CircuitMna& sys, const StampContext& ctx,
               AssemblePlan* plan = nullptr,
               AssemblePhase phase = AssemblePhase::kFull) {
-  if (plan != nullptr && plan->learned && mna.replay_ready() &&
-      phase != AssemblePhase::kFull) {
+  MnaSystem& mna = sys.mna;
+  if (plan != nullptr && plan->learned && phase != AssemblePhase::kFull) {
     // Partial re-assembly: restamp only the devices whose values can have
     // changed since their slots were last written; everything else (and the
-    // gmin leak) replays verbatim. Skipping the per-device virtual walk is
-    // the point — at MC sizes assembly, not the solve, dominates a Newton
-    // iteration.
+    // gmin leak) keeps its slot values. Skipping the per-device virtual walk
+    // is the point — at MC sizes assembly, not the solve, dominates a
+    // Newton iteration.
     const auto& devices = circuit.devices();
     StampContext rctx = ctx;
     rctx.replay = true;  // slots retain values: quiescent devices may skip
-    mna.note_partial();
     if (!plan->all_dirty) {
       // Dirty-driven walk: only devices whose stamp inputs actually moved
       // since their last visit. The epoch dedupes a device watched by
@@ -108,7 +122,6 @@ void assemble(Circuit& circuit, MnaSystem& mna, const StampContext& ctx,
       const auto visit = [&](std::size_t i) {
         if (plan->visit_epoch[i] == plan->epoch) return;
         plan->visit_epoch[i] = plan->epoch;
-        mna.seek(plan->marks[i]);
         devices[i]->stamp(mna, rctx);
       };
       for (std::size_t nidx = 0; nidx < plan->node_dirty.size(); ++nidx) {
@@ -128,10 +141,7 @@ void assemble(Circuit& circuit, MnaSystem& mna, const StampContext& ctx,
     }
     const auto& list = phase == AssemblePhase::kStepRefresh ? plan->refresh
                                                             : plan->nonlinear;
-    for (std::size_t i : list) {
-      mna.seek(plan->marks[i]);
-      devices[i]->stamp(mna, rctx);
-    }
+    for (std::size_t i : list) devices[i]->stamp(mna, rctx);
     // A full list walk consumes every pending change its phase covers:
     // node-driven dirt only ever targets nonlinear devices (both lists),
     // commit-driven dirt needs the refresh list (kStepRefresh only).
@@ -142,20 +152,16 @@ void assemble(Circuit& circuit, MnaSystem& mna, const StampContext& ctx,
     }
     return;
   }
-  mna.reset();
-  const bool learn = plan != nullptr && !mna.replay_ready();
+  const bool learn = plan != nullptr && !plan->learned;
   if (learn) {
     plan->refresh.clear();
     plan->nonlinear.clear();
-    plan->marks.clear();
-    plan->marks.reserve(circuit.devices().size());
     plan->sources.clear();
     plan->node_watch.assign(circuit.node_count() - 1, {});
   }
   for (std::size_t i = 0; i < circuit.devices().size(); ++i) {
     const auto& dev = circuit.devices()[i];
     if (learn) {
-      plan->marks.push_back(mna.mark());
       if (dev->stamp_time_varying()) plan->refresh.push_back(i);
       if (dev->is_nonlinear()) {
         plan->nonlinear.push_back(i);
@@ -169,10 +175,9 @@ void assemble(Circuit& circuit, MnaSystem& mna, const StampContext& ctx,
     }
     dev->stamp(mna, ctx);
   }
-  const std::size_t nodes = circuit.node_count() - 1;
-  for (std::size_t i = 0; i < nodes; ++i)
-    mna.add(static_cast<MnaIndex>(i), static_cast<MnaIndex>(i), ctx.gmin);
+  for (MnaSlot s : sys.leak) mna.set(s, ctx.gmin);
   if (learn) {
+    const std::size_t nodes = sys.leak.size();
     // Arm selective refresh BEFORE the first Newton update runs, so the
     // updates applied while converging this very solve are tracked; the
     // machinery starts all_dirty and earns its first selective walk only
@@ -208,7 +213,7 @@ void record_newton(const NewtonOutcome& out) {
 /// solution out; `x_new` is the caller-owned solve buffer. `first_phase`
 /// applies to the first assemble; later iterations use kIterateRefresh (a
 /// no-op downgrade to kFull without a learned plan).
-NewtonOutcome newton_solve_impl(Circuit& circuit, MnaSystem& mna,
+NewtonOutcome newton_solve_impl(Circuit& circuit, CircuitMna& sys,
                                 StampContext ctx, const NewtonOptions& opt,
                                 std::vector<double>& x,
                                 std::vector<double>& x_new,
@@ -227,10 +232,10 @@ NewtonOutcome newton_solve_impl(Circuit& circuit, MnaSystem& mna,
     ctx.x = &x;
     // Only the iterate moves between iterations of one solve, so after the
     // first assemble a learned plan needs nothing but the nonlinear stamps.
-    assemble(circuit, mna, ctx, plan,
+    assemble(circuit, sys, ctx, plan,
              it == 0 ? first_phase : AssemblePhase::kIterateRefresh);
     try {
-      mna.solve_into(x_new);
+      sys.mna.solve_into(x_new);
     } catch (const NumericalError&) {
       // Singular linearization (e.g. fully cut-off stacks at a flat start):
       // report non-convergence and let the caller's homotopy ladder or step
@@ -281,7 +286,7 @@ NewtonOutcome newton_solve_impl(Circuit& circuit, MnaSystem& mna,
   return out;
 }
 
-NewtonOutcome newton_solve(Circuit& circuit, MnaSystem& mna, StampContext ctx,
+NewtonOutcome newton_solve(Circuit& circuit, CircuitMna& sys, StampContext ctx,
                            const NewtonOptions& opt, std::vector<double>& x,
                            std::vector<double>& x_new,
                            const resil::Deadline& deadline,
@@ -294,7 +299,7 @@ NewtonOutcome newton_solve(Circuit& circuit, MnaSystem& mna, StampContext ctx,
     record_newton(out);
     return out;
   }
-  const NewtonOutcome out = newton_solve_impl(circuit, mna, ctx, opt, x,
+  const NewtonOutcome out = newton_solve_impl(circuit, sys, ctx, opt, x,
                                               x_new, deadline, plan,
                                               first_phase);
   record_newton(out);
@@ -305,14 +310,14 @@ NewtonOutcome newton_solve(Circuit& circuit, MnaSystem& mna, StampContext ctx,
 /// from the previous stage's solution; every stage must converge. The gmin
 /// and source rungs of run_op are both instances of this (they used to be
 /// two near-identical loops). `last` receives the final stage's outcome.
-bool schedule_solve(Circuit& circuit, MnaSystem& mna,
+bool schedule_solve(Circuit& circuit, CircuitMna& sys,
                     const std::vector<StampContext>& schedule,
                     const NewtonOptions& opt, std::vector<double>& x,
                     std::vector<double>& x_new,
                     const resil::Deadline& deadline, NewtonOutcome* last) {
   NewtonOutcome out;
   for (const StampContext& ctx : schedule) {
-    out = newton_solve(circuit, mna, ctx, opt, x, x_new, deadline);
+    out = newton_solve(circuit, sys, ctx, opt, x, x_new, deadline);
     if (last != nullptr) *last = out;
     if (!out.converged) return false;
   }
@@ -351,14 +356,14 @@ std::uint64_t op_cache_key(const Circuit& circuit, const OpOptions& options) {
 /// caller can return `x` verbatim and stay bit-identical to the cold run
 /// that stored it. Returns false on a stale entry or hash collision (the
 /// caller then falls through to the cold ladder).
-bool op_verified_at(Circuit& circuit, MnaSystem& mna, StampContext ctx,
+bool op_verified_at(Circuit& circuit, CircuitMna& sys, StampContext ctx,
                     const NewtonOptions& opt, const std::vector<double>& x) {
   const std::size_t node_unknowns = circuit.node_count() - 1;
   ctx.x = &x;
-  assemble(circuit, mna, ctx);
+  assemble(circuit, sys, ctx);
   std::vector<double> x_new;
   try {
-    mna.solve_into(x_new);
+    sys.mna.solve_into(x_new);
   } catch (const NumericalError&) {
     return false;
   }
@@ -385,7 +390,7 @@ OpResult run_op_with_deadline(Circuit& circuit, const OpOptions& options,
   circuit.finalize();
   const std::size_t n = circuit.unknown_count();
   PPD_REQUIRE(n > 0, "circuit has no unknowns");
-  MnaSystem mna(n, /*use_sparse=*/false);
+  CircuitMna sys(circuit, /*use_sparse=*/false);
 
   // Starting point: flat zero plus any .NODESET biases.
   std::vector<double> x0(n, 0.0);
@@ -422,7 +427,7 @@ OpResult run_op_with_deadline(Circuit& circuit, const OpOptions& options,
     if (const auto cached = cache::solve_cache().get(key);
         cached.has_value() && cached->size() == n + 3) {
       const std::vector<double> stored(cached->begin() + 3, cached->end());
-      if (op_verified_at(circuit, mna, ctx, options.newton, stored)) {
+      if (op_verified_at(circuit, sys, ctx, options.newton, stored)) {
         const int cold_iterations = static_cast<int>((*cached)[0]);
         obs::counter("spice.newton.warm_start.hit").add();
         obs::counter("spice.newton.warm_start.iters_saved")
@@ -475,7 +480,7 @@ OpResult run_op_with_deadline(Circuit& circuit, const OpOptions& options,
         schedule.push_back(step_ctx);
       }
     }
-    return schedule_solve(circuit, mna, schedule, options.newton, x, x_new,
+    return schedule_solve(circuit, sys, schedule, options.newton, x, x_new,
                           deadline, &last);
   };
 
@@ -526,14 +531,14 @@ OpResult run_op_with_deadline(Circuit& circuit, const OpOptions& options,
 /// (accepted, rejected, or nothing left to do). Owns the step size, the
 /// adaptive controllers (iteration-count and LTE), the end-of-sweep
 /// snapping, the iterate and solve buffers, the assemble plan and the
-/// MOSFET bypass. run_transient owns the circuit, the MnaSystem, the OP
-/// phase and waveform recording.
+/// MOSFET bypass. run_transient owns the circuit, the bound MnaSystem, the
+/// OP phase and waveform recording.
 class TransientStepper {
  public:
   enum class Outcome { kAccepted, kRejected, kFinished };
 
   /// `x_op` is the operating point.
-  TransientStepper(Circuit& circuit, MnaSystem& mna,
+  TransientStepper(Circuit& circuit, CircuitMna& sys,
                    const TransientOptions& options, resil::Deadline deadline,
                    const std::vector<double>& x_op);
 
@@ -552,7 +557,7 @@ class TransientStepper {
 
  private:
   Circuit& circuit_;
-  MnaSystem& mna_;
+  CircuitMna& sys_;
   const TransientOptions& options_;
   resil::Deadline deadline_;
   // Bit-safe quiescent-MOSFET bypass: a cached model evaluation is reused
@@ -570,16 +575,16 @@ class TransientStepper {
   bool just_rejected_ = false;
   bool snapped_ = false;
   int last_iterations_ = 0;
-  AssemblePlan plan_;  // partial re-assembly windows
+  AssemblePlan plan_;  // partial re-assembly device lists
   std::vector<double> x_, x_try_, x_prev_, x_new_;
 };
 
-TransientStepper::TransientStepper(Circuit& circuit, MnaSystem& mna,
+TransientStepper::TransientStepper(Circuit& circuit, CircuitMna& sys,
                                    const TransientOptions& options,
                                    resil::Deadline deadline,
                                    const std::vector<double>& x_op)
     : circuit_(circuit),
-      mna_(mna),
+      sys_(sys),
       options_(options),
       deadline_(deadline),
       node_unknowns_(circuit.node_count() - 1),
@@ -637,7 +642,7 @@ TransientStepper::Outcome TransientStepper::step() {
   // so a learned plan assembles kStepRefresh here and kIterateRefresh inside
   // the Newton loop.
   const NewtonOutcome outcome =
-      newton_solve(circuit_, mna_, ctx, options_.newton, x_try_, x_new_,
+      newton_solve(circuit_, sys_, ctx, options_.newton, x_try_, x_new_,
                    deadline_, &plan_, AssemblePhase::kStepRefresh);
   last_iterations_ = outcome.iterations;
 
@@ -763,7 +768,7 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options)
   const std::size_t n = circuit.unknown_count();
   const bool use_sparse =
       options.sparse_threshold == 0 || n > options.sparse_threshold;
-  MnaSystem mna(n, use_sparse);
+  CircuitMna sys(circuit, use_sparse);
 
   for (const auto& dev : circuit.devices()) dev->begin_transient(op.x);
 
@@ -789,7 +794,7 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options)
   // Record the operating point at t = 0.
   record(0.0, op.x);
 
-  TransientStepper stepper(circuit, mna, options, deadline, op.x);
+  TransientStepper stepper(circuit, sys, options, deadline, op.x);
   for (;;) {
     const auto outcome = stepper.step();
     if (outcome == TransientStepper::Outcome::kFinished) break;
@@ -811,6 +816,13 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options)
     obs::counter("spice.transient.rejected_steps").add(result.rejected_steps);
     obs::counter("spice.bypass.hits").add(stepper.bypass().hits);
     obs::counter("spice.bypass.evals").add(stepper.bypass().evals);
+    const MnaSystem::SolveStats& solves = sys.mna.solve_stats();
+    obs::counter("spice.mna.refactored").add(solves.refactored);
+    obs::counter("spice.mna.rhs_only").add(solves.rhs_only);
+    obs::counter("spice.mna.cached").add(solves.cached);
+    const auto& lu = sys.mna.dense_lu_stats();
+    obs::counter("spice.lu.pattern_factors").add(lu.pattern);
+    obs::counter("spice.lu.full_factors").add(lu.full);
     obs::histogram("spice.transient.seconds", {1e-6, 1e4, 50})
         .record(std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                               tran_start)

@@ -11,7 +11,7 @@ namespace ppd::spice {
 namespace {
 
 /// Bitwise double equality. The quiescent-skip decisions below must
-/// preserve replayed values EXACTLY, and operator== is too loose for that:
+/// preserve slot values EXACTLY, and operator== is too loose for that:
 /// -0.0 == +0.0, yet the two produce different bit patterns downstream
 /// (and different CSV bytes).
 [[nodiscard]] bool bits_equal(double a, double b) {
@@ -32,19 +32,6 @@ void Device::rewire(std::size_t terminal, NodeId node) {
   nodes_[terminal] = node;
 }
 
-MnaIndex Device::idx(std::size_t i) const {
-  PPD_REQUIRE(i < nodes_.size(), "terminal index out of range");
-  const NodeId n = nodes_[i];
-  return n == kGround ? kGroundIndex : static_cast<MnaIndex>(n - 1);
-}
-
-double Device::volt(const std::vector<double>& x, std::size_t i) const {
-  const MnaIndex m = idx(i);
-  if (m == kGroundIndex) return 0.0;
-  PPD_REQUIRE(static_cast<std::size_t>(m) < x.size(), "iterate too small");
-  return x[static_cast<std::size_t>(m)];
-}
-
 void Device::begin_transient(const std::vector<double>&) {}
 bool Device::commit_step(const StampContext&, const std::vector<double>&) {
   return false;
@@ -62,13 +49,10 @@ void Resistor::set_resistance(double ohms) {
   ohms_ = ohms;
 }
 
+void Resistor::bind(MnaSystem& mna) { g_.bind(mna, idx(0), idx(1)); }
+
 void Resistor::stamp(MnaSystem& mna, const StampContext&) const {
-  const double g = 1.0 / ohms_;
-  const MnaIndex a = idx(0), b = idx(1);
-  mna.add(a, a, g);
-  mna.add(b, b, g);
-  mna.add(a, b, -g);
-  mna.add(b, a, -g);
+  g_.set(mna, 1.0 / ohms_);
 }
 
 // --------------------------------------------------------------- Capacitor
@@ -88,23 +72,27 @@ double Capacitor::branch_voltage(const std::vector<double>& x) const {
   return volt(x, 0) - volt(x, 1);
 }
 
-void Capacitor::stamp(MnaSystem& mna, const StampContext& ctx) const {
+void Capacitor::bind(MnaSystem& mna) {
   const MnaIndex a = idx(0), b = idx(1);
+  g_.bind(mna, a, b);
+  rhs_a_ = mna.bind_rhs(a);
+  rhs_b_ = mna.bind_rhs(b);
+}
+
+void Capacitor::stamp(MnaSystem& mna, const StampContext& ctx) const {
   if (ctx.mode == AnalysisMode::kOperatingPoint) {
-    // Open in DC; a gmin leak keeps capacitively-coupled nodes solvable.
-    mna.add(a, a, ctx.gmin);
-    mna.add(b, b, ctx.gmin);
-    mna.add(a, b, -ctx.gmin);
-    mna.add(b, a, -ctx.gmin);
+    // Open in DC; a gmin leak keeps capacitively-coupled nodes solvable. The
+    // companion source slots stay +0.0, which adds nothing to any rhs sum.
+    g_.set(mna, ctx.gmin);
     return;
   }
   PPD_REQUIRE(ctx.h > 0.0, "transient stamp needs a positive step");
   // Quiescent skip: the companion values are a pure function of
   // (h, v_state_, i_state_); when all three are bitwise what they were at
-  // the last stamp, a replaying assemble would rewrite the exact same
-  // numbers — let the slots keep them instead. This is what makes settle-
-  // tail steps cheap: under backward Euler a settled node's state freezes
-  // bitwise and its capacitors drop out of assembly.
+  // the last stamp, restamping would rewrite the exact same numbers — let
+  // the slots keep them instead. This is what makes settle-tail steps
+  // cheap: under backward Euler a settled node's state freezes bitwise and
+  // its capacitors drop out of assembly.
   if (ctx.replay && st_valid_ && bits_equal(ctx.h, st_h_) &&
       bits_equal(v_state_, st_v_) && bits_equal(i_state_, st_i_)) {
     return;
@@ -123,12 +111,9 @@ void Capacitor::stamp(MnaSystem& mna, const StampContext& ctx) const {
     geq = 2.0 * farads_ / ctx.h;
     ieq_src = geq * v_state_ + i_state_;
   }
-  mna.add(a, a, geq);
-  mna.add(b, b, geq);
-  mna.add(a, b, -geq);
-  mna.add(b, a, -geq);
-  mna.add_rhs(a, ieq_src);
-  mna.add_rhs(b, -ieq_src);
+  g_.set(mna, geq);
+  mna.set_rhs(rhs_a_, ieq_src);
+  mna.set_rhs(rhs_b_, -ieq_src);
 }
 
 void Capacitor::begin_transient(const std::vector<double>& x_op) {
@@ -158,15 +143,20 @@ VoltageSource::VoltageSource(std::string name, NodeId plus, NodeId minus,
 
 double VoltageSource::value_at(double t) const { return source_value(spec_, t); }
 
-void VoltageSource::stamp(MnaSystem& mna, const StampContext& ctx) const {
+void VoltageSource::bind(MnaSystem& mna) {
   const MnaIndex p = idx(0), m = idx(1);
   const auto br = static_cast<MnaIndex>(aux_base_);
-  mna.add(p, br, 1.0);
-  mna.add(m, br, -1.0);
-  mna.add(br, p, 1.0);
-  mna.add(br, m, -1.0);
+  m_ = {mna.bind(p, br), mna.bind(m, br), mna.bind(br, p), mna.bind(br, m)};
+  rhs_ = mna.bind_rhs(br);
+}
+
+void VoltageSource::stamp(MnaSystem& mna, const StampContext& ctx) const {
+  mna.set(m_[0], 1.0);
+  mna.set(m_[1], -1.0);
+  mna.set(m_[2], 1.0);
+  mna.set(m_[3], -1.0);
   const double t = ctx.mode == AnalysisMode::kOperatingPoint ? 0.0 : ctx.t;
-  mna.add_rhs(br, ctx.source_scale * value_at(t));
+  mna.set_rhs(rhs_, ctx.source_scale * value_at(t));
 }
 
 // ----------------------------------------------------------- CurrentSource
@@ -175,11 +165,16 @@ CurrentSource::CurrentSource(std::string name, NodeId into, NodeId out_of,
                              SourceSpec spec)
     : Device(std::move(name), {into, out_of}), spec_(std::move(spec)) {}
 
+void CurrentSource::bind(MnaSystem& mna) {
+  rhs_into_ = mna.bind_rhs(idx(0));
+  rhs_out_ = mna.bind_rhs(idx(1));
+}
+
 void CurrentSource::stamp(MnaSystem& mna, const StampContext& ctx) const {
   const double t = ctx.mode == AnalysisMode::kOperatingPoint ? 0.0 : ctx.t;
   const double i = ctx.source_scale * source_value(spec_, t);
-  mna.add_rhs(idx(0), i);
-  mna.add_rhs(idx(1), -i);
+  mna.set_rhs(rhs_into_, i);
+  mna.set_rhs(rhs_out_, -i);
 }
 
 // ------------------------------------------------------------------ Mosfet
@@ -248,8 +243,16 @@ Mosfet::Eval Mosfet::evaluate(double vd, double vg, double vs) const {
   return e;
 }
 
-void Mosfet::stamp(MnaSystem& mna, const StampContext& ctx) const {
+void Mosfet::bind(MnaSystem& mna) {
   const MnaIndex d = idx(0), g = idx(1), s = idx(2);
+  m_ = {mna.bind(d, g), mna.bind(d, s), mna.bind(d, d),
+        mna.bind(s, g), mna.bind(s, s), mna.bind(s, d)};
+  rhs_d_ = mna.bind_rhs(d);
+  rhs_s_ = mna.bind_rhs(s);
+  gmin_.bind(mna, d, s);
+}
+
+void Mosfet::stamp(MnaSystem& mna, const StampContext& ctx) const {
   double vd = 0.0, vg = 0.0, vs = 0.0;
   if (ctx.x != nullptr) {
     vd = volt(*ctx.x, 0);
@@ -287,19 +290,16 @@ void Mosfet::stamp(MnaSystem& mna, const StampContext& ctx) const {
   const double vgs0 = vg - vs;
   const double vds0 = vd - vs;
   const double ieq = e.ids - e.gm * vgs0 - e.gds * vds0;
-  mna.add(d, g, e.gm);
-  mna.add(d, s, -e.gm - e.gds);
-  mna.add(d, d, e.gds);
-  mna.add(s, g, -e.gm);
-  mna.add(s, s, e.gm + e.gds);
-  mna.add(s, d, -e.gds);
-  mna.add_rhs(d, -ieq);
-  mna.add_rhs(s, ieq);
+  mna.set(m_[0], e.gm);
+  mna.set(m_[1], -e.gm - e.gds);
+  mna.set(m_[2], e.gds);
+  mna.set(m_[3], -e.gm);
+  mna.set(m_[4], e.gm + e.gds);
+  mna.set(m_[5], -e.gds);
+  mna.set_rhs(rhs_d_, -ieq);
+  mna.set_rhs(rhs_s_, ieq);
   // gmin across the channel keeps cutoff devices from isolating nodes.
-  mna.add(d, d, ctx.gmin);
-  mna.add(s, s, ctx.gmin);
-  mna.add(d, s, -ctx.gmin);
-  mna.add(s, d, -ctx.gmin);
+  gmin_.set(mna, ctx.gmin);
 }
 
 }  // namespace ppd::spice

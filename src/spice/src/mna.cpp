@@ -1,8 +1,8 @@
 #include "ppd/spice/mna.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cstdint>
+#include <limits>
+#include <numeric>
 
 #include "ppd/util/error.hpp"
 
@@ -10,130 +10,111 @@ namespace ppd::spice {
 
 namespace {
 
-[[nodiscard]] bool bits_equal(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+/// Stable counting sort of slots 1 .. key.size() - 1 (slot 0 is the sink)
+/// by key: ptr[k] .. ptr[k + 1] indexes the slots with key k in `src`, in
+/// slot order — the bind order a from-scratch assemble accumulates in.
+void group_slots(const std::vector<std::size_t>& key, std::size_t keys,
+                 std::vector<std::size_t>& ptr, std::vector<std::size_t>& src) {
+  ptr.assign(keys + 1, 0);
+  for (std::size_t s = 1; s < key.size(); ++s) ++ptr[key[s] + 1];
+  for (std::size_t k = 0; k < keys; ++k) ptr[k + 1] += ptr[k];
+  src.resize(key.size() - 1);
+  std::vector<std::size_t> cursor(ptr.begin(), ptr.end() - 1);
+  for (std::size_t s = 1; s < key.size(); ++s) src[cursor[key[s]]++] = s;
 }
 
 }  // namespace
 
 MnaSystem::MnaSystem(std::size_t unknowns, bool use_sparse)
-    : n_(unknowns), use_sparse_(use_sparse), rhs_(unknowns, 0.0) {
-  if (!use_sparse_) dense_ = linalg::DenseMatrix(n_, n_);
-}
+    : n_(unknowns),
+      use_sparse_(use_sparse),
+      // Slot 0 is the sink of both sequences; its row/col n is out of range
+      // for every real entry.
+      trip_row_{unknowns},
+      trip_col_{unknowns},
+      val_{0.0},
+      rhs_row_{unknowns},
+      rhs_val_{0.0},
+      rhs_(unknowns, 0.0) {}
 
-void MnaSystem::reset() {
-  if (learned_) {
-    // Keep the learned structure and its values; replay from the top. The
-    // matrix image and rhs are rebuilt from the slot arrays at solve time.
-    trip_cursor_ = 0;
-    rhs_cursor_ = 0;
-    partial_ = false;
-    return;
-  }
-  trip_row_.clear();
-  trip_col_.clear();
-  trip_val_.clear();
-  rhs_row_.clear();
-  rhs_val_.clear();
-  std::fill(rhs_.begin(), rhs_.end(), 0.0);
-}
-
-void MnaSystem::note_partial() {
-  PPD_REQUIRE(learned_, "note_partial() requires a replay-ready MNA");
-  partial_ = true;
-}
-
-void MnaSystem::seek(const Mark& m) {
-  PPD_REQUIRE(learned_, "seek() requires a replay-ready MNA");
-  PPD_REQUIRE(m.trip <= trip_row_.size() && m.rhs <= rhs_row_.size(),
-              "seek() mark out of range");
-  trip_cursor_ = m.trip;
-  rhs_cursor_ = m.rhs;
-  partial_ = true;
-}
-
-void MnaSystem::add(MnaIndex row, MnaIndex col, double value) {
-  if (row < 0 || col < 0) return;
+MnaSlot MnaSystem::bind(MnaIndex row, MnaIndex col) {
+  PPD_REQUIRE(!frozen_, "bind() after freeze()");
+  if (row < 0 || col < 0) return kSinkSlot;
   const auto r = static_cast<std::size_t>(row);
   const auto c = static_cast<std::size_t>(col);
   PPD_REQUIRE(r < n_ && c < n_, "MNA index out of range");
-  if (learned_) {
-    PPD_REQUIRE(trip_cursor_ < trip_row_.size() &&
-                    trip_row_[trip_cursor_] == r && trip_col_[trip_cursor_] == c,
-                "frozen MNA assemble diverged from the learned structure");
-    const std::size_t k = trip_cursor_++;
-    double& slot = trip_val_[k];
-    if (!bits_equal(slot, value)) {
-      slot = value;
-      mat_changed_ = true;
-      if (!trip_slot_.empty()) {
-        const std::size_t s = trip_slot_[k];
-        if (!slot_dirty_[s]) {
-          slot_dirty_[s] = 1;
-          dirty_slots_.push_back(s);
-        }
-      }
-    }
-    return;
-  }
+  PPD_REQUIRE(val_.size() < std::numeric_limits<MnaSlot>::max(),
+              "too many MNA slots");
   trip_row_.push_back(r);
   trip_col_.push_back(c);
-  trip_val_.push_back(value);
+  val_.push_back(0.0);
+  return static_cast<MnaSlot>(val_.size() - 1);
 }
 
-void MnaSystem::add_rhs(MnaIndex row, double value) {
-  if (row < 0) return;
+MnaSlot MnaSystem::bind_rhs(MnaIndex row) {
+  PPD_REQUIRE(!frozen_, "bind_rhs() after freeze()");
+  if (row < 0) return kSinkSlot;
   const auto r = static_cast<std::size_t>(row);
   PPD_REQUIRE(r < n_, "MNA rhs index out of range");
-  if (learned_) {
-    PPD_REQUIRE(rhs_cursor_ < rhs_row_.size() && rhs_row_[rhs_cursor_] == r,
-                "frozen MNA rhs assemble diverged from the learned structure");
-    double& slot = rhs_val_[rhs_cursor_++];
-    if (!bits_equal(slot, value)) {
-      slot = value;
-      rhs_changed_ = true;
-      if (!rhs_row_dirty_[r]) {
-        rhs_row_dirty_[r] = 1;
-        dirty_rhs_rows_.push_back(r);
-      }
-    }
-    return;
-  }
+  PPD_REQUIRE(rhs_val_.size() < std::numeric_limits<MnaSlot>::max(),
+              "too many MNA rhs slots");
   rhs_row_.push_back(r);
-  rhs_val_.push_back(value);
-  rhs_[r] += value;
+  rhs_val_.push_back(0.0);
+  return static_cast<MnaSlot>(rhs_val_.size() - 1);
+}
+
+void MnaSystem::freeze() {
+  PPD_REQUIRE(!frozen_, "freeze() called twice");
+  if (use_sparse_)
+    learn_sparse_structure();
+  else
+    learn_dense_structure();
+  group_slots(rhs_row_, n_, rhs_ptr_, rhs_src_);
+  // Every cell and rhs row starts queued, so the first solve accumulates
+  // all of them. The extra cell and row n the sinks map to stay flagged
+  // forever, so set() / set_rhs() never queue them.
+  const std::size_t cells = cell_ptr_.size() - 1;
+  cell_dirty_.assign(cells + 1, 1);
+  dirty_cells_.resize(cells);
+  std::iota(dirty_cells_.begin(), dirty_cells_.end(), std::size_t{0});
+  n_dirty_cells_ = cells;
+  rhs_row_dirty_.assign(n_ + 1, 1);
+  dirty_rhs_rows_.resize(n_);
+  std::iota(dirty_rhs_rows_.begin(), dirty_rhs_rows_.end(), std::size_t{0});
+  n_dirty_rhs_rows_ = n_;
+  frozen_ = true;
 }
 
 void MnaSystem::learn_sparse_structure() {
   // Replicate SparseMatrix's construction — counting sort into column
   // buckets, an in-column sort by row, duplicates merged in sorted order —
-  // but record, for every triplet, the CSC slot it lands in and the order it
-  // is accumulated, so frozen assembles can scatter values straight into the
-  // CSC image with bitwise-identical sums.
+  // but record, for every slot, the CSC slot it lands in and the order it
+  // is accumulated, so assembles can scatter values straight into the CSC
+  // image with bitwise-identical sums.
+  const std::size_t ns = val_.size();  // slots, sink included
   linalg::SparseBuilder b(n_, n_);
-  for (std::size_t k = 0; k < trip_row_.size(); ++k)
-    b.add(trip_row_[k], trip_col_[k], trip_val_[k]);
+  for (std::size_t s = 1; s < ns; ++s) b.add(trip_row_[s], trip_col_[s], 0.0);
   a_ = std::make_unique<linalg::SparseMatrix>(b);
 
-  const std::size_t nt = trip_row_.size();
   std::vector<std::size_t> count(n_ + 1, 0);
-  for (std::size_t c : trip_col_) ++count[c + 1];
+  for (std::size_t s = 1; s < ns; ++s) ++count[trip_col_[s] + 1];
   for (std::size_t c = 0; c < n_; ++c) count[c + 1] += count[c];
 
-  std::vector<std::size_t> rows(nt), src(nt);
+  std::vector<std::size_t> rows(ns - 1), src(ns - 1);
   std::vector<std::size_t> cursor(count.begin(), count.end() - 1);
-  for (std::size_t k = 0; k < nt; ++k) {
-    const std::size_t pos = cursor[trip_col_[k]]++;
-    rows[pos] = trip_row_[k];
-    src[pos] = k;
+  for (std::size_t s = 1; s < ns; ++s) {
+    const std::size_t pos = cursor[trip_col_[s]]++;
+    rows[pos] = trip_row_[s];
+    src[pos] = s;
   }
 
-  // slot_src_ lists triplets in accumulation order; scatter_slot holds the
-  // CSC slot each of them lands in.
-  slot_src_.clear();
-  slot_src_.reserve(nt);
-  std::vector<std::size_t> scatter_slot;
-  scatter_slot.reserve(nt);
+  // cell_src_ lists slots in accumulation order; CSC slots open in order,
+  // so each CSC slot's contributions are contiguous in it.
+  const std::size_t nnz = a_->nonzeros();
+  cell_src_.clear();
+  cell_src_.reserve(ns - 1);
+  cell_.assign(ns, nnz);  // the sink's cell is the extra one, nnz
+  cell_ptr_.assign(nnz + 1, 0);
   std::size_t slot = 0;  // next CSC slot to open, globally increasing
   for (std::size_t c = 0; c < n_; ++c) {
     const std::size_t lo = count[c];
@@ -149,113 +130,88 @@ void MnaSystem::learn_sparse_structure() {
       if (first || rows[pos] != prev_row) ++slot;  // opens a new CSC entry
       first = false;
       prev_row = rows[pos];
-      slot_src_.push_back(src[pos]);
-      scatter_slot.push_back(slot - 1);
+      PPD_REQUIRE(slot <= nnz, "scatter program out of sync with CSC");
+      cell_src_.push_back(src[pos]);
+      cell_[src[pos]] = slot - 1;
+      ++cell_ptr_[slot];
     }
   }
-  PPD_REQUIRE(slot == a_->nonzeros(), "scatter program out of sync with CSC");
-
-  // Inverse maps for incremental re-scatter. scatter_slot is non-decreasing
-  // (slots open in order), so the contributions to one slot are contiguous
-  // in slot_src_ and a counting pass yields a slot -> triplets CSR whose
-  // within-slot order IS the accumulation order.
-  trip_slot_.assign(nt, 0);
-  for (std::size_t i = 0; i < nt; ++i) trip_slot_[slot_src_[i]] = scatter_slot[i];
-  slot_ptr_.assign(slot + 1, 0);
-  for (std::size_t s : scatter_slot) ++slot_ptr_[s + 1];
-  for (std::size_t s = 0; s < slot; ++s) slot_ptr_[s + 1] += slot_ptr_[s];
-  slot_dirty_.assign(slot, 0);
-  dirty_slots_.clear();
-}
-
-void MnaSystem::learn_rhs_rows() {
-  // Stable counting sort of the rhs add sequence by row: per-row order is
-  // ascending sequence order, which is the order the learning assemble
-  // accumulated each rhs_[r] in — so a per-row rebuild sums bitwise the same.
-  const std::size_t nr = rhs_row_.size();
-  rhs_ptr_.assign(n_ + 1, 0);
-  for (std::size_t r : rhs_row_) ++rhs_ptr_[r + 1];
-  for (std::size_t r = 0; r < n_; ++r) rhs_ptr_[r + 1] += rhs_ptr_[r];
-  rhs_src_.resize(nr);
-  std::vector<std::size_t> cursor(rhs_ptr_.begin(), rhs_ptr_.end() - 1);
-  for (std::size_t k = 0; k < nr; ++k) rhs_src_[cursor[rhs_row_[k]]++] = k;
-  rhs_row_dirty_.assign(n_, 0);
-  dirty_rhs_rows_.clear();
+  PPD_REQUIRE(slot == nnz, "scatter program out of sync with CSC");
+  for (std::size_t c = 0; c < nnz; ++c) cell_ptr_[c + 1] += cell_ptr_[c];
 }
 
 void MnaSystem::learn_dense_structure() {
-  // A from-scratch dense assemble accumulates every cell in add order;
-  // scattering the recorded triplets in that same order reproduces every
-  // cell sum bitwise.
-  dense_slot_.resize(trip_row_.size());
-  for (std::size_t k = 0; k < trip_row_.size(); ++k)
-    dense_slot_[k] = trip_col_[k] * n_ + trip_row_[k];  // column-major
+  // Cells are the distinct column-major offsets the slots feed, numbered
+  // in order of first appearance; each cell accumulates its slots in bind
+  // order, as a from-scratch dense assemble does.
+  const std::size_t ns = val_.size();  // slots, sink included
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  std::vector<std::size_t> cell_at(n_ * n_, kNone);
+  cell_offset_.clear();
+  cell_.resize(ns);
+  for (std::size_t s = 1; s < ns; ++s) {
+    const std::size_t off = trip_col_[s] * n_ + trip_row_[s];
+    if (cell_at[off] == kNone) {
+      cell_at[off] = cell_offset_.size();
+      cell_offset_.push_back(off);
+    }
+    cell_[s] = cell_at[off];
+  }
+  const std::size_t cells = cell_offset_.size();
+  cell_[kSinkSlot] = cells;  // the sink's cell is the extra one
+  group_slots(cell_, cells, cell_ptr_, cell_src_);
+  image_.assign(cells, 0.0);
+  dense_ = linalg::DenseMatrix(n_, n_);
+  dlw_.set_structure(n_, cell_offset_);
 }
 
 void MnaSystem::solve_into(std::vector<double>& x) {
-  if (!learned_) {
-    // The learning assemble recorded the add sequences (and accumulated
-    // rhs_ directly); build the replay programs and arm replay mode. The
-    // matrix image is then built like any replayed one.
-    if (use_sparse_)
-      learn_sparse_structure();
-    else
-      learn_dense_structure();
-    learn_rhs_rows();
-    learned_ = true;
-    trip_cursor_ = trip_row_.size();
-    rhs_cursor_ = rhs_row_.size();
-  }
-  PPD_REQUIRE(partial_ || (trip_cursor_ == trip_row_.size() &&
-                           rhs_cursor_ == rhs_row_.size()),
-              "frozen MNA assemble is incomplete");
-  partial_ = false;
+  PPD_REQUIRE(frozen_, "solve_into() before freeze()");
+  const bool mat_changed = n_dirty_cells_ > 0;
   // No slot changed bits since the last solve: this is bitwise the same
   // system, so the last solution IS this solve's result.
-  if (!mat_changed_ && !rhs_changed_ && solve_cached_) {
+  if (!mat_changed && n_dirty_rhs_rows_ == 0 && solve_cached_) {
     ++stats_.cached;
     x = cached_x_;
     return;
   }
-  if (rhs_changed_) {
-    // Only rows whose slot values changed bits need re-accumulation;
-    // every other rhs_[r] already holds its (bitwise) rebuild sum.
-    for (std::size_t r : dirty_rhs_rows_) {
-      double acc = 0.0;
-      for (std::size_t k = rhs_ptr_[r]; k < rhs_ptr_[r + 1]; ++k)
-        acc += rhs_val_[rhs_src_[k]];
-      rhs_[r] = acc;
-      rhs_row_dirty_[r] = 0;
-    }
-    dirty_rhs_rows_.clear();
+  for (std::size_t i = 0; i < n_dirty_rhs_rows_; ++i) {
+    const std::size_t r = dirty_rhs_rows_[i];
+    double acc = 0.0;
+    for (std::size_t k = rhs_ptr_[r]; k < rhs_ptr_[r + 1]; ++k)
+      acc += rhs_val_[rhs_src_[k]];
+    rhs_[r] = acc;
+    rhs_row_dirty_[r] = 0;
   }
+  n_dirty_rhs_rows_ = 0;
   // An unchanged matrix re-solves against the factorization already in
   // dense_/slu_ — the factors of bitwise these values.
-  const bool refactor = mat_changed_ || !factor_ok_;
-  if (refactor) {
+  if (mat_changed || !factor_ok_) {
     ++stats_.refactored;
     factor_ok_ = false;
     solve_cached_ = false;
+    // A from-scratch += assemble sums each cell from +0.0. The one
+    // exception is the first sparse image, built the way SparseMatrix
+    // merges duplicates: first contribution as is, the rest added.
+    const bool merge_first = use_sparse_ && first_scatter_;
+    first_scatter_ = false;
+    double* img = use_sparse_ ? a_->mutable_values().data() : image_.data();
+    for (std::size_t i = 0; i < n_dirty_cells_; ++i) {
+      const std::size_t c = dirty_cells_[i];
+      std::size_t k = cell_ptr_[c];
+      double acc = merge_first ? val_[cell_src_[k++]] : 0.0;
+      for (; k < cell_ptr_[c + 1]; ++k) acc += val_[cell_src_[k]];
+      img[c] = acc;
+      cell_dirty_[c] = 0;
+    }
+    n_dirty_cells_ = 0;
     if (use_sparse_) {
-      // The CSC image persists between solves (the factorization reads it,
-      // never writes it), so only dirty slots re-accumulate.
-      auto& av = a_->mutable_values();
-      for (std::size_t s : dirty_slots_) {
-        double acc = 0.0;
-        for (std::size_t k = slot_ptr_[s]; k < slot_ptr_[s + 1]; ++k)
-          acc += trip_val_[slot_src_[k]];
-        av[s] = acc;
-        slot_dirty_[s] = 0;
-      }
-      dirty_slots_.clear();
       if (!slu_.factored() || !slu_.refactor(*a_)) slu_.factor(*a_);
     } else {
-      // In-place factorization consumes dense_, so every dense factor
-      // rebuilds it from the recorded slots, in add order.
+      // The in-place factorization consumes its input: factor a copy.
       dense_.set_zero();
       double* d = dense_.data();
-      for (std::size_t k = 0; k < dense_slot_.size(); ++k)
-        d[dense_slot_[k]] += trip_val_[k];
+      for (std::size_t c = 0; c < image_.size(); ++c) d[cell_offset_[c]] = image_[c];
       dlw_.factor(dense_);
     }
     factor_ok_ = true;
@@ -268,8 +224,6 @@ void MnaSystem::solve_into(std::vector<double>& x) {
     dlw_.solve_into(rhs_, x);
   cached_x_ = x;
   solve_cached_ = true;
-  mat_changed_ = false;
-  rhs_changed_ = false;
 }
 
 }  // namespace ppd::spice

@@ -762,7 +762,14 @@ TEST(ServiceOverload, ShedsLowPriorityKindsFirstAboveWatermark) {
   const Server::Stats stats = server.stats();
   EXPECT_GE(stats.queries_shed, 1u);
   EXPECT_GE(stats.queries_busy, 1u);
-  const JsonValue doc = parse_json(client.stats());
+  // The server delivers a result event before it releases the job's
+  // in-flight slot, so STATS right after wait() may still count the job.
+  // Wait for the slot to be released before checking the shed state.
+  JsonValue doc;
+  ASSERT_TRUE(poll_until([&] {
+    doc = parse_json(client.stats());
+    return doc.at("server").at("jobs_in_flight").as_uint() == 0;
+  }));
   EXPECT_GE(doc.at("kinds").at("coverage").at("shed").as_uint(), 1u);
   EXPECT_EQ(doc.at("server").at("shed_mode").as_bool(), false);
   client.quit();

@@ -1,8 +1,8 @@
-// Structure-frozen MnaSystem contract: replayed assembles + in-place
-// refactorization produce bit-identical solutions to a from-scratch
-// assemble/factor/solve, across many random value sets, for both solver
-// backends; and the bitwise change tracking takes the cached / rhs-only /
-// refactor shortcuts exactly when it may.
+// Slot-bound MnaSystem contract: slot writes + in-place refactorization
+// produce bit-identical solutions to a from-scratch assemble/factor/solve,
+// across many random value sets, for both solver backends; and the bitwise
+// change tracking takes the cached / rhs-only / refactor shortcuts exactly
+// when it may.
 #include "ppd/spice/mna.hpp"
 
 #include <gtest/gtest.h>
@@ -26,10 +26,9 @@ constexpr std::size_t kN = 12;
 
 // One fixed stamping structure (a ladder with duplicate diagonal adds and a
 // long-range coupling, MNA-shaped), valued from the rng streams each call.
-// Frozen replays require the identical add sequence every assemble; only
-// the values may differ. Matrix and rhs values draw from separate streams
-// so tests can vary one side while replaying the other bitwise. `Sink` is
-// an MnaSystem or the from-scratch Reference below.
+// Matrix and rhs values draw from separate streams so tests can vary one
+// side while repeating the other bitwise. `Sink` is a Bound MnaSystem or the
+// from-scratch Reference below.
 template <typename Sink>
 void assemble(Sink& mna, mc::Rng& mat_rng, mc::Rng& rhs_rng) {
   for (std::size_t i = 0; i < kN; ++i) {
@@ -51,6 +50,54 @@ void assemble(Sink& mna, mc::Rng& mat_rng, mc::Rng& rhs_rng) {
     mna.add_rhs(static_cast<MnaIndex>(i), rhs_rng.uniform(-1.0, 1.0));
   }
 }
+
+// An MnaSystem seen through the add() interface: the first assemble binds
+// every add in order (then freezes the system), every later one writes the
+// next bound slot. A fixed structure makes the k-th add of every assemble
+// the same entry.
+class Bound {
+ public:
+  Bound(std::size_t n, bool use_sparse) : mna_(n, use_sparse) {}
+
+  void add(MnaIndex row, MnaIndex col, double value) {
+    if (!frozen_) {
+      slots_.push_back(mna_.bind(row, col));
+      values_.push_back(value);
+      return;
+    }
+    mna_.set(slots_[next_++], value);
+  }
+  void add_rhs(MnaIndex row, double value) {
+    if (!frozen_) {
+      rhs_slots_.push_back(mna_.bind_rhs(row));
+      rhs_values_.push_back(value);
+      return;
+    }
+    mna_.set_rhs(rhs_slots_[next_rhs_++], value);
+  }
+
+  void solve_into(std::vector<double>& x) {
+    if (!frozen_) {
+      mna_.freeze();
+      frozen_ = true;
+      for (std::size_t k = 0; k < slots_.size(); ++k) mna_.set(slots_[k], values_[k]);
+      for (std::size_t k = 0; k < rhs_slots_.size(); ++k)
+        mna_.set_rhs(rhs_slots_[k], rhs_values_[k]);
+    }
+    next_ = 0;
+    next_rhs_ = 0;
+    mna_.solve_into(x);
+  }
+
+  [[nodiscard]] const MnaSystem& mna() const { return mna_; }
+
+ private:
+  MnaSystem mna_;
+  std::vector<MnaSlot> slots_, rhs_slots_;
+  std::vector<double> values_, rhs_values_;  // the binding assemble's values
+  std::size_t next_ = 0, next_rhs_ = 0;
+  bool frozen_ = false;
+};
 
 // From-scratch reference: the same add calls accumulated the textbook way
 // (triplets -> CSC -> full sparse LU, or dense += -> dense LU) and solved
@@ -95,14 +142,13 @@ void expect_bitwise_equal(const std::vector<double>& a,
 }
 
 void run_random_assembles(bool use_sparse) {
-  MnaSystem frozen(kN, use_sparse);
+  Bound frozen(kN, use_sparse);
   for (int round = 0; round < 100; ++round) {
     // Same value streams for both systems: re-derive the round's rngs.
     const auto seed = static_cast<std::uint64_t>(round) * 977 + 11;
     mc::Rng mat(seed), rhs(seed + 1);
     mc::Rng mat2 = mat, rhs2 = rhs;
 
-    frozen.reset();
     assemble(frozen, mat, rhs);
     std::vector<double> x;
     frozen.solve_into(x);
@@ -123,25 +169,23 @@ TEST(FrozenMna, DenseRefactorBitIdenticalAcross100RandomAssembles) {
 }
 
 void run_solve_stats(bool use_sparse) {
-  MnaSystem mna(kN, use_sparse);
+  Bound mna(kN, use_sparse);
   mc::Rng mat(7), rhs(8);
   mc::Rng mat_replay = mat, rhs_replay = rhs;
 
-  mna.reset();
   assemble(mna, mat, rhs);
   std::vector<double> x;
-  mna.solve_into(x);  // the learning solve factorizes once
-  EXPECT_EQ(mna.solve_stats().refactored, 1u);
+  mna.solve_into(x);  // the first solve factorizes once
+  EXPECT_EQ(mna.mna().solve_stats().refactored, 1u);
 
   // Bitwise-identical assemble: the previous solution is returned outright.
   {
     mc::Rng m = mat_replay, r = rhs_replay;
-    mna.reset();
     assemble(mna, m, r);
     std::vector<double> x_cached;
     mna.solve_into(x_cached);
-    EXPECT_EQ(mna.solve_stats().cached, 1u);
-    EXPECT_EQ(mna.solve_stats().refactored, 1u);
+    EXPECT_EQ(mna.mna().solve_stats().cached, 1u);
+    EXPECT_EQ(mna.mna().solve_stats().refactored, 1u);
     expect_bitwise_equal(x_cached, x);
   }
 
@@ -149,12 +193,11 @@ void run_solve_stats(bool use_sparse) {
   // factorization without refactorizing.
   {
     mc::Rng m = mat_replay, r(99);
-    mna.reset();
     assemble(mna, m, r);
     std::vector<double> x_rhs;
     mna.solve_into(x_rhs);
-    EXPECT_EQ(mna.solve_stats().rhs_only, 1u);
-    EXPECT_EQ(mna.solve_stats().refactored, 1u);
+    EXPECT_EQ(mna.mna().solve_stats().rhs_only, 1u);
+    EXPECT_EQ(mna.mna().solve_stats().refactored, 1u);
   }
 
   // A changed matrix value forces the numeric refactorization, and the
@@ -162,11 +205,10 @@ void run_solve_stats(bool use_sparse) {
   {
     mc::Rng m(991), r(992);
     mc::Rng m2 = m, r2 = r;
-    mna.reset();
     assemble(mna, m, r);
     std::vector<double> x_new;
     mna.solve_into(x_new);
-    EXPECT_EQ(mna.solve_stats().refactored, 2u);
+    EXPECT_EQ(mna.mna().solve_stats().refactored, 2u);
 
     Reference fresh(kN, use_sparse);
     assemble(fresh, m2, r2);
@@ -181,6 +223,39 @@ TEST(FrozenMna, SparseSolveStatsTakeTheBitwiseShortcuts) {
 TEST(FrozenMna, DenseSolveStatsTakeTheBitwiseShortcuts) {
   run_solve_stats(/*use_sparse=*/false);
 }
+
+void run_ground_sink(bool use_sparse) {
+  // Ground entries bind to the sink: their writes change nothing, so a
+  // solve after writing only sink slots is the cached one.
+  MnaSystem mna(2, use_sparse);
+  const MnaSlot a = mna.bind(0, 0);
+  const MnaSlot b = mna.bind(1, 1);
+  const MnaSlot c = mna.bind(0, 1);
+  EXPECT_EQ(mna.bind(kGroundIndex, 0), kSinkSlot);
+  EXPECT_EQ(mna.bind(1, kGroundIndex), kSinkSlot);
+  const MnaSlot r = mna.bind_rhs(0);
+  EXPECT_EQ(mna.bind_rhs(kGroundIndex), kSinkSlot);
+  mna.freeze();
+  mna.set(a, 2.0);
+  mna.set(b, 4.0);
+  mna.set(c, 1.0);
+  mna.set_rhs(r, 3.0);
+  std::vector<double> x;
+  mna.solve_into(x);
+  for (double v : {5.0, -7.0, 0.25}) {
+    mna.set(kSinkSlot, v);
+    mna.set_rhs(kSinkSlot, v);
+    std::vector<double> again;
+    mna.solve_into(again);
+    expect_bitwise_equal(again, x);
+  }
+  EXPECT_EQ(mna.solve_stats().refactored, 1u);
+  EXPECT_EQ(mna.solve_stats().cached, 3u);
+}
+
+TEST(FrozenMna, SparseGroundWritesGoToTheSink) { run_ground_sink(true); }
+
+TEST(FrozenMna, DenseGroundWritesGoToTheSink) { run_ground_sink(false); }
 
 }  // namespace
 }  // namespace ppd::spice

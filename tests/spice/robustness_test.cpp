@@ -7,6 +7,7 @@
 
 #include "ppd/cells/netlist.hpp"
 #include "ppd/cells/path.hpp"
+#include "ppd/resil/faultplan.hpp"
 #include "ppd/spice/analysis.hpp"
 #include "ppd/util/error.hpp"
 #include "ppd/wave/waveform.hpp"
@@ -63,6 +64,25 @@ TEST(OpRobustness, SourceSteppingPathStillSolves) {
   opt.allow_gmin_stepping = false;
   const OpResult op = run_op(c, opt);
   EXPECT_GT(op.voltage(c.find_node("o")), 0.9 * proc.vdd);
+}
+
+TEST(OpRobustness, NanIterateThrowsInsteadOfConverging) {
+  // The chaos seam poisons the first Newton iterate with NaN. A NaN update
+  // fails every `> tolerance` test, so only the non-finite guard stands
+  // between it and a "converged" NaN operating point; with every fallback
+  // rung off, the solve must end in NumericalError.
+  Circuit c;
+  const NodeId a = c.node("a");
+  const NodeId b = c.node("b");
+  c.add_vsource("V", a, kGround, Dc{1.0});
+  c.add_resistor("R1", a, b, 1e3);
+  c.add_resistor("R2", b, kGround, 1e3);
+  OpOptions opt;
+  opt.allow_gmin_stepping = false;
+  opt.allow_source_stepping = false;
+  const resil::FaultPlan plan = resil::FaultPlan::parse("seed=1,nan=1");
+  const resil::FaultScope scope(plan, 0);
+  EXPECT_THROW(static_cast<void>(run_op(c, opt)), NumericalError);
 }
 
 TEST(Transient, ProbeSubsetRestrictsRecording) {

@@ -151,7 +151,9 @@ TEST(KSlackiest, DelaysMatchPathDelayWorstAndAreSorted) {
   for (std::size_t i = 0; i < paths.size(); ++i) {
     EXPECT_DOUBLE_EQ(paths[i].delay,
                      path_delay_worst(nl, lib, paths[i].path));
-    if (i > 0) EXPECT_GE(paths[i].delay, paths[i - 1].delay);
+    if (i > 0) {
+      EXPECT_GE(paths[i].delay, paths[i - 1].delay);
+    }
   }
   // Determinism: a second run returns byte-identical paths.
   const auto again = k_slackiest_paths(nl, lib, 12);
@@ -355,7 +357,9 @@ TEST(Screen, GenerousCeilingKeepsSensitizablePaths) {
   EXPECT_EQ(r.pulse_dead, 0u)
       << "a 1.2 ns generator must never lose these short paths";
   for (const auto& sp : r.paths)
-    if (sp.verdict == Verdict::kKept) EXPECT_LT(sp.w_required, opt.w_in_max);
+    if (sp.verdict == Verdict::kKept) {
+      EXPECT_LT(sp.w_required, opt.w_in_max);
+    }
 }
 
 TEST(StaLint, FamilyTriggersOnAConstrainedNetlist) {
