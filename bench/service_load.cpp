@@ -9,8 +9,8 @@
 //   {"section":"service_load","pass":"overload","offered":N,"accepted":N,
 //    "busy":N,"expired":N,"shed_rate":...,"p99_ms":...,"typed":true,
 //    "alive":true,"identical":true}
-//   {"section":"service_obs_overhead","p50_on_ms":...,"p50_off_ms":...,
-//    "overhead_pct":...}
+//   {"section":"service_obs_overhead","pairs":N,"p50_on_ms":...,
+//    "p50_off_ms":...,"overhead_pct":...}
 //   {"section":"service_load_summary","warm_p50_speedup":...,
 //    "metrics_events":N,...}
 //
@@ -20,9 +20,10 @@
 // single-shot case. Every result event must also carry a non-zero query id
 // and a positive execute time (the observability contract). A subscriber
 // client rides along during the warm pass and validates the SUBSCRIBE
-// metrics stream. The warm_noobs pass replays the warm workload with
-// metrics recording disabled, measuring the observability overhead on the
-// served path.
+// metrics stream. The observability overhead on the served path comes from
+// N pairs of warm passes with metrics recording on and off (alternating
+// which side runs first); overhead_pct is the median of the paired p50
+// differences, and the warm_noobs row pools the metrics-off passes.
 //
 // The overload pass (PR 9) offers 2x the configured capacity against a
 // dedicated server with a tiny in-flight ceiling: every refused query must
@@ -53,6 +54,7 @@
 #include "ppd/obs/metrics.hpp"
 #include "ppd/obs/run.hpp"
 #include "ppd/util/cli.hpp"
+#include "ppd/util/json.hpp"
 
 namespace {
 
@@ -137,12 +139,27 @@ double percentile(std::vector<double> v, double p) {
 }
 
 struct PassResult {
-  double p50_ms = 0.0, p99_ms = 0.0, qps = 0.0;
-  bool identical = false;
+  std::vector<double> latencies_s;  ///< one per query
+  double wall_s = 0.0;
+  bool identical = true;
+
+  [[nodiscard]] double p50_ms() const {
+    return percentile(latencies_s, 0.50) * 1e3;
+  }
+  [[nodiscard]] double p99_ms() const {
+    return percentile(latencies_s, 0.99) * 1e3;
+  }
+  /// Pool another pass of the same workload into this one.
+  void add(const PassResult& other) {
+    latencies_s.insert(latencies_s.end(), other.latencies_s.begin(),
+                       other.latencies_s.end());
+    wall_s += other.wall_s;
+    identical = identical && other.identical;
+  }
 };
 
-PassResult run_pass(const char* pass, std::uint16_t port, int clients,
-                    int rounds, const std::vector<QuerySpec>& mix,
+PassResult run_pass(std::uint16_t port, int clients, int rounds,
+                    const std::vector<QuerySpec>& mix,
                     const std::vector<std::string>& expected) {
   std::vector<ClientStats> stats(static_cast<std::size_t>(clients));
   const auto start = Clock::now();
@@ -155,28 +172,26 @@ PassResult run_pass(const char* pass, std::uint16_t port, int clients,
       });
     for (auto& t : threads) t.join();
   }
-  const double wall =
-      std::chrono::duration<double>(Clock::now() - start).count();
-
-  std::vector<double> all;
-  int mismatches = 0;
-  for (const auto& s : stats) {
-    all.insert(all.end(), s.latencies_s.begin(), s.latencies_s.end());
-    mismatches += s.mismatches;
-  }
   PassResult res;
-  res.p50_ms = percentile(all, 0.50) * 1e3;
-  res.p99_ms = percentile(all, 0.99) * 1e3;
-  res.qps = static_cast<double>(all.size()) / wall;
-  res.identical = mismatches == 0;
+  res.wall_s = std::chrono::duration<double>(Clock::now() - start).count();
+  for (const auto& s : stats) {
+    res.latencies_s.insert(res.latencies_s.end(), s.latencies_s.begin(),
+                           s.latencies_s.end());
+    res.identical = res.identical && s.mismatches == 0;
+  }
+  return res;
+}
+
+void print_pass(const char* pass, int clients, int rounds,
+                const PassResult& res) {
   std::printf(
       "{\"section\":\"service_load\",\"pass\":\"%s\",\"clients\":%d,"
       "\"rounds\":%d,\"queries\":%zu,\"wall_s\":%.4f,"
       "\"throughput_qps\":%.2f,\"p50_ms\":%.3f,\"p99_ms\":%.3f,"
       "\"identical\":%s}\n",
-      pass, clients, rounds, all.size(), wall, res.qps, res.p50_ms,
-      res.p99_ms, res.identical ? "true" : "false");
-  return res;
+      pass, clients, rounds, res.latencies_s.size(), res.wall_s,
+      static_cast<double>(res.latencies_s.size()) / res.wall_s, res.p50_ms(),
+      res.p99_ms(), res.identical ? "true" : "false");
 }
 
 struct OverloadResult {
@@ -286,7 +301,7 @@ OverloadResult run_overload_pass(int clients, int rounds,
     }
     // The server must still answer normally after the storm.
     total.alive = net::is_ok(late.ping()) &&
-                  net::parse_json(late.stats())
+                  util::json::parse(late.stats())
                           .at("server")
                           .at("draining")
                           .as_bool() == false;
@@ -315,7 +330,7 @@ SubscriberResult run_subscriber(std::uint16_t port, int want) {
       const auto line = client.next_event();
       if (!line) return out;
       if (line->rfind("{\"event\":\"metrics\"", 0) != 0) continue;
-      const net::JsonValue ev = net::parse_json(*line);
+      const util::json::Value ev = util::json::parse(*line);
       const std::uint64_t seq = ev.at("seq").as_uint();
       if (seq != last_seq + 1) return out;
       last_seq = seq;
@@ -361,7 +376,8 @@ int main(int argc, char** argv) {
   // against the populated cache.
   cache::SolveCache::global().clear();
   const PassResult cold =
-      run_pass("cold", server.port(), clients, rounds, mix, expected);
+      run_pass(server.port(), clients, rounds, mix, expected);
+  print_pass("cold", clients, rounds, cold);
 
   // A subscriber validates the SUBSCRIBE metrics stream while the warm
   // pass generates load (the stream keeps flowing after the pass, so the
@@ -370,22 +386,40 @@ int main(int argc, char** argv) {
   std::thread subscriber(
       [&sub, &server] { sub = run_subscriber(server.port(), 2); });
   const PassResult warm =
-      run_pass("warm", server.port(), clients, rounds, mix, expected);
+      run_pass(server.port(), clients, rounds, mix, expected);
+  print_pass("warm", clients, rounds, warm);
   subscriber.join();
 
-  // Observability overhead on the served path: replay the warm workload
-  // with metrics recording disabled and compare p50.
-  obs::set_metrics_enabled(false);
-  const PassResult noobs =
-      run_pass("warm_noobs", server.port(), clients, rounds, mix, expected);
-  obs::set_metrics_enabled(true);
-  const double overhead_pct =
-      noobs.p50_ms > 0.0 ? (warm.p50_ms - noobs.p50_ms) / noobs.p50_ms * 100.0
-                         : 0.0;
+  // Observability overhead on the served path: pairs of warm passes with
+  // metrics recording on and off, in alternating order, with no subscriber
+  // on either side (the warm pass's subscriber has quit). A single ~2 ms
+  // p50 pair swings by +-30 % run to run; the median of the paired
+  // differences cancels the drift between pairs and the outliers.
+  constexpr int kOverheadPairs = 21;
+  std::vector<double> on_p50_ms, off_p50_ms, overhead_pcts;
+  PassResult on_pooled, noobs;
+  for (int pair = 0; pair < kOverheadPairs; ++pair) {
+    PassResult on, off;
+    for (const bool metrics : {pair % 2 == 0, pair % 2 != 0}) {
+      obs::set_metrics_enabled(metrics);
+      (metrics ? on : off) =
+          run_pass(server.port(), clients, rounds, mix, expected);
+    }
+    obs::set_metrics_enabled(true);
+    on_p50_ms.push_back(on.p50_ms());
+    off_p50_ms.push_back(off.p50_ms());
+    if (off.p50_ms() > 0.0)
+      overhead_pcts.push_back((on.p50_ms() - off.p50_ms()) / off.p50_ms() *
+                              100.0);
+    on_pooled.add(on);
+    noobs.add(off);
+  }
+  print_pass("warm_noobs", clients, rounds * kOverheadPairs, noobs);
   std::printf(
-      "{\"section\":\"service_obs_overhead\",\"p50_on_ms\":%.3f,"
-      "\"p50_off_ms\":%.3f,\"overhead_pct\":%.2f}\n",
-      warm.p50_ms, noobs.p50_ms, overhead_pct);
+      "{\"section\":\"service_obs_overhead\",\"pairs\":%d,"
+      "\"p50_on_ms\":%.3f,\"p50_off_ms\":%.3f,\"overhead_pct\":%.2f}\n",
+      kOverheadPairs, percentile(on_p50_ms, 0.5), percentile(off_p50_ms, 0.5),
+      percentile(overhead_pcts, 0.5));
 
   // Overload: 2x capacity against a dedicated small-ceiling server. The
   // accounting must be airtight — every offered query resolves to accepted
@@ -413,13 +447,16 @@ int main(int argc, char** argv) {
   std::printf(
       "{\"section\":\"service_load_summary\",\"warm_p50_speedup\":%.3f,"
       "\"warm_p99_speedup\":%.3f,\"metrics_events\":%d,\"identical\":%s}\n",
-      warm.p50_ms > 0.0 ? cold.p50_ms / warm.p50_ms : 0.0,
-      warm.p99_ms > 0.0 ? cold.p99_ms / warm.p99_ms : 0.0, sub.events,
-      cold.identical && warm.identical && noobs.identical ? "true" : "false");
+      warm.p50_ms() > 0.0 ? cold.p50_ms() / warm.p50_ms() : 0.0,
+      warm.p99_ms() > 0.0 ? cold.p99_ms() / warm.p99_ms() : 0.0, sub.events,
+      cold.identical && warm.identical && on_pooled.identical &&
+              noobs.identical
+          ? "true"
+          : "false");
 
   server.drain();
-  return cold.identical && warm.identical && noobs.identical && sub.ok &&
-                 over_typed && over.alive
+  return cold.identical && warm.identical && on_pooled.identical &&
+                 noobs.identical && sub.ok && over_typed && over.alive
              ? 0
              : 1;
 }

@@ -4,6 +4,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "ppd/util/json.hpp"
 #include "ppd/util/strings.hpp"
 
 namespace ppd::lint {
@@ -144,48 +145,17 @@ void write_text(std::ostream& os, const Report& report) {
   os << "# " << report.summary() << '\n';
 }
 
-namespace {
-
-void write_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
-
 void write_json(std::ostream& os, const Report& report) {
   os << "{\"diagnostics\":[";
   bool first = true;
   for (const Diagnostic& d : report.diagnostics()) {
     if (!first) os << ',';
     first = false;
-    os << "{\"severity\":";
-    write_json_string(os, severity_name(d.severity));
-    os << ",\"code\":";
-    write_json_string(os, d.code);
-    os << ",\"location\":";
-    write_json_string(os, d.location);
-    os << ",\"message\":";
-    write_json_string(os, d.message);
-    os << ",\"hint\":";
-    write_json_string(os, d.hint);
-    os << '}';
+    os << "{\"severity\":" << util::json::quote(severity_name(d.severity))
+       << ",\"code\":" << util::json::quote(d.code)
+       << ",\"location\":" << util::json::quote(d.location)
+       << ",\"message\":" << util::json::quote(d.message)
+       << ",\"hint\":" << util::json::quote(d.hint) << '}';
   }
   os << "],\"errors\":" << report.count(Severity::kError)
      << ",\"warnings\":" << report.count(Severity::kWarning)

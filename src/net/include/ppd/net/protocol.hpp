@@ -87,63 +87,21 @@
 // (running the query), serialize (building the result event).
 //
 // A result's "body" is the byte-exact stdout of the equivalent single-shot
-// ppdtool invocation (JSON-escaped on the wire): the determinism contract
+// ppdtool invocation (JSON-escaped on the wire by ppd::util::json, the
+// codec every event and reply goes through): the determinism contract
 // extends across the socket — ids and timings ride in separate fields so
 // they never perturb the payload bytes.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace ppd::net {
 
 inline constexpr int kProtocolVersion = 1;
 /// Default control port (the paper year, shifted into the user range).
 inline constexpr std::uint16_t kDefaultPort = 7207;
-
-/// Full JSON string escaping (reversible — unlike the lossy escaper used
-/// for metrics meta blocks, this one must round-trip result bodies).
-[[nodiscard]] std::string json_quote(std::string_view s);
-
-/// Inverse of json_quote. Throws ppd::ParseError on malformed escapes.
-[[nodiscard]] std::string json_unquote(std::string_view s);
-
-/// Parse one *flat* JSON object (string / number / bool / null values, no
-/// nesting) into key -> raw value text; string values are unquoted. The
-/// data-channel result/hello/drain events are flat by construction; the
-/// nested STATS reply and metrics events need parse_json below.
-/// Throws ppd::ParseError on malformed input.
-[[nodiscard]] std::map<std::string, std::string> parse_flat_json(
-    std::string_view line);
-
-/// Fully parsed JSON value (recursive). Scalars keep their raw text in
-/// `scalar` (strings already unquoted); objects keep member order as
-/// emitted. Built for the nested STATS / metrics payloads — a small
-/// recursive-descent reader, not a general-purpose JSON library.
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kObject, kArray };
-  Kind kind = Kind::kNull;
-  std::string scalar;  ///< raw number text / "true"/"false" / string bytes
-  std::vector<std::pair<std::string, JsonValue>> members;  ///< kObject
-  std::vector<JsonValue> items;                            ///< kArray
-
-  /// Member lookup (objects only); nullptr when absent or not an object.
-  [[nodiscard]] const JsonValue* find(std::string_view key) const;
-  /// Member access that throws ppd::ParseError when absent.
-  [[nodiscard]] const JsonValue& at(std::string_view key) const;
-  [[nodiscard]] double as_number() const;       ///< throws unless kNumber
-  [[nodiscard]] std::uint64_t as_uint() const;  ///< throws unless kNumber
-  [[nodiscard]] bool as_bool() const;           ///< throws unless kBool
-};
-
-/// Parse one complete JSON document (object/array/scalar). Trailing bytes
-/// after the document and nesting deeper than an internal sanity depth are
-/// rejected. Throws ppd::ParseError on malformed input.
-[[nodiscard]] JsonValue parse_json(std::string_view text);
 
 /// Reply-line helpers (control channel).
 [[nodiscard]] std::string ok_reply(const std::string& detail = {});

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "ppd/net/protocol.hpp"
+#include "ppd/util/json.hpp"
 #include "ppd/util/strings.hpp"
 
 namespace ppd::net {
@@ -127,24 +128,24 @@ Client::Result Client::wait(std::uint64_t id) {
     if (!line)
       throw ServiceError("data channel closed while waiting for query " +
                          std::to_string(id));
-    // Metrics events are nested JSON (flat parse would choke); a waiting
-    // client just skips them.
+    // A waiting client skips metrics events (large nested documents)
+    // without parsing them.
     if (line->rfind("{\"event\":\"metrics\"", 0) == 0) continue;
-    const auto fields = parse_flat_json(*line);
-    const auto event = fields.find("event");
-    if (event == fields.end()) continue;
-    if (event->second == "drain") {
+    const util::json::Value ev = util::json::parse(*line);
+    // Member text, or "" when absent.
+    const auto get = [&ev](std::string_view key) {
+      const util::json::Value* v = ev.find(key);
+      return v == nullptr ? std::string() : v->scalar;
+    };
+    const std::string event = get("event");
+    if (event == "drain") {
       drained_ = true;
       continue;
     }
-    if (event->second != "result") continue;
+    if (event != "result") continue;
 
     Result result;
     result.raw = *line;
-    const auto get = [&fields](const char* key) -> std::string {
-      const auto it = fields.find(key);
-      return it == fields.end() ? std::string() : it->second;
-    };
     result.id = std::strtoull(get("id").c_str(), nullptr, 10);
     result.qid = std::strtoull(get("qid").c_str(), nullptr, 10);
     result.kind = get("kind");

@@ -3,10 +3,12 @@
 #include <cstdio>
 #include <sstream>
 
-#include "ppd/net/protocol.hpp"
 #include "ppd/util/error.hpp"
+#include "ppd/util/json.hpp"
 
 namespace ppd::net {
+
+namespace json = util::json;
 
 namespace {
 
@@ -62,29 +64,30 @@ void SessionJournal::append_locked(const std::string& line) {
 void SessionJournal::write_state(std::ostream& os, const State& state) {
   for (const auto& [token, s] : state) {
     if (s.closed) continue;
-    const std::string tok = json_quote(token);
+    const std::string tok = json::quote(token);
     os << "{\"j\":\"open\",\"token\":" << tok << "}\n";
     for (const auto& [key, value] : s.config)
-      os << "{\"j\":\"set\",\"token\":" << tok << ",\"key\":" << json_quote(key)
-         << ",\"value\":" << json_quote(value) << "}\n";
+      os << "{\"j\":\"set\",\"token\":" << tok
+         << ",\"key\":" << json::quote(key)
+         << ",\"value\":" << json::quote(value) << "}\n";
     for (const auto& [name, text] : s.uploads)
       os << "{\"j\":\"upload\",\"token\":" << tok
-         << ",\"name\":" << json_quote(name)
-         << ",\"fnv\":" << json_quote(fnv64_hex(text))
-         << ",\"text\":" << json_quote(text) << "}\n";
+         << ",\"name\":" << json::quote(name)
+         << ",\"fnv\":" << json::quote(fnv64_hex(text))
+         << ",\"text\":" << json::quote(text) << "}\n";
     os << "{\"j\":\"next\",\"token\":" << tok << ",\"id\":" << s.next_id
        << "}\n";
     for (const auto& [id, kindarg] : s.accepted)
       os << "{\"j\":\"accept\",\"token\":" << tok << ",\"id\":" << id
-         << ",\"kind\":" << json_quote(kindarg.substr(0, kindarg.find(' ')))
+         << ",\"kind\":" << json::quote(kindarg.substr(0, kindarg.find(' ')))
          << ",\"arg\":"
-         << json_quote(kindarg.find(' ') == std::string::npos
-                           ? std::string()
-                           : kindarg.substr(kindarg.find(' ') + 1))
+         << json::quote(kindarg.find(' ') == std::string::npos
+                            ? std::string()
+                            : kindarg.substr(kindarg.find(' ') + 1))
          << "}\n";
     for (const auto& [id, event] : s.acked)
       os << "{\"j\":\"ack\",\"token\":" << tok << ",\"id\":" << id
-         << ",\"event\":" << json_quote(event) << "}\n";
+         << ",\"event\":" << json::quote(event) << "}\n";
   }
 }
 
@@ -110,7 +113,7 @@ void SessionJournal::rotate_locked() {
 void SessionJournal::record_open(const std::string& token) {
   std::lock_guard<std::mutex> lock(mutex_);
   live_[token];  // default-constructed entry
-  append_locked("{\"j\":\"open\",\"token\":" + json_quote(token) + "}");
+  append_locked("{\"j\":\"open\",\"token\":" + json::quote(token) + "}");
 }
 
 void SessionJournal::record_set(const std::string& token,
@@ -118,9 +121,9 @@ void SessionJournal::record_set(const std::string& token,
                                 const std::string& value) {
   std::lock_guard<std::mutex> lock(mutex_);
   live_[token].config[key] = value;
-  append_locked("{\"j\":\"set\",\"token\":" + json_quote(token) +
-                ",\"key\":" + json_quote(key) +
-                ",\"value\":" + json_quote(value) + "}");
+  append_locked("{\"j\":\"set\",\"token\":" + json::quote(token) +
+                ",\"key\":" + json::quote(key) +
+                ",\"value\":" + json::quote(value) + "}");
 }
 
 void SessionJournal::record_upload(const std::string& token,
@@ -128,10 +131,10 @@ void SessionJournal::record_upload(const std::string& token,
                                    const std::string& text) {
   std::lock_guard<std::mutex> lock(mutex_);
   live_[token].uploads[name] = text;
-  append_locked("{\"j\":\"upload\",\"token\":" + json_quote(token) +
-                ",\"name\":" + json_quote(name) +
-                ",\"fnv\":" + json_quote(fnv64_hex(text)) +
-                ",\"text\":" + json_quote(text) + "}");
+  append_locked("{\"j\":\"upload\",\"token\":" + json::quote(token) +
+                ",\"name\":" + json::quote(name) +
+                ",\"fnv\":" + json::quote(fnv64_hex(text)) +
+                ",\"text\":" + json::quote(text) + "}");
 }
 
 void SessionJournal::record_accept(const std::string& token, std::uint64_t id,
@@ -141,10 +144,10 @@ void SessionJournal::record_accept(const std::string& token, std::uint64_t id,
   RecoveredSession& s = live_[token];
   s.accepted[id] = kind + " " + arg;
   s.next_id = std::max(s.next_id, id);
-  append_locked("{\"j\":\"accept\",\"token\":" + json_quote(token) +
+  append_locked("{\"j\":\"accept\",\"token\":" + json::quote(token) +
                 ",\"id\":" + std::to_string(id) +
-                ",\"kind\":" + json_quote(kind) +
-                ",\"arg\":" + json_quote(arg) + "}");
+                ",\"kind\":" + json::quote(kind) +
+                ",\"arg\":" + json::quote(arg) + "}");
 }
 
 void SessionJournal::record_ack(const std::string& token, std::uint64_t id,
@@ -159,15 +162,15 @@ void SessionJournal::record_ack(const std::string& token, std::uint64_t id,
   s.accepted.erase(id);
   s.acked[id] = event_line;
   s.next_id = std::max(s.next_id, id);
-  append_locked("{\"j\":\"ack\",\"token\":" + json_quote(token) +
+  append_locked("{\"j\":\"ack\",\"token\":" + json::quote(token) +
                 ",\"id\":" + std::to_string(id) +
-                ",\"event\":" + json_quote(event_line) + "}");
+                ",\"event\":" + json::quote(event_line) + "}");
 }
 
 void SessionJournal::record_close(const std::string& token) {
   std::lock_guard<std::mutex> lock(mutex_);
   live_.erase(token);
-  append_locked("{\"j\":\"close\",\"token\":" + json_quote(token) + "}");
+  append_locked("{\"j\":\"close\",\"token\":" + json::quote(token) + "}");
 }
 
 SessionJournal::State SessionJournal::replay(const std::string& path) {
@@ -179,36 +182,41 @@ SessionJournal::State SessionJournal::replay(const std::string& path) {
   while (std::getline(is, line)) {
     ++lineno;
     if (line.empty()) continue;
-    std::map<std::string, std::string> rec;
+    json::Value rec;
     try {
-      rec = parse_flat_json(line);
+      rec = json::parse(line);
     } catch (const std::exception&) {
       // A torn final append (crash mid-write) is expected; a torn middle
       // line is not, but recovery favours salvaging what parses.
       continue;
     }
-    const std::string kind = rec.count("j") ? rec["j"] : std::string();
-    const std::string token = rec.count("token") ? rec["token"] : std::string();
+    // Member text, or "" when absent.
+    const auto field = [&rec](std::string_view key) {
+      const json::Value* v = rec.find(key);
+      return v == nullptr ? std::string() : v->scalar;
+    };
+    const std::string kind = field("j");
+    const std::string token = field("token");
     if (token.empty()) continue;
     if (kind == "open") {
       state[token];
     } else if (kind == "set") {
-      state[token].config[rec["key"]] = rec["value"];
+      state[token].config[field("key")] = field("value");
     } else if (kind == "upload") {
-      state[token].uploads[rec["name"]] = rec["text"];
+      state[token].uploads[field("name")] = field("text");
     } else if (kind == "next") {
       RecoveredSession& s = state[token];
-      s.next_id = std::max(s.next_id, parse_u64(rec["id"]));
+      s.next_id = std::max(s.next_id, parse_u64(field("id")));
     } else if (kind == "accept") {
       RecoveredSession& s = state[token];
-      const std::uint64_t id = parse_u64(rec["id"]);
-      s.accepted[id] = rec["kind"] + " " + rec["arg"];
+      const std::uint64_t id = parse_u64(field("id"));
+      s.accepted[id] = field("kind") + " " + field("arg");
       s.next_id = std::max(s.next_id, id);
     } else if (kind == "ack") {
       RecoveredSession& s = state[token];
-      const std::uint64_t id = parse_u64(rec["id"]);
+      const std::uint64_t id = parse_u64(field("id"));
       s.accepted.erase(id);
-      s.acked[id] = rec["event"];
+      s.acked[id] = field("event");
       s.next_id = std::max(s.next_id, id);
     } else if (kind == "close") {
       state[token].closed = true;

@@ -1,265 +1,10 @@
 #include "ppd/net/protocol.hpp"
 
-#include <cctype>
-#include <cstdio>
 #include <string>
 
-#include "ppd/util/error.hpp"
 #include "ppd/util/strings.hpp"
 
 namespace ppd::net {
-
-std::string json_quote(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-namespace {
-
-[[noreturn]] void bad(const std::string& what) {
-  throw ParseError("malformed JSON: " + what);
-}
-
-int hex_digit(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  bad("bad \\u escape digit");
-}
-
-/// Decode the string whose opening quote is at s[i]; advances i past the
-/// closing quote.
-std::string unquote_at(std::string_view s, std::size_t& i) {
-  if (i >= s.size() || s[i] != '"') bad("expected '\"'");
-  ++i;
-  std::string out;
-  while (i < s.size() && s[i] != '"') {
-    char c = s[i++];
-    if (c != '\\') {
-      out += c;
-      continue;
-    }
-    if (i >= s.size()) bad("dangling escape");
-    c = s[i++];
-    switch (c) {
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case '/': out += '/'; break;
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      case 't': out += '\t'; break;
-      case 'b': out += '\b'; break;
-      case 'f': out += '\f'; break;
-      case 'u': {
-        if (i + 4 > s.size()) bad("truncated \\u escape");
-        int v = 0;
-        for (int k = 0; k < 4; ++k) v = v * 16 + hex_digit(s[i++]);
-        // The protocol only ever emits \u00xx for control bytes; reject
-        // anything wider rather than mis-decode it.
-        if (v > 0xff) bad("\\u escape beyond Latin-1 unsupported");
-        out += static_cast<char>(v);
-        break;
-      }
-      default: bad(std::string("unknown escape \\") + c);
-    }
-  }
-  if (i >= s.size()) bad("unterminated string");
-  ++i;  // closing quote
-  return out;
-}
-
-void skip_ws(std::string_view s, std::size_t& i) {
-  while (i < s.size() && (s[i] == ' ' || s[i] == '\t')) ++i;
-}
-
-constexpr int kMaxJsonDepth = 32;
-
-JsonValue parse_value_at(std::string_view s, std::size_t& i, int depth) {
-  if (depth > kMaxJsonDepth) bad("nesting too deep");
-  skip_ws(s, i);
-  if (i >= s.size()) bad("missing value");
-  JsonValue v;
-  const char c = s[i];
-  if (c == '"') {
-    v.kind = JsonValue::Kind::kString;
-    v.scalar = unquote_at(s, i);
-    return v;
-  }
-  if (c == '{') {
-    v.kind = JsonValue::Kind::kObject;
-    ++i;
-    skip_ws(s, i);
-    if (i < s.size() && s[i] == '}') {
-      ++i;
-      return v;
-    }
-    for (;;) {
-      skip_ws(s, i);
-      std::string key = unquote_at(s, i);
-      skip_ws(s, i);
-      if (i >= s.size() || s[i] != ':') bad("expected ':'");
-      ++i;
-      v.members.emplace_back(std::move(key), parse_value_at(s, i, depth + 1));
-      skip_ws(s, i);
-      if (i >= s.size()) bad("unterminated object");
-      if (s[i] == ',') {
-        ++i;
-        continue;
-      }
-      if (s[i] == '}') {
-        ++i;
-        return v;
-      }
-      bad("expected ',' or '}'");
-    }
-  }
-  if (c == '[') {
-    v.kind = JsonValue::Kind::kArray;
-    ++i;
-    skip_ws(s, i);
-    if (i < s.size() && s[i] == ']') {
-      ++i;
-      return v;
-    }
-    for (;;) {
-      v.items.push_back(parse_value_at(s, i, depth + 1));
-      skip_ws(s, i);
-      if (i >= s.size()) bad("unterminated array");
-      if (s[i] == ',') {
-        ++i;
-        continue;
-      }
-      if (s[i] == ']') {
-        ++i;
-        return v;
-      }
-      bad("expected ',' or ']'");
-    }
-  }
-  // Bare scalar: number / true / false / null.
-  const std::size_t start = i;
-  while (i < s.size() && (std::isalnum(static_cast<unsigned char>(s[i])) ||
-                          s[i] == '+' || s[i] == '-' || s[i] == '.'))
-    ++i;
-  if (i == start) bad(std::string("unexpected character '") + c + "'");
-  v.scalar = std::string(s.substr(start, i - start));
-  if (v.scalar == "null") {
-    v.kind = JsonValue::Kind::kNull;
-  } else if (v.scalar == "true" || v.scalar == "false") {
-    v.kind = JsonValue::Kind::kBool;
-  } else {
-    v.kind = JsonValue::Kind::kNumber;
-  }
-  return v;
-}
-
-}  // namespace
-
-const JsonValue* JsonValue::find(std::string_view key) const {
-  if (kind != Kind::kObject) return nullptr;
-  for (const auto& [k, val] : members)
-    if (k == key) return &val;
-  return nullptr;
-}
-
-const JsonValue& JsonValue::at(std::string_view key) const {
-  const JsonValue* v = find(key);
-  if (v == nullptr) bad("missing member \"" + std::string(key) + "\"");
-  return *v;
-}
-
-double JsonValue::as_number() const {
-  if (kind != Kind::kNumber) bad("value is not a number");
-  std::size_t pos = 0;
-  const double v = std::stod(scalar, &pos);
-  if (pos != scalar.size()) bad("bad number \"" + scalar + "\"");
-  return v;
-}
-
-std::uint64_t JsonValue::as_uint() const {
-  if (kind != Kind::kNumber) bad("value is not a number");
-  std::size_t pos = 0;
-  const unsigned long long v = std::stoull(scalar, &pos);
-  if (pos != scalar.size()) bad("bad integer \"" + scalar + "\"");
-  return static_cast<std::uint64_t>(v);
-}
-
-bool JsonValue::as_bool() const {
-  if (kind != Kind::kBool) bad("value is not a bool");
-  return scalar == "true";
-}
-
-JsonValue parse_json(std::string_view text) {
-  std::size_t i = 0;
-  JsonValue v = parse_value_at(text, i, 0);
-  skip_ws(text, i);
-  while (i < text.size() && (text[i] == '\n' || text[i] == '\r')) ++i;
-  if (i != text.size()) bad("trailing bytes after document");
-  return v;
-}
-
-std::string json_unquote(std::string_view s) {
-  std::size_t i = 0;
-  std::string out = unquote_at(s, i);
-  if (i != s.size()) bad("trailing bytes after string");
-  return out;
-}
-
-std::map<std::string, std::string> parse_flat_json(std::string_view line) {
-  std::map<std::string, std::string> out;
-  std::size_t i = 0;
-  skip_ws(line, i);
-  if (i >= line.size() || line[i] != '{') bad("expected '{'");
-  ++i;
-  skip_ws(line, i);
-  if (i < line.size() && line[i] == '}') return out;
-  for (;;) {
-    skip_ws(line, i);
-    const std::string key = unquote_at(line, i);
-    skip_ws(line, i);
-    if (i >= line.size() || line[i] != ':') bad("expected ':'");
-    ++i;
-    skip_ws(line, i);
-    if (i >= line.size()) bad("missing value");
-    if (line[i] == '"') {
-      out[key] = unquote_at(line, i);
-    } else {
-      const std::size_t start = i;
-      while (i < line.size() && line[i] != ',' && line[i] != '}') ++i;
-      out[key] = std::string(util::trim(line.substr(start, i - start)));
-    }
-    skip_ws(line, i);
-    if (i >= line.size()) bad("unterminated object");
-    if (line[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (line[i] == '}') break;
-    bad("expected ',' or '}'");
-  }
-  return out;
-}
 
 std::string ok_reply(const std::string& detail) {
   return detail.empty() ? "OK" : "OK " + detail;

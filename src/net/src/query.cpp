@@ -12,6 +12,7 @@
 #include "ppd/sta/lint.hpp"
 #include "ppd/resil/faultplan.hpp"
 #include "ppd/util/error.hpp"
+#include "ppd/util/json.hpp"
 #include "ppd/util/strings.hpp"
 #include "ppd/util/table.hpp"
 
@@ -478,8 +479,8 @@ QueryResult run_sta(const QueryParams& p) {
 
   std::ostringstream os;
   if (p.lint_json) {
-    os << "{\"netlist\":{\"name\":\"" << nl.source() << "\",\"gates\":"
-       << nl.gate_count() << ",\"depth\":" << nl.depth()
+    os << "{\"netlist\":{\"name\":" << util::json::quote(nl.source())
+       << ",\"gates\":" << nl.gate_count() << ",\"depth\":" << nl.depth()
        << ",\"inputs\":" << nl.inputs().size()
        << ",\"outputs\":" << nl.outputs().size() << "}"
        << ",\"timing\":{\"critical_delay_s\":"
@@ -491,8 +492,9 @@ QueryResult run_sta(const QueryParams& p) {
       os << "{\"rank\":" << i << ",\"delay_s\":"
          << util::format_double(slackiest[i].delay, 6)
          << ",\"slack_s\":" << util::format_double(slackiest[i].slack, 6)
-         << ",\"length\":" << slackiest[i].path.length() << ",\"path\":\""
-         << path_string(slackiest[i].path) << "\"}";
+         << ",\"length\":" << slackiest[i].path.length()
+         << ",\"path\":" << util::json::quote(path_string(slackiest[i].path))
+         << "}";
     }
     os << "],\"survival\":{\"w_in_max_s\":"
        << util::format_double(p.w_in_max, 6)

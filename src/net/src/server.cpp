@@ -14,9 +14,12 @@
 #include "ppd/obs/metrics.hpp"
 #include "ppd/obs/trace.hpp"
 #include "ppd/util/error.hpp"
+#include "ppd/util/json.hpp"
 #include "ppd/util/strings.hpp"
 
 namespace ppd::net {
+
+namespace json = util::json;
 
 namespace {
 
@@ -65,8 +68,14 @@ std::string result_event(std::uint64_t id, std::uint64_t qid, const char* kind,
                          const std::string& error, double* serialize_s_out) {
   const auto t0 = std::chrono::steady_clock::now();
   std::string tail;
-  if (!body.empty()) tail += ",\"body\":" + json_quote(body);
-  if (!error.empty()) tail += ",\"error\":" + json_quote(error);
+  if (!body.empty()) {
+    tail += ",\"body\":";
+    json::append_quoted(tail, body);
+  }
+  if (!error.empty()) {
+    tail += ",\"error\":";
+    json::append_quoted(tail, error);
+  }
   const double serialize_s =
       seconds_between(t0, std::chrono::steady_clock::now());
   if (serialize_s_out != nullptr) *serialize_s_out = serialize_s;
@@ -84,13 +93,6 @@ std::string result_event(std::uint64_t id, std::uint64_t qid, const char* kind,
   out += tail;
   out += "}";
   return out;
-}
-
-/// %.17g double for JSON (matches the metrics exporter's convention).
-std::string json_num(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
 }
 
 const obs::HistogramSnapshot* find_histogram(const obs::MetricsSnapshot& snap,
@@ -562,7 +564,7 @@ void Server::handle_data(const std::shared_ptr<TcpStream>& stream,
   // can fire after the client sees the hello but before the channel is
   // attached (a metrics frame dropped in that gap would skip a seq).
   session->attach_data(
-      stream, "{\"event\":\"hello\",\"session\":" + json_quote(token) + "}");
+      stream, "{\"event\":\"hello\",\"session\":" + json::quote(token) + "}");
   // Server-push channel: the client never sends; block until it hangs up
   // (or drain shuts the socket down under us).
   while (stream->read_line()) {
@@ -710,7 +712,7 @@ std::string Server::submit_query(const std::shared_ptr<Session>& session,
       status = "expired";
       exit_code = 1;
       error = "deadline of " + std::to_string(deadline_ms) +
-              " ms expired after " + json_num(queue_s) + " s in queue";
+              " ms expired after " + json::number(queue_s) + " s in queue";
       queries_expired_.fetch_add(1, std::memory_order_relaxed);
       queries_counter("expired").add();
       km.expired->add();
@@ -779,8 +781,8 @@ std::string Server::submit_query(const std::shared_ptr<Session>& session,
                        {"id", std::to_string(id)},
                        {"kind", kind_name},
                        {"status", status},
-                       {"queue_s", json_num(queue_s)},
-                       {"execute_s", json_num(execute_s)}});
+                       {"queue_s", json::number(queue_s)},
+                       {"execute_s", json::number(execute_s)}});
     }
     double serialize_s = 0.0;
     std::string event = result_event(id, job_key, kind_name, status, exit_code,
@@ -922,7 +924,7 @@ void Server::metrics_push_loop() {
       ++st.seq;
       std::ostringstream os;
       os << "{\"event\":\"metrics\",\"seq\":" << st.seq
-         << ",\"interval_s\":" << json_num(interval_s)
+         << ",\"interval_s\":" << json::number(interval_s)
          << ",\"stats\":" << stats_json() << ",\"interval\":{";
       for (std::size_t k = 0; k < kQueryKindCount; ++k) {
         const std::string name = query_kind_name(static_cast<QueryKind>(k));
@@ -931,10 +933,13 @@ void Server::metrics_push_loop() {
         const obs::HistogramSnapshot* qu =
             find_histogram(delta, name + ".queue_s");
         if (k != 0) os << ',';
-        os << '"' << name << "\":{\"ok\":" << find_counter(delta, name + ".ok")
+        os << json::quote(name)
+           << ":{\"ok\":" << find_counter(delta, name + ".ok")
            << ",\"execute_s_count\":" << (ex != nullptr ? ex->count : 0)
-           << ",\"execute_s_sum\":" << json_num(ex != nullptr ? ex->sum : 0.0)
-           << ",\"queue_s_sum\":" << json_num(qu != nullptr ? qu->sum : 0.0)
+           << ",\"execute_s_sum\":"
+           << json::number(ex != nullptr ? ex->sum : 0.0)
+           << ",\"queue_s_sum\":"
+           << json::number(qu != nullptr ? qu->sum : 0.0)
            << '}';
       }
       os << "}}";
@@ -1014,9 +1019,9 @@ std::string Server::stats_json() const {
      << ",\"shed_watermark\":" << watermark << ",\"shed_mode\":"
      << (ceiling > 0 && s.jobs_in_flight >= watermark ? "true" : "false")
      << ",\"draining\":" << (draining_.load() ? "true" : "false")
-     << ",\"uptime_s\":" << json_num(uptime_s);
+     << ",\"uptime_s\":" << json::number(uptime_s);
   if (journal_)
-    os << ",\"journal\":{\"path\":" << json_quote(journal_->path())
+    os << ",\"journal\":{\"path\":" << json::quote(journal_->path())
        << ",\"bytes\":" << journal_->bytes()
        << ",\"rotations\":" << journal_->rotations() << "}";
   os << ",\"serialize_s\":";
@@ -1030,12 +1035,12 @@ std::string Server::stats_json() const {
   os << "},\"cache\":{\"hits\":" << cache.hits
      << ",\"misses\":" << cache.misses << ",\"entries\":" << cache.entries
      << ",\"bytes\":" << cache.bytes
-     << ",\"hit_ratio\":" << json_num(hit_ratio) << "},\"kinds\":{";
+     << ",\"hit_ratio\":" << json::number(hit_ratio) << "},\"kinds\":{";
   for (std::size_t k = 0; k < kQueryKindCount; ++k) {
     const std::string name = query_kind_name(static_cast<QueryKind>(k));
     if (k != 0) os << ',';
-    os << '"' << name
-       << "\":{\"accepted\":" << find_counter(snap, name + ".accepted")
+    os << json::quote(name)
+       << ":{\"accepted\":" << find_counter(snap, name + ".accepted")
        << ",\"ok\":" << find_counter(snap, name + ".ok")
        << ",\"error\":" << find_counter(snap, name + ".error")
        << ",\"cancelled\":" << find_counter(snap, name + ".cancelled")
@@ -1064,7 +1069,7 @@ std::string Server::stats_json() const {
     for (const auto& [token, session] : sessions_) {
       if (!first) os << ',';
       first = false;
-      os << "{\"token\":" << json_quote(token)
+      os << "{\"token\":" << json::quote(token)
          << ",\"in_flight\":" << session->in_flight()
          << ",\"window\":" << session->limits().max_queue
          << ",\"accepted\":" << session->queries_accepted()

@@ -7,31 +7,12 @@
 #include <iostream>
 
 #include "ppd/util/error.hpp"
+#include "ppd/util/json.hpp"
 #include "ppd/util/strings.hpp"
 
 namespace ppd::obs {
 
 namespace {
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20)
-          out += ' ';
-        else
-          out += c;
-    }
-  }
-  return out;
-}
 
 /// ISO-8601 UTC with millisecond precision.
 std::string timestamp_utc() {
@@ -114,11 +95,11 @@ void Logger::log(LogLevel level, std::string_view component,
   }
   if (json_ != nullptr) {
     *json_ << "{\"ts\":\"" << ts << "\",\"level\":\"" << log_level_name(level)
-           << "\",\"component\":\"" << json_escape(component)
-           << "\",\"msg\":\"" << json_escape(message) << '"';
+           << "\",\"component\":" << util::json::quote(component)
+           << ",\"msg\":" << util::json::quote(message);
     for (const LogField& f : fields)
-      *json_ << ",\"" << json_escape(f.key) << "\":\"" << json_escape(f.value)
-             << '"';
+      *json_ << ',' << util::json::quote(f.key) << ':'
+             << util::json::quote(f.value);
     *json_ << "}\n";
     json_->flush();
   }

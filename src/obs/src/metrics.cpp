@@ -1,15 +1,17 @@
 #include "ppd/obs/metrics.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <ostream>
 
 #include "ppd/util/error.hpp"
+#include "ppd/util/json.hpp"
 #include "ppd/util/table.hpp"
 
 namespace ppd::obs {
+
+namespace json = util::json;
 
 namespace {
 
@@ -17,39 +19,6 @@ std::atomic<bool> g_metrics_enabled{[] {
   const char* env = std::getenv("PPD_OBS_METRICS");
   return !(env != nullptr && env[0] == '0' && env[1] == '\0');
 }()};
-
-/// Minimal JSON string escaping (metric names are plain identifiers, but
-/// the writer must never emit malformed output regardless).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// %.17g round-trips doubles; JSON has no Inf/NaN, clamp those to null.
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 }  // namespace
 
@@ -295,16 +264,16 @@ MetricsSnapshot snapshot_delta(const MetricsSnapshot& older,
 }
 
 void write_histogram_json(std::ostream& os, const HistogramSnapshot& h) {
-  os << "{\"count\":" << h.count << ",\"sum\":" << json_number(h.sum)
-     << ",\"mean\":" << json_number(h.mean())
-     << ",\"min\":" << json_number(h.min) << ",\"max\":" << json_number(h.max)
-     << ",\"p50\":" << json_number(h.quantile(0.50))
-     << ",\"p99\":" << json_number(h.quantile(0.99))
+  os << "{\"count\":" << h.count << ",\"sum\":" << json::number(h.sum)
+     << ",\"mean\":" << json::number(h.mean())
+     << ",\"min\":" << json::number(h.min) << ",\"max\":" << json::number(h.max)
+     << ",\"p50\":" << json::number(h.quantile(0.50))
+     << ",\"p99\":" << json::number(h.quantile(0.99))
      << ",\"underflow\":" << h.underflow << ",\"overflow\":" << h.overflow
      << ",\"bins\":[";
   for (std::size_t b = 0; b < h.bins.size(); ++b) {
     if (b != 0) os << ',';
-    os << '[' << json_number(h.bins[b].lo) << ',' << json_number(h.bins[b].hi)
+    os << '[' << json::number(h.bins[b].lo) << ',' << json::number(h.bins[b].hi)
        << ',' << h.bins[b].count << ']';
   }
   os << "]}";
@@ -331,34 +300,34 @@ void write_metrics_json(std::ostream& os, const MetricsSnapshot& snapshot,
   os << "  \"counters\": {";
   for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
     if (i != 0) os << ',';
-    os << "\n    \"" << json_escape(snapshot.counters[i].first)
-       << "\": " << snapshot.counters[i].second;
+    os << "\n    " << json::quote(snapshot.counters[i].first) << ": "
+       << snapshot.counters[i].second;
   }
   os << (snapshot.counters.empty() ? "},\n" : "\n  },\n");
   os << "  \"gauges\": {";
   for (std::size_t i = 0; i < snapshot.gauges.size(); ++i) {
     if (i != 0) os << ',';
-    os << "\n    \"" << json_escape(snapshot.gauges[i].first)
-       << "\": " << json_number(snapshot.gauges[i].second);
+    os << "\n    " << json::quote(snapshot.gauges[i].first) << ": "
+       << json::number(snapshot.gauges[i].second);
   }
   os << (snapshot.gauges.empty() ? "},\n" : "\n  },\n");
   os << "  \"histograms\": {";
   for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
     const HistogramSnapshot& h = snapshot.histograms[i];
     if (i != 0) os << ',';
-    os << "\n    \"" << json_escape(h.name) << "\": {"
-       << "\"count\": " << h.count << ", \"sum\": " << json_number(h.sum)
-       << ", \"mean\": " << json_number(h.mean())
-       << ", \"min\": " << json_number(h.min)
-       << ", \"max\": " << json_number(h.max)
+    os << "\n    " << json::quote(h.name) << ": {"
+       << "\"count\": " << h.count << ", \"sum\": " << json::number(h.sum)
+       << ", \"mean\": " << json::number(h.mean())
+       << ", \"min\": " << json::number(h.min)
+       << ", \"max\": " << json::number(h.max)
        << ", \"underflow\": " << h.underflow
        << ", \"overflow\": " << h.overflow << ", \"lo\": "
-       << json_number(h.spec.lo) << ", \"hi\": " << json_number(h.spec.hi)
+       << json::number(h.spec.lo) << ", \"hi\": " << json::number(h.spec.hi)
        << ", \"bins\": [";
     for (std::size_t b = 0; b < h.bins.size(); ++b) {
       if (b != 0) os << ", ";
-      os << "{\"lo\": " << json_number(h.bins[b].lo)
-         << ", \"hi\": " << json_number(h.bins[b].hi)
+      os << "{\"lo\": " << json::number(h.bins[b].lo)
+         << ", \"hi\": " << json::number(h.bins[b].hi)
          << ", \"count\": " << h.bins[b].count << '}';
     }
     os << "]}";

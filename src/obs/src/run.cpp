@@ -12,6 +12,7 @@
 #include "ppd/obs/trace.hpp"
 #include "ppd/util/cli.hpp"
 #include "ppd/util/error.hpp"
+#include "ppd/util/json.hpp"
 #include "ppd/util/strings.hpp"
 
 // Build facts are injected by src/obs/CMakeLists.txt; the fallbacks keep
@@ -30,23 +31,6 @@
 #endif
 
 namespace ppd::obs {
-
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20)
-      out += ' ';
-    else
-      out += c;
-  }
-  return out;
-}
-
-}  // namespace
 
 const BuildInfo& build_info() {
   static const BuildInfo info{PPD_OBS_COMPILER, PPD_OBS_BUILD_TYPE,
@@ -74,14 +58,14 @@ std::string run_meta_json(std::uint64_t seed, int threads,
   out += ", \"threads\": " + std::to_string(threads);
   out += ", \"hardware_threads\": " +
          std::to_string(std::thread::hardware_concurrency());
-  out += ", \"compiler\": \"" + json_escape(b.compiler) + "\"";
-  out += ", \"build_type\": \"" + json_escape(b.build_type) + "\"";
-  out += ", \"cxx_flags\": \"" + json_escape(b.flags) + "\"";
+  out += ", \"compiler\": " + util::json::quote(b.compiler);
+  out += ", \"build_type\": " + util::json::quote(b.build_type);
+  out += ", \"cxx_flags\": " + util::json::quote(b.flags);
   if (!b.sanitize.empty())
-    out += ", \"sanitize\": \"" + json_escape(b.sanitize) + "\"";
+    out += ", \"sanitize\": " + util::json::quote(b.sanitize);
   out += ", \"timestamp\": \"" + iso8601_utc_now() + "\"";
   if (!command.empty())
-    out += ", \"command\": \"" + json_escape(command) + "\"";
+    out += ", \"command\": " + util::json::quote(command);
   out += "}";
   return out;
 }

@@ -4,6 +4,8 @@
 #include <ctime>
 #include <ostream>
 
+#include "ppd/util/json.hpp"
+
 namespace ppd::obs {
 
 namespace {
@@ -17,20 +19,6 @@ double thread_cpu_us() {
            static_cast<double>(ts.tv_nsec) * 1e-3;
 #endif
   return 0.0;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-      continue;
-    }
-    out += c;
-  }
-  return out;
 }
 
 thread_local std::uint64_t t_query_context = 0;
@@ -152,8 +140,8 @@ void TraceSession::write_chrome_trace(std::ostream& os) const {
       if (!first) os << ',';
       first = false;
       os << "\n{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":"
-         << b->tid << ",\"args\":{\"name\":\"" << json_escape(b->name)
-         << "\"}}";
+         << b->tid << ",\"args\":{\"name\":" << util::json::quote(b->name)
+         << "}}";
     }
     // Emit only matched B/E pairs: ring eviction (or an export taken while
     // spans are open) can leave an E whose B was dropped, or a B whose E
@@ -175,8 +163,9 @@ void TraceSession::write_chrome_trace(std::ostream& os) const {
       if (!first) os << ',';
       first = false;
       std::snprintf(buf, sizeof(buf), "%.3f", e.ts_us);
-      os << "\n{\"ph\":\"" << e.phase << "\",\"name\":\"" << json_escape(e.name)
-         << "\",\"cat\":\"ppd\",\"pid\":1,\"tid\":" << e.tid << ",\"ts\":"
+      os << "\n{\"ph\":\"" << e.phase
+         << "\",\"name\":" << util::json::quote(e.name)
+         << ",\"cat\":\"ppd\",\"pid\":1,\"tid\":" << e.tid << ",\"ts\":"
          << buf;
       if (e.phase == 'B' && e.ctx != 0) {
         os << ",\"args\":{\"qid\":" << e.ctx << '}';

@@ -4,8 +4,8 @@
 #include <fstream>
 #include <sstream>
 
-#include "json_util.hpp"
 #include "ppd/util/error.hpp"
+#include "ppd/util/json.hpp"
 
 namespace ppd::resil {
 
@@ -37,34 +37,34 @@ Checkpoint Checkpoint::load(const std::string& path) {
     throw ParseError("cannot open checkpoint file: " + path);
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  const detail::JsonValue doc = detail::json_parse(buffer.str());
-  if (!doc.has("resil_checkpoint") || doc.at("resil_checkpoint").as_number() != 1)
+  const util::json::Value doc = util::json::parse(buffer.str());
+  const util::json::Value* version = doc.find("resil_checkpoint");
+  if (version == nullptr || version->as_uint() != 1)
     throw ParseError(path + ": not a ppd::resil checkpoint (version 1)");
 
   Checkpoint ck;
-  ck.seed_ = doc.at("seed").as_number();
-  ck.items_ = static_cast<std::size_t>(doc.at("items").as_number());
+  ck.seed_ = doc.at("seed").as_uint();
+  ck.items_ = static_cast<std::size_t>(doc.at("items").as_uint());
   ck.context_ = doc.at("context").as_string();
   ck.bound_ = true;
-  const detail::JsonValue& completed = doc.at("completed");
-  if (completed.kind != detail::JsonValue::Kind::kArray)
+  const util::json::Value& completed = doc.at("completed");
+  if (completed.kind != util::json::Value::Kind::kArray)
     throw ParseError(path + ": 'completed' must be an array");
-  for (const auto& entry : completed.array) {
-    const auto item = static_cast<std::size_t>(entry->at("item").as_number());
+  for (const util::json::Value& entry : completed.items) {
+    const auto item = static_cast<std::size_t>(entry.at("item").as_uint());
     if (item >= ck.items_)
       throw ParseError(path + ": completed item out of range");
-    ck.payloads_[item] = entry->at("payload").as_string();
+    ck.payloads_[item] = entry.at("payload").as_string();
   }
-  if (doc.has("quarantine")) {
-    const detail::JsonValue& quarantine = doc.at("quarantine");
-    if (quarantine.kind != detail::JsonValue::Kind::kArray)
+  if (const util::json::Value* quarantine = doc.find("quarantine")) {
+    if (quarantine->kind != util::json::Value::Kind::kArray)
       throw ParseError(path + ": 'quarantine' must be an array");
-    for (const auto& entry : quarantine.array) {
+    for (const util::json::Value& entry : quarantine->items) {
       QuarantineEntry q;
-      q.item = static_cast<std::size_t>(entry->at("item").as_number());
-      q.seed = entry->at("seed").as_number();
-      q.rung = entry->at("rung").as_string();
-      q.error = entry->at("error").as_string();
+      q.item = static_cast<std::size_t>(entry.at("item").as_uint());
+      q.seed = entry.at("seed").as_uint();
+      q.rung = entry.at("rung").as_string();
+      q.error = entry.at("error").as_string();
       ck.quarantine_.push_back(std::move(q));
     }
   }
@@ -131,8 +131,8 @@ void Checkpoint::save(const std::string& path) const {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     os << "{\n  \"resil_checkpoint\": 1,\n  \"seed\": " << seed_
-       << ",\n  \"items\": " << items_ << ",\n  \"context\": \""
-       << detail::json_escape(context_) << "\",\n";
+       << ",\n  \"items\": " << items_
+       << ",\n  \"context\": " << util::json::quote(context_) << ",\n";
     // Contiguous completed ranges [lo, hi), a jq-friendly summary of
     // progress (the payload list below is authoritative).
     os << "  \"ranges\": [";
@@ -152,16 +152,16 @@ void Checkpoint::save(const std::string& path) const {
     bool first = true;
     for (const auto& [item, payload] : payloads_) {
       os << (first ? "\n" : ",\n") << "    {\"item\": " << item
-         << ", \"payload\": \"" << detail::json_escape(payload) << "\"}";
+         << ", \"payload\": " << util::json::quote(payload) << "}";
       first = false;
     }
     os << (payloads_.empty() ? "]" : "\n  ]") << ",\n  \"quarantine\": [";
     first = true;
     for (const QuarantineEntry& q : quarantine_) {
       os << (first ? "\n" : ",\n") << "    {\"item\": " << q.item
-         << ", \"seed\": " << q.seed << ", \"rung\": \""
-         << detail::json_escape(q.rung) << "\", \"error\": \""
-         << detail::json_escape(q.error) << "\"}";
+         << ", \"seed\": " << q.seed
+         << ", \"rung\": " << util::json::quote(q.rung)
+         << ", \"error\": " << util::json::quote(q.error) << "}";
       first = false;
     }
     os << (quarantine_.empty() ? "]" : "\n  ]") << "\n}\n";

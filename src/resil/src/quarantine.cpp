@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <ostream>
 
-#include "json_util.hpp"
+#include "ppd/util/json.hpp"
 
 namespace ppd::resil {
 
@@ -22,8 +22,8 @@ void QuarantineReport::write_json(std::ostream& os) const {
     const QuarantineEntry& e = entries[i];
     os << (i == 0 ? "\n" : ",\n")
        << "    {\"item\": " << e.item << ", \"seed\": " << e.seed
-       << ", \"rung\": \"" << detail::json_escape(e.rung) << "\", \"error\": \""
-       << detail::json_escape(e.error) << "\"}";
+       << ", \"rung\": " << util::json::quote(e.rung)
+       << ", \"error\": " << util::json::quote(e.error) << "}";
   }
   os << (entries.empty() ? "]" : "\n  ]") << "\n}\n";
 }

@@ -19,9 +19,12 @@
 #include "ppd/net/server.hpp"
 #include "ppd/resil/faultplan.hpp"
 #include "ppd/util/error.hpp"
+#include "ppd/util/json.hpp"
 
 namespace ppd::net {
 namespace {
+
+namespace json = util::json;
 
 constexpr const char* kBenchText =
     "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n";
@@ -59,7 +62,7 @@ ChaosClientOutcome run_chaos_client(std::uint16_t proxy_port) {
     ++out.frames;
     try {
       if (is_event) {
-        (void)parse_json(line);
+        (void)json::parse(line);
       } else if (line.rfind("OK", 0) != 0 && line.rfind("ERR", 0) != 0 &&
                  line.rfind("BUSY", 0) != 0) {
         throw ParseError("control reply without OK/ERR/BUSY prefix");
@@ -182,7 +185,7 @@ TEST(Chaos, ServiceSurvivesTenSeedsWithoutLeaksOrMalformedFrames) {
   checker.set("points", "3");
   const Client::Result res = checker.run("transfer");
   EXPECT_EQ(res.status, "ok");
-  const JsonValue stats_doc = parse_json(checker.stats());
+  const json::Value stats_doc = json::parse(checker.stats());
   EXPECT_EQ(stats_doc.at("server").at("draining").as_bool(), false);
   checker.quit();
   server.stop();

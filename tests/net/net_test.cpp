@@ -1,6 +1,7 @@
-// ppd::net — the service layer. Covers the wire protocol helpers (reversible
-// JSON escaping, flat-object parsing), the loopback socket primitives, the
-// shared query layer's key tables, and the headline service contracts:
+// ppd::net — the service layer. Covers the wire protocol helpers (the JSON
+// codec as the wire uses it: reversible escaping, event parsing), the
+// loopback socket primitives, the shared query layer's key tables, and the
+// headline service contracts:
 // served responses byte-identical to direct run_query output (alone, under
 // concurrent multi-client load, and with the solve cache disabled),
 // per-session backpressure (BUSY), session isolation, and graceful drain.
@@ -11,6 +12,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -27,10 +30,13 @@
 #include "ppd/net/query.hpp"
 #include "ppd/net/socket.hpp"
 #include "ppd/util/error.hpp"
+#include "ppd/util/json.hpp"
 #include "ppd/util/strings.hpp"
 
 namespace ppd::net {
 namespace {
+
+namespace json = util::json;
 
 // ---------------------------------------------------------------------------
 // Protocol helpers.
@@ -39,53 +45,53 @@ namespace {
 TEST(Protocol, JsonQuoteRoundTripsEverything) {
   const std::string nasty =
       "line1\nline2\ttab \"quoted\" back\\slash\rcr \x01\x1f bytes";
-  const std::string quoted = json_quote(nasty);
-  EXPECT_EQ(json_unquote(quoted), nasty);
+  const std::string quoted = json::quote(nasty);
+  EXPECT_EQ(json::unquote(quoted), nasty);
   // The quoted form itself must be one line (the framing depends on it).
   EXPECT_EQ(quoted.find('\n'), std::string::npos);
   EXPECT_EQ(quoted.find('\r'), std::string::npos);
 }
 
 TEST(Protocol, JsonUnquoteRejectsMalformedEscapes) {
-  EXPECT_THROW((void)json_unquote("\"\\q\""), ParseError);
-  EXPECT_THROW((void)json_unquote("no quotes"), ParseError);
-  EXPECT_THROW((void)json_unquote("\"\\u2603\""), ParseError);  // > 0xff
+  EXPECT_THROW((void)json::unquote("\"\\q\""), ParseError);
+  EXPECT_THROW((void)json::unquote("no quotes"), ParseError);
+  EXPECT_THROW((void)json::unquote("\"\\u2603\""), ParseError);  // > 0xff
 }
 
 TEST(Protocol, ParseFlatJsonReadsEventShapes) {
-  const auto fields = parse_flat_json(
+  const json::Value fields = json::parse(
       R"({"event":"result","id":42,"exit_code":0,"elapsed_s":0.25,)"
       R"("ok":true,"body":"a\nb"})");
-  EXPECT_EQ(fields.at("event"), "result");
-  EXPECT_EQ(fields.at("id"), "42");
-  EXPECT_EQ(fields.at("elapsed_s"), "0.25");
-  EXPECT_EQ(fields.at("ok"), "true");
-  EXPECT_EQ(fields.at("body"), "a\nb");
-  EXPECT_THROW((void)parse_flat_json("{\"unterminated\":"), ParseError);
+  EXPECT_EQ(fields.at("event").scalar, "result");
+  EXPECT_EQ(fields.at("id").scalar, "42");
+  EXPECT_EQ(fields.at("elapsed_s").scalar, "0.25");
+  EXPECT_EQ(fields.at("ok").scalar, "true");
+  EXPECT_EQ(fields.at("body").scalar, "a\nb");
+  EXPECT_THROW((void)json::parse("{\"unterminated\":"), ParseError);
 }
 
 TEST(Protocol, ParseJsonReadsNestedDocuments) {
-  const JsonValue doc = parse_json(
+  const json::Value doc = json::parse(
       R"({"server":{"queries_ok":3,"draining":false,"uptime_s":1.5},)"
       R"("kinds":{"transfer":{"queue_s":{"bins":[[1e-6,2e-6,4]]}}},)"
       R"("sessions":[{"token":"s1"},{"token":"s2"}],"none":null})");
   EXPECT_EQ(doc.at("server").at("queries_ok").as_uint(), 3u);
   EXPECT_FALSE(doc.at("server").at("draining").as_bool());
   EXPECT_DOUBLE_EQ(doc.at("server").at("uptime_s").as_number(), 1.5);
-  const JsonValue& bins =
+  const json::Value& bins =
       doc.at("kinds").at("transfer").at("queue_s").at("bins");
   ASSERT_EQ(bins.items.size(), 1u);
   ASSERT_EQ(bins.items[0].items.size(), 3u);
   EXPECT_DOUBLE_EQ(bins.items[0].items[2].as_number(), 4.0);
   ASSERT_EQ(doc.at("sessions").items.size(), 2u);
   EXPECT_EQ(doc.at("sessions").items[1].at("token").scalar, "s2");
-  EXPECT_EQ(doc.at("none").kind, JsonValue::Kind::kNull);
+  EXPECT_EQ(doc.at("none").kind, json::Value::Kind::kNull);
   EXPECT_EQ(doc.find("absent"), nullptr);
   EXPECT_THROW((void)doc.at("absent"), ParseError);
 
-  EXPECT_THROW((void)parse_json("{\"a\":}"), ParseError);
-  EXPECT_THROW((void)parse_json("{\"a\":1} extra"), ParseError);
-  EXPECT_THROW((void)parse_json("[[[[" + std::string(40, '[')), ParseError);
+  EXPECT_THROW((void)json::parse("{\"a\":}"), ParseError);
+  EXPECT_THROW((void)json::parse("{\"a\":1} extra"), ParseError);
+  EXPECT_THROW((void)json::parse("[[[[" + std::string(40, '[')), ParseError);
 }
 
 TEST(Protocol, ReplyHelpers) {
@@ -172,6 +178,28 @@ TEST(Query, SuppressListIsValidatedAtRunTime) {
   };
   const QueryParams params = params_from_lookup(QueryKind::kSta, lookup);
   EXPECT_THROW((void)run_query(QueryKind::kSta, params), ParseError);
+}
+
+TEST(Query, StaJsonQuotesNetlistAndNetNames) {
+  // A double quote in the file name and in a net name: the JSON report
+  // must stay well-formed and carry both names verbatim.
+  const std::string path = testing::TempDir() + "we\"ird.bench";
+  {
+    std::ofstream os(path);
+    os << "INPUT(a)\nOUTPUT(q\"x)\nn1 = NOT(a)\nq\"x = NOT(n1)\n";
+  }
+  QueryParams params = params_from_lookup(
+      QueryKind::kSta, [](const std::string& key) -> std::optional<std::string> {
+        if (key == "json") return "1";
+        return std::nullopt;
+      });
+  params.bench = path;
+  const json::Value doc = json::parse(run_query(QueryKind::kSta, params).body);
+  std::remove(path.c_str());
+  EXPECT_EQ(doc.at("netlist").at("name").as_string(), "we\"ird.bench");
+  const json::Value& paths = doc.at("slackiest_paths");
+  ASSERT_EQ(paths.items.size(), 1u);
+  EXPECT_EQ(paths.items[0].at("path").as_string(), "a>n1>q\"x");
 }
 
 // ---------------------------------------------------------------------------
@@ -285,8 +313,8 @@ TEST_F(ServiceTest, StatsReportServerAndCacheCounters) {
   Client client = Client::connect(server_->port());
   client.set("points", "3");
   (void)client.run("transfer");
-  const JsonValue stats = parse_json(client.stats());
-  const JsonValue& server = stats.at("server");
+  const json::Value stats = json::parse(client.stats());
+  const json::Value& server = stats.at("server");
   EXPECT_EQ(server.at("queries_ok").as_uint(), 1u);
   EXPECT_FALSE(server.at("draining").as_bool());
   EXPECT_GT(server.at("uptime_s").as_number(), 0.0);
@@ -294,7 +322,7 @@ TEST_F(ServiceTest, StatsReportServerAndCacheCounters) {
   EXPECT_GE(stats.at("cache").at("entries").as_uint(), 0u);
   // Per-kind block: the transfer row saw exactly one query; both latency
   // histograms recorded it.
-  const JsonValue& transfer = stats.at("kinds").at("transfer");
+  const json::Value& transfer = stats.at("kinds").at("transfer");
   EXPECT_EQ(transfer.at("accepted").as_uint(), 1u);
   EXPECT_EQ(transfer.at("ok").as_uint(), 1u);
   EXPECT_EQ(transfer.at("queue_s").at("count").as_uint(), 1u);
@@ -347,10 +375,10 @@ TEST_F(ServiceTest, StatsSnapshotExactUnderConcurrentMixedKinds) {
   ASSERT_EQ(failures.load(), 0);
 
   Client probe = Client::connect(server_->port());
-  const JsonValue stats = parse_json(probe.stats());
+  const json::Value stats = json::parse(probe.stats());
   EXPECT_EQ(stats.at("server").at("queries_ok").as_uint(), 2u * kClients);
   for (const char* kind : {"transfer", "lint"}) {
-    const JsonValue& row = stats.at("kinds").at(kind);
+    const json::Value& row = stats.at("kinds").at(kind);
     EXPECT_EQ(row.at("accepted").as_uint(), static_cast<unsigned>(kClients))
         << kind;
     EXPECT_EQ(row.at("ok").as_uint(), static_cast<unsigned>(kClients))
@@ -381,7 +409,7 @@ TEST_F(ServiceTest, SubscribeStreamsMetricsSnapshots) {
     const auto line = watcher.next_event();
     ASSERT_TRUE(line.has_value());
     ASSERT_EQ(line->rfind("{\"event\":\"metrics\"", 0), 0u) << *line;
-    const JsonValue ev = parse_json(*line);
+    const json::Value ev = json::parse(*line);
     EXPECT_EQ(ev.at("seq").as_uint(), last_seq + 1);
     last_seq = ev.at("seq").as_uint();
     // The embedded stats block is the full STATS document.
@@ -691,7 +719,7 @@ TEST(ServiceQuota, ResultBacklogCapAnswersBusyBacklog) {
   // Wait for the result to land in the undelivered buffer.
   ASSERT_TRUE(poll_until([&control] {
     control.write_all("STATS\n");
-    const JsonValue stats = parse_json(control.read_line().value());
+    const json::Value stats = json::parse(control.read_line().value());
     return stats.at("sessions").items.size() == 1 &&
            stats.at("sessions").items[0].at("undelivered").as_uint() >= 1;
   }));
@@ -721,7 +749,7 @@ TEST(ServiceOverload, DeadlineExpiredWhileQueuedIsNeverExecuted) {
   const Server::Stats stats = server.stats();
   EXPECT_EQ(stats.queries_expired, 1u);
   EXPECT_EQ(stats.queries_ok, 0u);
-  const JsonValue doc = parse_json(client.stats());
+  const json::Value doc = json::parse(client.stats());
   EXPECT_EQ(doc.at("server").at("queries_expired").as_uint(), 1u);
   EXPECT_EQ(doc.at("kinds").at("transfer").at("expired").as_uint(), 1u);
   client.quit();
@@ -765,9 +793,9 @@ TEST(ServiceOverload, ShedsLowPriorityKindsFirstAboveWatermark) {
   // The server delivers a result event before it releases the job's
   // in-flight slot, so STATS right after wait() may still count the job.
   // Wait for the slot to be released before checking the shed state.
-  JsonValue doc;
+  json::Value doc;
   ASSERT_TRUE(poll_until([&] {
-    doc = parse_json(client.stats());
+    doc = json::parse(client.stats());
     return doc.at("server").at("jobs_in_flight").as_uint() == 0;
   }));
   EXPECT_GE(doc.at("kinds").at("coverage").at("shed").as_uint(), 1u);
@@ -831,7 +859,7 @@ TEST(ServiceResilience, DataChannelDeathIsAbsorbedAndFlushedOnReattach) {
   // Both results end up parked for the dead channel.
   ASSERT_TRUE(poll_until([&control] {
     control.write_all("STATS\n");
-    const JsonValue stats = parse_json(control.read_line().value());
+    const json::Value stats = json::parse(control.read_line().value());
     return stats.at("sessions").items.size() == 1 &&
            stats.at("sessions").items[0].at("undelivered").as_uint() >= 2;
   }));
@@ -884,7 +912,7 @@ TEST(ServiceFraming, CoalescedControlFramesAnswerInOrder) {
   EXPECT_EQ(control.read_line().value(), "OK pong");
   const auto stats = control.read_line();
   ASSERT_TRUE(stats.has_value());
-  EXPECT_NO_THROW((void)parse_json(*stats));
+  EXPECT_NO_THROW((void)json::parse(*stats));
   EXPECT_EQ(control.read_line().value(), "OK pong");
   control.shutdown_both();
   server.stop();

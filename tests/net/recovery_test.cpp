@@ -19,9 +19,12 @@
 #include "ppd/net/protocol.hpp"
 #include "ppd/net/server.hpp"
 #include "ppd/util/error.hpp"
+#include "ppd/util/json.hpp"
 
 namespace ppd::net {
 namespace {
+
+namespace json = util::json;
 
 constexpr const char* kBenchText =
     "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n";
@@ -122,6 +125,23 @@ class RecoveryTest : public ::testing::Test {
   void TearDown() override { cache::SolveCache::global().clear(); }
 };
 
+/// True once the server has detached `token`'s session (its control
+/// connection was dropped without QUIT); false after 10 s. Each connection
+/// is served by its own thread, so disconnects are processed in no fixed
+/// order unless the caller waits for each one.
+bool wait_detached(const Server& server, const std::string& token) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::chrono::steady_clock::now() < deadline) {
+    const json::Value stats = json::parse(server.stats_json());
+    for (const json::Value& s : stats.at("sessions").items)
+      if (s.at("token").as_string() == token && !s.at("attached").as_bool())
+        return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return false;
+}
+
 /// RESUME right after dropping a connection races the server's EOF
 /// handling (the session detaches on the reader thread) — retry briefly.
 Client resume_with_retry(std::uint16_t port, const std::string& token) {
@@ -171,9 +191,9 @@ TEST_F(RecoveryTest, JournaledSessionSurvivesControlDisconnect) {
   EXPECT_TRUE(sub.cached);
   const Client::Result redone = again.wait(id);
   EXPECT_EQ(redone.body, body);
-  const JsonValue stats = parse_json(again.stats());
+  const json::Value stats = json::parse(again.stats());
   EXPECT_EQ(stats.at("kinds").at("transfer").at("accepted").as_uint(),
-            parse_json(stats_before)
+            json::parse(stats_before)
                 .at("kinds")
                 .at("transfer")
                 .at("accepted")
@@ -265,7 +285,7 @@ TEST_F(RecoveryTest, ReissueOfInFlightIdIsDeduped) {
   // another copy (drain event closes the stream instead).
   const Client::Result res = client.wait(first.id);
   EXPECT_EQ(res.status, "ok");
-  const JsonValue stats = parse_json(client.stats());
+  const json::Value stats = json::parse(client.stats());
   EXPECT_EQ(stats.at("kinds").at("transfer").at("accepted").as_uint(), 1u);
   client.quit();
   server.stop();
@@ -315,12 +335,17 @@ TEST_F(RecoveryTest, DetachedSessionsAreBounded) {
 
   std::vector<std::string> tokens;
   for (int i = 0; i < 4; ++i) {
-    Client client = Client::connect(server.port());
-    client.set("points", "3");
-    const Client::Result res = client.run("transfer");
-    ASSERT_EQ(res.status, "ok");
-    tokens.push_back(client.session());
-    // Drop without QUIT: session detaches.
+    {
+      Client client = Client::connect(server.port());
+      client.set("points", "3");
+      const Client::Result res = client.run("transfer");
+      ASSERT_EQ(res.status, "ok");
+      tokens.push_back(client.session());
+      // Drop without QUIT: session detaches.
+    }
+    // Wait for the detach, so the sessions detach in token order and
+    // "oldest" is well defined.
+    ASSERT_TRUE(wait_detached(server, tokens.back())) << tokens.back();
   }
   // Eviction keeps only the newest max_detached_sessions; the server also
   // needs a moment to process the disconnects.

@@ -214,13 +214,22 @@ TEST(Checkpoint, MismatchedSweepIdentityRefusesToResume) {
 
 TEST(Checkpoint, LoadRejectsGarbage) {
   const std::string path = testing::TempDir() + "ppd_resil_ck_garbage.json";
-  {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("not json at all", f);
-    std::fclose(f);
+  // Not JSON; nesting deep enough to overflow a recursive reader's stack;
+  // a seed that wraps 64 bits.
+  for (const std::string& text :
+       {std::string("not json at all"), std::string(2000000, '['),
+        std::string(R"({"resil_checkpoint": 1,)"
+                    R"( "seed": 99999999999999999999999, "items": 4,)"
+                    R"( "context": "c", "completed": []})")}) {
+    {
+      std::FILE* f = std::fopen(path.c_str(), "w");
+      ASSERT_NE(f, nullptr);
+      std::fputs(text.c_str(), f);
+      std::fclose(f);
+    }
+    EXPECT_THROW((void)Checkpoint::load(path), ParseError)
+        << text.substr(0, 40);
   }
-  EXPECT_THROW((void)Checkpoint::load(path), ParseError);
   EXPECT_THROW((void)Checkpoint::load(path + ".missing"), ParseError);
   std::remove(path.c_str());
 }

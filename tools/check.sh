@@ -344,17 +344,21 @@ python3 "$repo/tools/bench_gate.py" --self-test
   python3 "$repo/tools/bench_gate.py" \
     --baseline "$repo/bench/baseline/service_load.json" -
 
-echo "== resil + exec + cache + net + sta under TSan and UBSan =="
+echo "== util + resil + exec + cache + net + sta under TSan and UBSan =="
 # The recovery/quarantine/checkpoint paths are themselves exercised under
 # injected chaos, the sharded solve cache takes concurrent mixed traffic,
 # and the path screen fans out across a thread pool; run those suites with
-# the race and UB detectors on.
+# the race and UB detectors on. test_util carries a seeded mutation fuzzer
+# (fixed seed and budget) of the JSON reader that loads checkpoints,
+# journals and wire events.
 for san in thread undefined; do
   sbuild="$build-$san"
   cmake -B "$sbuild" -S "$repo" -DPPD_SANITIZE="$san" >/dev/null
   cmake --build "$sbuild" -j "$(nproc)" \
-    --target test_resil test_exec test_cache test_net test_chaos \
+    --target test_util test_resil test_exec test_cache test_net test_chaos \
     test_recovery test_sta test_core >/dev/null
+  echo "-- $san: test_util"
+  "$sbuild/tests/test_util" --gtest_brief=1
   echo "-- $san: test_resil"
   "$sbuild/tests/test_resil" --gtest_brief=1
   echo "-- $san: test_exec"

@@ -73,6 +73,7 @@
 #include "ppd/resil/retry.hpp"
 #include "ppd/util/cli.hpp"
 #include "ppd/util/error.hpp"
+#include "ppd/util/json.hpp"
 #include "ppd/util/strings.hpp"
 
 namespace {
@@ -226,19 +227,19 @@ int cmd_subscribe(net::Client& client, int argc, char** argv) {
   return count < 0 || seen >= count ? 0 : 1;
 }
 
-double hist_number(const net::JsonValue& hist, const char* key) {
-  const net::JsonValue* v = hist.find(key);
-  return v != nullptr && v->kind == net::JsonValue::Kind::kNumber
+double hist_number(const util::json::Value& hist, const char* key) {
+  const util::json::Value* v = hist.find(key);
+  return v != nullptr && v->kind == util::json::Value::Kind::kNumber
              ? v->as_number()
              : 0.0;
 }
 
-void render_top_frame(const net::JsonValue& ev, bool clear) {
-  const net::JsonValue& stats = ev.at("stats");
-  const net::JsonValue& server = stats.at("server");
-  const net::JsonValue& cache = stats.at("cache");
-  const net::JsonValue& kinds = stats.at("kinds");
-  const net::JsonValue& interval = ev.at("interval");
+void render_top_frame(const util::json::Value& ev, bool clear) {
+  const util::json::Value& stats = ev.at("stats");
+  const util::json::Value& server = stats.at("server");
+  const util::json::Value& cache = stats.at("cache");
+  const util::json::Value& kinds = stats.at("kinds");
+  const util::json::Value& interval = ev.at("interval");
   const double dt = ev.at("interval_s").as_number();
 
   std::ostringstream os;
@@ -266,9 +267,9 @@ void render_top_frame(const net::JsonValue& ev, bool clear) {
                 "ok", "err", "cxl", "qps", "p50 ms", "p99 ms");
   os << buf;
   for (const auto& [name, kind] : kinds.members) {
-    const net::JsonValue& exec_hist = kind.at("execute_s");
+    const util::json::Value& exec_hist = kind.at("execute_s");
     double qps = 0.0;
-    if (const net::JsonValue* iv = interval.find(name);
+    if (const util::json::Value* iv = interval.find(name);
         iv != nullptr && dt > 0.0)
       qps = iv->at("ok").as_number() / dt;
     std::snprintf(buf, sizeof(buf),
@@ -294,7 +295,7 @@ int cmd_top(net::Client& client, int argc, char** argv) {
     const auto line = client.next_event();
     if (!line) break;
     if (!is_metrics_event(*line)) continue;
-    render_top_frame(net::parse_json(*line), tty);
+    render_top_frame(util::json::parse(*line), tty);
     ++seen;
   }
   return count < 0 || seen >= count ? 0 : 1;
