@@ -126,6 +126,38 @@ bool measurement_cache_usable() {
   return cache::cache_enabled() && !resil::fault_injection_active();
 }
 
+/// Does the newest sample of `w` complete a crossing of `level`? Only such
+/// a step can give a first-crossing measurement its answer, so the stop
+/// predicate in measure_transient re-measures (O(samples)) only there.
+bool crossed_at_last_sample(const wave::Waveform& w, double level) {
+  const std::size_t n = w.size();
+  if (n < 2) return false;
+  const double v0 = w.value(n - 2), v1 = w.value(n - 1);
+  return (v0 < level && v1 >= level) || (v0 > level && v1 <= level);
+}
+
+/// Run the measurement transient and apply `measure` to it, stopping the
+/// sweep at the step that decides the answer. That is bit-identical to
+/// measuring the full sweep, for two reasons:
+///  1. The stepper is causal: step k depends only on earlier steps, and
+///     t_stop enters only through the final-step clip and sliver absorb, so
+///     the stopped waveform is a bitwise prefix of the full one.
+///  2. wave::first_crossing returns the first match in scan order, so a
+///     prefix that yields an answer yields the full waveform's answer, down
+///     to the interpolation between samples i-1 and i (both recorded).
+template <class Measure>
+std::optional<double> measure_transient(cells::Path& path,
+                                        const SimSettings& sim, double t_stop,
+                                        double half, const Measure& measure) {
+  const auto res = spice::run_transient(
+      path.netlist().circuit(), make_transient_options(sim, t_stop, path),
+      [&](const spice::TransientResult& r) {
+        return crossed_at_last_sample(r.wave(path.output()), half) &&
+               measure(r).has_value();
+      });
+  return measure(res);
+}
+
 }  // namespace
 
 std::optional<double> path_delay(cells::Path& path, bool input_rising,
@@ -140,15 +172,15 @@ std::optional<double> path_delay(cells::Path& path, bool input_rising,
         cached.has_value() && cached->size() == 2)
       return decode_measurement(*cached);
   }
-  const auto res =
-      spice::run_transient(path.netlist().circuit(),
-                           make_transient_options(sim, t_stop, path));
   const double half = path.netlist().process().vdd / 2.0;
   const bool out_rising = path.same_polarity() == input_rising;
-  const auto delay = wave::propagation_delay(
-      res.wave(path.input()), res.wave(path.output()), half,
-      input_rising ? wave::Edge::kRise : wave::Edge::kFall,
-      out_rising ? wave::Edge::kRise : wave::Edge::kFall);
+  const auto delay = measure_transient(
+      path, sim, t_stop, half, [&](const spice::TransientResult& r) {
+        return wave::propagation_delay(
+            r.wave(path.input()), r.wave(path.output()), half,
+            input_rising ? wave::Edge::kRise : wave::Edge::kFall,
+            out_rising ? wave::Edge::kRise : wave::Edge::kFall);
+      });
   if (use_cache) cache::solve_cache().put(key, encode_measurement(delay));
   return delay;
 }
@@ -170,12 +202,12 @@ std::optional<double> output_pulse_width(cells::Path& path, PulseKind kind,
         cached.has_value() && cached->size() == 2)
       return decode_measurement(*cached);
   }
-  const auto res =
-      spice::run_transient(path.netlist().circuit(),
-                           make_transient_options(sim, t_stop, path));
   const double half = path.netlist().process().vdd / 2.0;
   const bool positive_out = path.same_polarity() == positive_in;
-  const auto width = wave::pulse_width(res.wave(path.output()), half, positive_out);
+  const auto width = measure_transient(
+      path, sim, t_stop, half, [&](const spice::TransientResult& r) {
+        return wave::pulse_width(r.wave(path.output()), half, positive_out);
+      });
   if (use_cache) cache::solve_cache().put(key, encode_measurement(width));
   return width;
 }

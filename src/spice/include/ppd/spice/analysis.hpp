@@ -6,6 +6,7 @@
 // trapezoidal (default) or backward-Euler companions.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -116,7 +117,14 @@ struct TransientResult {
 
 /// Run OP then integrate to t_stop. Throws NumericalError when Newton fails
 /// at the minimum step.
-[[nodiscard]] TransientResult run_transient(Circuit& circuit,
-                                            const TransientOptions& options = {});
+///
+/// `decided`, when set, is called after each accepted step has been recorded;
+/// returning true ends the sweep there (counted in spice.transient.decided).
+/// A measurement whose answer is fixed by a prefix of the waveform stops at
+/// the step that fixes it: the stepper is causal, so the recorded prefix is
+/// bit-identical to the same prefix of the full sweep.
+[[nodiscard]] TransientResult run_transient(
+    Circuit& circuit, const TransientOptions& options = {},
+    const std::function<bool(const TransientResult&)>& decided = {});
 
 }  // namespace ppd::spice

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <array>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -25,15 +24,6 @@ static_assert(kGround - 1 == kGroundIndex, "Device::idx maps node n to row n - 1
 
 enum class AnalysisMode { kOperatingPoint, kTransient };
 enum class Integrator { kBackwardEuler, kTrapezoidal };
-
-/// Quiescent-MOSFET bypass counters, threaded through StampContext by the
-/// transient engine. A cached model evaluation is reused only when the
-/// terminal voltages are bitwise unchanged since it was computed, so a
-/// bypassed stamp is bit-identical to an evaluated one.
-struct MosBypass {
-  std::uint64_t hits = 0;   ///< stamps served from the cached evaluation
-  std::uint64_t evals = 0;  ///< stamps that re-evaluated the model
-};
 
 /// Slots of a two-terminal conductance stamp: +g at (a, a) and (b, b), -g at
 /// (a, b) and (b, a), bound and written in that order.
@@ -61,7 +51,6 @@ struct StampContext {
   double gmin = 1e-9;
   double source_scale = 1.0;  ///< source-stepping homotopy factor
   const std::vector<double>* x = nullptr;  ///< current iterate (may be null in OP start)
-  MosBypass* bypass = nullptr;  ///< null = no bypass (operating point)
   /// True during a partial re-assembly (see analysis.cpp): the MNA
   /// slots still hold this device's last-stamped values, so a device whose
   /// stamp inputs are BITWISE unchanged since that stamp may return without
@@ -274,11 +263,6 @@ class Mosfet final : public Device {
   std::array<MnaSlot, 6> m_{};
   MnaSlot rhs_d_ = kSinkSlot, rhs_s_ = kSinkSlot;
   ConductanceSlots gmin_;  ///< gmin across the channel, (d, s)
-  // Last evaluation, cached for MosBypass (only maintained when the stamp
-  // context carries one; a Circuit is used by one thread at a time).
-  mutable double bp_vd_ = 0.0, bp_vg_ = 0.0, bp_vs_ = 0.0;
-  mutable Eval bp_e_{0.0, 0.0, 0.0};
-  mutable bool bp_valid_ = false;
 };
 
 }  // namespace ppd::spice

@@ -530,9 +530,9 @@ OpResult run_op_with_deadline(Circuit& circuit, const OpOptions& options,
 /// Transient state machine: one step() call is one attempted time step
 /// (accepted, rejected, or nothing left to do). Owns the step size, the
 /// adaptive controllers (iteration-count and LTE), the end-of-sweep
-/// snapping, the iterate and solve buffers, the assemble plan and the
-/// MOSFET bypass. run_transient owns the circuit, the bound MnaSystem, the
-/// OP phase and waveform recording.
+/// snapping, the iterate and solve buffers and the assemble plan.
+/// run_transient owns the circuit, the bound MnaSystem, the OP phase and
+/// waveform recording.
 class TransientStepper {
  public:
   enum class Outcome { kAccepted, kRejected, kFinished };
@@ -553,16 +553,12 @@ class TransientStepper {
   /// True when the sweep ended by snapping a sub-dt_min sliver to t_stop
   /// without integrating it (run_transient records one more point).
   [[nodiscard]] bool snapped_without_step() const { return snapped_; }
-  [[nodiscard]] const MosBypass& bypass() const { return bypass_; }
 
  private:
   Circuit& circuit_;
   CircuitMna& sys_;
   const TransientOptions& options_;
   resil::Deadline deadline_;
-  // Bit-safe quiescent-MOSFET bypass: a cached model evaluation is reused
-  // only while the terminal voltages are bitwise unchanged.
-  MosBypass bypass_;
   std::size_t node_unknowns_;
   double t_stop_;
   double t_end_;  // relative end-of-sweep guard
@@ -627,7 +623,6 @@ TransientStepper::Outcome TransientStepper::step() {
   ctx.t = t_ + h_;
   ctx.h = h_;
   ctx.gmin = options_.newton.gmin;
-  ctx.bypass = &bypass_;
 
   // A new step size invalidates every dynamic companion (geq = C/h) at
   // once; selective refresh must not skip caps on state bits alone, so a
@@ -748,7 +743,9 @@ const wave::Waveform& TransientResult::wave(const std::string& node_name) const 
   throw PreconditionError("unknown node: " + node_name);
 }
 
-TransientResult run_transient(Circuit& circuit, const TransientOptions& options) {
+TransientResult run_transient(
+    Circuit& circuit, const TransientOptions& options,
+    const std::function<bool(const TransientResult&)>& decided) {
   PPD_REQUIRE(options.t_stop > 0.0, "t_stop must be positive");
   PPD_REQUIRE(options.dt > 0.0, "dt must be positive");
   const obs::Span span("spice.run_transient");
@@ -795,7 +792,8 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options)
   record(0.0, op.x);
 
   TransientStepper stepper(circuit, sys, options, deadline, op.x);
-  for (;;) {
+  bool stopped = false;
+  while (!stopped) {
     const auto outcome = stepper.step();
     if (outcome == TransientStepper::Outcome::kFinished) break;
     result.newton_iterations +=
@@ -803,6 +801,7 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options)
     if (outcome == TransientStepper::Outcome::kAccepted) {
       record(stepper.time(), stepper.x());
       ++result.steps;
+      stopped = decided && decided(result);
     } else {
       ++result.rejected_steps;
     }
@@ -813,9 +812,8 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options)
   if (obs::metrics_enabled()) {
     obs::counter("spice.transient.runs").add();
     obs::counter("spice.transient.steps").add(result.steps);
+    if (stopped) obs::counter("spice.transient.decided").add();
     obs::counter("spice.transient.rejected_steps").add(result.rejected_steps);
-    obs::counter("spice.bypass.hits").add(stepper.bypass().hits);
-    obs::counter("spice.bypass.evals").add(stepper.bypass().evals);
     const MnaSystem::SolveStats& solves = sys.mna.solve_stats();
     obs::counter("spice.mna.refactored").add(solves.refactored);
     obs::counter("spice.mna.rhs_only").add(solves.rhs_only);

@@ -259,32 +259,7 @@ void Mosfet::stamp(MnaSystem& mna, const StampContext& ctx) const {
     vg = volt(*ctx.x, 1);
     vs = volt(*ctx.x, 2);
   }
-  // Quiescent bypass: terminal voltages bitwise equal to the cached
-  // evaluation's make the stamp identical to an evaluated one. During a
-  // partial re-assembly the slots already hold exactly those values, so the
-  // writes are skipped too; otherwise the cached evaluation is restamped.
-  const bool quiescent = ctx.bypass != nullptr && bp_valid_ &&
-                         bits_equal(vd, bp_vd_) && bits_equal(vg, bp_vg_) &&
-                         bits_equal(vs, bp_vs_);
-  if (quiescent && ctx.replay) {
-    ++ctx.bypass->hits;
-    return;
-  }
-  Eval e{0.0, 0.0, 0.0};
-  if (quiescent) {
-    e = bp_e_;
-    ++ctx.bypass->hits;
-  } else {
-    e = evaluate(vd, vg, vs);
-    if (ctx.bypass != nullptr) {
-      bp_vd_ = vd;
-      bp_vg_ = vg;
-      bp_vs_ = vs;
-      bp_e_ = e;
-      bp_valid_ = true;
-      ++ctx.bypass->evals;
-    }
-  }
+  const Eval e = evaluate(vd, vg, vs);
   // Linearized channel current (drain -> source):
   //   i ~= ids0 + gm (vgs - vgs0) + gds (vds - vds0)
   const double vgs0 = vg - vs;

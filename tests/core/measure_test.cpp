@@ -2,13 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <optional>
+#include <string>
 
 #include "ppd/cache/solve_cache.hpp"
 #include "ppd/resil/faultplan.hpp"
 #include "ppd/spice/analysis.hpp"
 #include "ppd/util/error.hpp"
+#include "ppd/wave/waveform.hpp"
 
 namespace ppd::core {
 namespace {
@@ -199,6 +205,199 @@ TEST(TransferFunction, HasThreeRegions) {
   const double slope = (c.w_out.back() - c.w_out[c.w_out.size() - 2]) /
                        (grid.back() - grid[grid.size() - 2]);
   EXPECT_NEAR(slope, 1.0, 0.15);
+}
+
+// ---------------------------------------------------------------------------
+// Early stop: a measurement transient ends at the step that decides its
+// answer. The stopped waveform must be a bitwise prefix of the full sweep's
+// and the measured value must carry the same bits, under every stepping mode.
+// ---------------------------------------------------------------------------
+
+/// Disables the process-wide solve cache for one test, so every measurement
+/// below really integrates.
+class CacheOff {
+ public:
+  CacheOff() : was_(cache::cache_enabled()) { cache::set_cache_enabled(false); }
+  ~CacheOff() { cache::set_cache_enabled(was_); }
+  CacheOff(const CacheOff&) = delete;
+  CacheOff& operator=(const CacheOff&) = delete;
+
+ private:
+  bool was_;
+};
+
+struct Stepping {
+  std::string name;
+  SimSettings sim;
+};
+
+std::vector<Stepping> stepping_modes() {
+  SimSettings trap;
+  trap.adaptive = false;
+  SimSettings be = trap;
+  be.integrator = spice::Integrator::kBackwardEuler;
+  return {{"fixed-trap", trap}, {"fixed-be", be}, {"adaptive", SimSettings{}}};
+}
+
+PathFactory rop_factory() {
+  PathFactory f;
+  f.options = cells::seven_gate_path();
+  faults::PathFaultSpec spec;
+  spec.kind = faults::FaultKind::kExternalRopOutput;
+  spec.stage = 1;
+  f.fault = spec;
+  return f;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_bits(const std::optional<double>& a, const std::optional<double>& b) {
+  return a.has_value() == b.has_value() && (!a || same_bits(*a, *b));
+}
+
+void expect_prefix(const wave::Waveform& part, const wave::Waveform& full,
+                   const std::string& what) {
+  ASSERT_LE(part.size(), full.size()) << what;
+  for (std::size_t i = 0; i < part.size(); ++i) {
+    ASSERT_TRUE(same_bits(part.time(i), full.time(i))) << what << " t[" << i << "]";
+    ASSERT_TRUE(same_bits(part.value(i), full.value(i))) << what << " v[" << i << "]";
+  }
+}
+
+using Measure = std::function<std::optional<double>(const spice::TransientResult&)>;
+
+/// Runs the driven path's transient in full and with `measure` as its stop
+/// predicate, and checks the prefix property. `production` re-measures the
+/// same instance through the library entry point (which stops early).
+void check_early_stop(const PathFactory& factory, double fault_ohms,
+                      const SimSettings& sim, double t_stop,
+                      const std::function<void(cells::Path&)>& drive,
+                      const Measure& measure,
+                      const std::function<std::optional<double>(cells::Path&)>&
+                          production,
+                      bool expect_decided, const std::string& what) {
+  PathInstance full_inst = make_instance(factory, fault_ohms, nullptr);
+  PathInstance stop_inst = make_instance(factory, fault_ohms, nullptr);
+  drive(full_inst.path);
+  drive(stop_inst.path);
+  const auto full = spice::run_transient(
+      full_inst.path.netlist().circuit(),
+      make_transient_options(sim, t_stop, full_inst.path));
+  const auto stopped = spice::run_transient(
+      stop_inst.path.netlist().circuit(),
+      make_transient_options(sim, t_stop, stop_inst.path),
+      [&](const spice::TransientResult& r) { return measure(r).has_value(); });
+
+  const cells::Path& path = full_inst.path;
+  expect_prefix(stopped.wave(path.input()), full.wave(path.input()),
+                what + " input");
+  expect_prefix(stopped.wave(path.output()), full.wave(path.output()),
+                what + " output");
+
+  const auto value = measure(full);
+  EXPECT_EQ(value.has_value(), expect_decided) << what;
+  EXPECT_TRUE(same_bits(measure(stopped), value)) << what;
+  PathInstance lib_inst = make_instance(factory, fault_ohms, nullptr);
+  EXPECT_TRUE(same_bits(production(lib_inst.path), value)) << what;
+  if (value.has_value()) {
+    EXPECT_LT(stopped.steps, full.steps) << what;
+  } else {
+    EXPECT_EQ(stopped.steps, full.steps) << what;
+    EXPECT_EQ(stopped.wave(path.output()).size(),
+              full.wave(path.output()).size())
+        << what;
+  }
+}
+
+void check_pulse(double fault_ohms, bool expect_survives) {
+  const CacheOff cache_off;
+  const PathFactory f = rop_factory();
+  constexpr double kWin = 0.25e-9;
+  for (const Stepping& mode : stepping_modes()) {
+    const SimSettings& sim = mode.sim;
+    PathInstance probe = make_instance(f, fault_ohms, nullptr);
+    const double half = probe.path.netlist().process().vdd / 2.0;
+    const bool positive_out = probe.path.same_polarity();
+    check_early_stop(
+        f, fault_ohms, sim, sim.t_launch + kWin + sim.t_tail,
+        [&](cells::Path& p) { p.drive_pulse(true, kWin, sim.t_launch); },
+        [&](const spice::TransientResult& r) {
+          return wave::pulse_width(r.wave(probe.path.output()), half,
+                                   positive_out);
+        },
+        [&](cells::Path& p) {
+          return output_pulse_width(p, PulseKind::kH, kWin, sim);
+        },
+        expect_survives, mode.name + " R=" + std::to_string(fault_ohms));
+  }
+}
+
+void check_delay(double fault_ohms, bool expect_switches) {
+  const CacheOff cache_off;
+  const PathFactory f = rop_factory();
+  for (const Stepping& mode : stepping_modes()) {
+    const SimSettings& sim = mode.sim;
+    PathInstance probe = make_instance(f, fault_ohms, nullptr);
+    const double half = probe.path.netlist().process().vdd / 2.0;
+    const bool out_rising = probe.path.same_polarity();
+    check_early_stop(
+        f, fault_ohms, sim, sim.t_launch + sim.t_tail,
+        [&](cells::Path& p) { p.drive_transition(true, sim.t_launch); },
+        [&](const spice::TransientResult& r) {
+          return wave::propagation_delay(
+              r.wave(probe.path.input()), r.wave(probe.path.output()), half,
+              wave::Edge::kRise,
+              out_rising ? wave::Edge::kRise : wave::Edge::kFall);
+        },
+        [&](cells::Path& p) { return path_delay(p, true, sim); },
+        expect_switches, mode.name + " R=" + std::to_string(fault_ohms));
+  }
+}
+
+TEST(EarlyStop, SurvivingPulseStopsAtTrailingEdge) { check_pulse(1e3, true); }
+
+TEST(EarlyStop, DampenedPulseRunsToTheEnd) { check_pulse(64e3, false); }
+
+TEST(EarlyStop, FaultFreePulseStopsAtTrailingEdge) { check_pulse(0.0, true); }
+
+TEST(EarlyStop, SwitchingPathDelayStopsAtOutputEdge) { check_delay(0.0, true); }
+
+TEST(EarlyStop, NeverSwitchingPathDelayRunsToTheEnd) {
+  // A 10 MOhm open leaves the output far short of VDD/2 inside the window.
+  check_delay(10e6, false);
+}
+
+// ---------------------------------------------------------------------------
+// Metamorphic: a wider input pulse never comes out narrower. Checked over
+// the `transfer` query's default Fig. 10 grid on the nominal 7-gate path and
+// on three seeded Monte-Carlo instances of it.
+// ---------------------------------------------------------------------------
+
+void expect_monotone_transfer(cells::VariationSource* variation,
+                              const std::string& what) {
+  PathFactory f;
+  f.options = cells::seven_gate_path();
+  PathInstance inst = make_instance(f, 0.0, variation);
+  const auto grid = linspace(0.08e-9, 0.8e-9, 15);
+  const TransferCurve c = transfer_function(inst.path, PulseKind::kH, grid, {});
+  ASSERT_EQ(c.n_failed, 0u) << what;
+  for (std::size_t i = 1; i < c.w_out.size(); ++i)
+    EXPECT_GE(c.w_out[i], c.w_out[i - 1])
+        << what << ": w_in " << grid[i - 1] << " -> " << grid[i];
+}
+
+TEST(TransferMetamorphic, WidthOutNonDecreasingNominal) {
+  expect_monotone_transfer(nullptr, "nominal");
+}
+
+TEST(TransferMetamorphic, WidthOutNonDecreasingMonteCarlo) {
+  const auto model = mc::VariationModel::uniform_sigma(0.05);
+  for (std::size_t s = 0; s < 3; ++s) {
+    mc::GaussianVariationSource var(model, sample_rng(2007, s));
+    expect_monotone_transfer(&var, "sample " + std::to_string(s));
+  }
 }
 
 }  // namespace

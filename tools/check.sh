@@ -321,8 +321,9 @@ wait "$rec2_pid"
 
 echo "== golden stage (ppdtool output byte-identical to tests/golden) =="
 # The transient engine's end-to-end contract: restructuring the engine
-# (frozen MNA, selective restamping, bitwise MOSFET bypass) changes speed,
-# never bytes. Fresh outputs must equal the committed goldens exactly.
+# (frozen MNA, selective restamping, measurements stopped at their deciding
+# step) changes speed, never bytes. Fresh outputs must equal the committed
+# goldens exactly.
 golden="$repo/tests/golden"
 "$build/tools/ppdtool" coverage --method=pulse --samples=4 --points=3 \
   --csv > "$obs_dir/coverage_pulse.csv"
@@ -334,6 +335,14 @@ cmp "$obs_dir/coverage_delay.csv" "$golden/coverage_delay.csv"
 cmp "$obs_dir/rmin.txt" "$golden/rmin.txt"
 "$build/tools/ppdtool" transfer > "$obs_dir/transfer.txt"
 cmp "$obs_dir/transfer.txt" "$golden/transfer.txt"
+"$build/tools/ppdtool" coverage --method=pulse --fault=bridge --samples=4 \
+  --points=3 --csv > "$obs_dir/coverage_bridge_pulse.csv"
+cmp "$obs_dir/coverage_bridge_pulse.csv" "$golden/coverage_bridge_pulse.csv"
+"$build/tools/ppdtool" coverage --method=delay --fault=bridge --samples=4 \
+  --points=3 --csv > "$obs_dir/coverage_bridge_delay.csv"
+cmp "$obs_dir/coverage_bridge_delay.csv" "$golden/coverage_bridge_delay.csv"
+"$build/tools/ppdtool" calibrate --samples=4 > "$obs_dir/calibrate.txt"
+cmp "$obs_dir/calibrate.txt" "$golden/calibrate.txt"
 
 echo "== bench gate (perf-regression rules over bench output) =="
 # tools/bench_gate.py compares a bench's JSON rows against the committed
