@@ -1,4 +1,4 @@
-// Engine micro/meso benchmarks (google-benchmark): solver throughput,
+// Engine micro/meso benchmarks (google-benchmark): LU refactor throughput,
 // transistor-level transient cost vs path length, logic-level event
 // simulation, and path sensitization — the costs that size every
 // Monte-Carlo experiment in this repository. A thread-scaling section runs
@@ -17,7 +17,6 @@
 #include "ppd/core/pulse_test.hpp"
 #include "ppd/core/rmin.hpp"
 #include "ppd/linalg/dense.hpp"
-#include "ppd/linalg/sparse.hpp"
 #include "ppd/logic/bench.hpp"
 #include "ppd/logic/sensitize.hpp"
 #include "ppd/logic/sim.hpp"
@@ -265,43 +264,44 @@ void run_path_screen_section() {
       missed, identical ? "true" : "false");
 }
 
-void BM_DenseLuSolve(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  mc::Rng rng(7);
-  linalg::DenseMatrix a(n, n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < n; ++c) a(r, c) = rng.uniform(-1.0, 1.0);
-    a(r, r) += static_cast<double>(n);
-  }
-  std::vector<double> b(n, 1.0);
-  for (auto _ : state) {
-    linalg::DenseLu lu(a);
-    benchmark::DoNotOptimize(lu.solve(b));
-  }
-}
-BENCHMARK(BM_DenseLuSolve)->Arg(16)->Arg(48)->Arg(96);
-
-void BM_SparseLuSolve(benchmark::State& state) {
+void BM_LuRefactorSolve(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   // Circuit-like pattern: a ladder (diagonal + neighbours) plus one sparse
   // long-range coupling per row — random dense-ish patterns would just
   // measure fill-in, which MNA matrices don't exhibit.
   mc::Rng rng(7);
-  linalg::SparseBuilder b(n, n);
+  linalg::DenseMatrix a(n, n);
+  std::vector<std::size_t> cells;
+  const auto add = [&](std::size_t r, std::size_t c, double v) {
+    a(r, c) += v;
+    cells.push_back(c * n + r);
+  };
   for (std::size_t r = 0; r < n; ++r) {
-    b.add(r, r, 4.0);
-    if (r > 0) b.add(r, r - 1, rng.uniform(-1.0, 1.0));
-    if (r + 1 < n) b.add(r, r + 1, rng.uniform(-1.0, 1.0));
-    b.add(r, rng.below(n), rng.uniform(-0.2, 0.2));
+    add(r, r, 4.0);
+    if (r > 0) add(r, r - 1, rng.uniform(-1.0, 1.0));
+    if (r + 1 < n) add(r, r + 1, rng.uniform(-1.0, 1.0));
+    add(r, rng.below(n), rng.uniform(-0.2, 0.2));
   }
-  const linalg::SparseMatrix a(b);
-  std::vector<double> rhs(n, 1.0);
+  std::vector<double> rhs(n, 1.0), x;
+  // One factor learns the pattern; each timed iteration is what a Newton
+  // iteration does: clear, scatter the values, refactor on the learned
+  // pattern, solve.
+  linalg::DenseLuWorkspace ws;
+  ws.set_structure(n, cells);
+  linalg::DenseMatrix lu = a;
+  ws.factor(lu);
   for (auto _ : state) {
-    linalg::SparseLu lu(a);
-    benchmark::DoNotOptimize(lu.solve(rhs));
+    ws.clear(lu);
+    double* d = lu.data();
+    for (std::size_t c : cells) d[c] = a.data()[c];
+    ws.factor(lu);
+    ws.solve_into(rhs, x);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
   }
+  state.counters["full_factors"] = static_cast<double>(ws.stats().full);
 }
-BENCHMARK(BM_SparseLuSolve)->Arg(48)->Arg(192)->Arg(768);
+BENCHMARK(BM_LuRefactorSolve)->Arg(48)->Arg(192)->Arg(768);
 
 void BM_PathTransient(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -1,9 +1,6 @@
-// Dense column-major matrix with LU factorization (partial pivoting).
-//
-// MNA systems for the circuits in this project are small (tens of nodes), so
-// a dense factorization is the default solver; the sparse path
-// (ppd/linalg/sparse.hpp) exists for larger netlists and is validated against
-// this one in the test suite.
+// Dense column-major matrix and the LU workspace that factorizes every MNA
+// system: dense storage, with a learned sparsity pattern restricting the
+// work once the structure is known.
 #pragma once
 
 #include <cstddef>
@@ -43,64 +40,61 @@ class DenseMatrix {
   std::vector<double> data_;  // column-major
 };
 
-/// LU factorization with partial (row) pivoting of a square matrix.
-/// Throws NumericalError when the matrix is numerically singular.
-class DenseLu {
- public:
-  /// Factorize a copy of `a`.
-  explicit DenseLu(const DenseMatrix& a, double pivot_tol = 1e-13);
-
-  /// Solve A x = b for one right-hand side.
-  [[nodiscard]] std::vector<double> solve(const std::vector<double>& b) const;
-
-  /// Determinant of the factorized matrix (sign included).
-  [[nodiscard]] double determinant() const;
-
-  [[nodiscard]] std::size_t order() const { return lu_.rows(); }
-
- private:
-  DenseMatrix lu_;
-  std::vector<std::size_t> perm_;  // row permutation: row i of PA is perm_[i] of A
-  int perm_sign_ = 1;
-};
-
-/// Reusable in-place LU workspace: factorizes a caller-owned matrix without
-/// copying it and solves into a caller-owned vector, so a Newton loop that
-/// re-assembles the same matrix every iteration allocates nothing. The
-/// pivoting and elimination perform the exact operation sequence of DenseLu,
-/// so solve results are bit-identical to the allocating path.
+/// In-place LU workspace with partial (row) pivoting: the one LU of the
+/// project. It factorizes a caller-owned matrix without copying it and
+/// solves into a caller-owned vector, so a Newton loop that re-assembles the
+/// same matrix every iteration allocates nothing. Throws NumericalError when
+/// the matrix is numerically singular.
 ///
-/// Pattern-restricted elimination: given the structural mask of the matrices
-/// it will see (set_structure), the workspace derives, after a factor, the
-/// L-row and U-column lists of every elimination step for that factor's
-/// pivot sequence, fill included. A later factor still runs the full pivot
-/// search, row swap and column scaling (O(n^2), and what keeps the bits of
-/// signed zeros exact) but runs the O(n^3) rank-1 update only over those
-/// lists while its pivots repeat the learned ones. Entries outside the
-/// pattern are exact zeros, which the full loop skips anyway (its `pk == 0`
-/// and `m == 0` tests), so the restricted update performs exactly the full
-/// loop's operations. At the first pivot that differs, the factor continues
-/// with the full loop and then re-learns the lists from its own pivots.
+/// Without a structure every factor and solve runs the full O(n^3) / O(n^2)
+/// loops: the reference path. Given the structural mask of the matrices it
+/// will see (set_structure), the workspace learns, after a factor, every
+/// list that factor's pivot sequence touches, fill included (the learned-
+/// pattern refactor of KLU: Davis & Palamadai Natarajan, ACM TOMS 37(3),
+/// 2010). While a later factor's pivots repeat the learned ones, its pivot
+/// search, row swap, column scaling and rank-1 update run only over those
+/// lists, and so do both substitutions of solve_into(): the work scales
+/// with the factors' entries, not with n^2. At the first pivot that
+/// differs, the factor continues with the full loops and then re-learns the
+/// lists from its own pivots.
+///
+/// Bit identity with the full loops. An entry outside the pattern is an
+/// exact zero (+0 or, in L, a scaled -0), and every full-loop operation on
+/// it is a no-op the lists may skip: |±0| never beats the current pivot
+/// magnitude (not even a NaN one), the update already skips zero
+/// multipliers and zero pivot-row entries, and a substitution term
+/// (±0) * finite leaves a running sum alone unless that sum is -0, which a
+/// sum cannot become without starting there. So the restricted factor
+/// writes the full loop's bits at every pattern position (L positions
+/// outside it may hold +0 where the full loop holds -0, and are never
+/// read), and the restricted solve returns the full solve's bits unless `b`
+/// holds a -0 or the result is not finite. In those two cases solve_into()
+/// runs the full loops, reading each L entry outside the pattern as the
+/// full loop's zero (the sign of its column's pivot).
 class DenseLuWorkspace {
  public:
   /// Structural mask for later factors: `cells` lists the column-major
   /// offsets (c * n + r) of every entry of an n x n matrix that may be
   /// non-zero (duplicates allowed); every other entry of a factored matrix
-  /// must be exactly +0.0. Forgets any learned pattern. Without a mask every
-  /// factor runs the full update loop (the reference path).
+  /// must be exactly +0.0. Forgets any learned pattern.
   void set_structure(std::size_t n, const std::vector<std::size_t>& cells);
+
+  /// Make `a` all +0.0 for the next assemble. After a factor of `a` that
+  /// ran entirely on the learned pattern only the pattern positions can be
+  /// non-zero, so only they are written; otherwise every entry is.
+  void clear(DenseMatrix& a) const;
 
   /// Factorize `a` IN PLACE (`a` is overwritten with its LU factors and must
   /// stay alive until the next factor() call). Throws NumericalError when
   /// the matrix is numerically singular.
   void factor(DenseMatrix& a, double pivot_tol = 1e-13);
 
-  /// x = A^-1 b using the last factorization. `x` is resized; `b` and `x`
-  /// must be distinct vectors.
+  /// x = A^-1 b using the last successful factorization. `x` is resized;
+  /// `b` and `x` must be distinct vectors.
   void solve_into(const std::vector<double>& b, std::vector<double>& x) const;
 
-  /// How many completed factors ran the restricted update on every column
-  /// (`pattern`), and how many ran the full loop on at least one column
+  /// How many completed factors ran on the learned pattern in every column
+  /// (`pattern`), and how many ran the full loops on at least one column
   /// (`full`: the first factor, pivot divergences, no structure).
   struct Stats {
     std::uint64_t pattern = 0;
@@ -109,19 +103,28 @@ class DenseLuWorkspace {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  /// Symbolic elimination of mask_ under piv_: fills the per-step lists and
+  /// Symbolic elimination of mask_ under piv_: fills every list below and
   /// records piv_ as the learned pivot sequence.
   void learn_pattern();
+  /// The full-loop substitutions (see the class comment).
+  void solve_full(const std::vector<double>& b, std::vector<double>& x) const;
 
-  DenseMatrix* lu_ = nullptr;      // last factored matrix (not owned)
-  std::vector<std::size_t> perm_;  // row permutation, as in DenseLu
+  DenseMatrix* lu_ = nullptr;      // last successfully factored matrix
+  bool restricted_ = false;        // ... and it ran on the learned pattern
+  std::vector<std::size_t> perm_;  // row permutation: row i of PA is perm_[i] of A
   std::vector<std::size_t> piv_;   // pivot row of each step, this factor
   std::size_t mask_n_ = 0;
   std::vector<char> mask_;         // column-major structural mask, n x n
   bool learned_ = false;           // lists below match learned_piv_
   std::vector<std::size_t> learned_piv_;
-  std::vector<std::uint32_t> l_ptr_, l_idx_;  // step k: rows r > k of L
-  std::vector<std::uint32_t> u_ptr_, u_idx_;  // step k: cols c > k of U
+  // Per elimination step k, in that step's row order (ascending indices):
+  std::vector<std::uint32_t> s_ptr_, s_idx_;  // rows r > k of column k, pre-swap
+  std::vector<std::uint32_t> w_ptr_, w_idx_;  // cols of row k or its pivot row
+  std::vector<std::uint32_t> l_ptr_, l_idx_;  // rows r > k of L
+  std::vector<std::uint32_t> u_ptr_, u_idx_;  // cols c > k of U (= final row k)
+  std::vector<std::uint32_t> lr_ptr_, lr_idx_;  // final row i of L: cols j < i
+  std::vector<std::uint32_t> nz_row_;  // step scratch: non-zero multipliers
+  std::vector<double> nz_mult_;
   Stats stats_;
 };
 

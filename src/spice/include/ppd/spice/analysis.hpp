@@ -86,8 +86,6 @@ struct TransientOptions {
   double lte_tol = 2e-3;        ///< LTE accept threshold [V] (kLte only)
   double dt_min = 1e-15;
   double dt_max = 2e-11;
-  /// Use the sparse solver when the MNA order exceeds this; 0 forces sparse.
-  std::size_t sparse_threshold = 192;
   /// Nodes to record (empty = every node). Restricting the probe set saves
   /// memory and time in Monte-Carlo sweeps that only measure two terminals.
   std::vector<NodeId> probe;

@@ -1,22 +1,21 @@
 // Modified-nodal-analysis system assembly. Devices stamp conductances,
 // sources and auxiliary (branch-current) equations through this interface;
-// the analysis engine then factorizes with the dense or sparse solver.
+// the analysis engine then factorizes with the LU workspace.
 //
 // Slot-bound stamping (the classic SPICE pointer-to-element setup). Each
 // matrix or rhs contribution a device will ever make is bound once, up
 // front: bind() / bind_rhs() append one (row, col) / row entry to the add
 // sequence and return its slot. freeze() then learns the solver structure
-// from that sequence: which cell (CSC slot or dense offset) each slot feeds
-// and in what order duplicates accumulate, plus the dense LU's structural
-// mask. Every later stamp writes a value straight into its slot with the
-// inline set() / set_rhs(); solve_into() re-accumulates the cells whose
-// slots changed, each in its recorded order, so sums are bitwise those of a
-// from-scratch `A(row, col) += value` assemble, and refactorizes in place
-// into a caller-owned buffer: no triplet rebuild, no symbolic analysis, no
+// from that sequence: which cell (dense offset) each slot feeds and in what
+// order duplicates accumulate, plus the LU's structural mask. Every later
+// stamp writes a value straight into its slot with the inline set() /
+// set_rhs(); solve_into() re-accumulates the cells whose slots changed,
+// each in its recorded order, so sums are bitwise those of a from-scratch
+// `A(row, col) += value` assemble, and refactorizes in place into a
+// caller-owned buffer: no triplet rebuild, no symbolic analysis, no
 // per-iteration allocation. Results are bit-identical to a from-scratch
-// factor + solve (the sparse refactorization verifies its frozen pivot order
-// and falls back to a full factor when values shift it; the dense factor
-// runs its restricted update only while pivots repeat the learned ones).
+// factor + solve (the LU runs on its learned pattern only while pivots
+// repeat the learned ones).
 //
 // Ground rows and columns bind to a sink slot whose writes are discarded,
 // so stamp code needs no ground branch. Because slot values persist between
@@ -27,11 +26,9 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "ppd/linalg/dense.hpp"
-#include "ppd/linalg/sparse.hpp"
 
 namespace ppd::spice {
 
@@ -47,9 +44,9 @@ constexpr MnaSlot kSinkSlot = 0;
 
 class MnaSystem {
  public:
-  /// `use_sparse` selects the backing solver. A new system is binding:
-  /// bind its entries, then freeze() it before the first write.
-  MnaSystem(std::size_t unknowns, bool use_sparse);
+  /// A new system is binding: bind its entries, then freeze() it before
+  /// the first write.
+  explicit MnaSystem(std::size_t unknowns);
 
   /// Append A(row, col) to the add sequence and return its slot. A ground
   /// row or column returns kSinkSlot. Binding phase only.
@@ -92,12 +89,11 @@ class MnaSystem {
   }
 
   /// Factorize and solve into `x` (resized). Throws NumericalError on
-  /// singularity. Allocation-free after the first call; the dense solver
-  /// factorizes a copy of its matrix image in place.
+  /// singularity. Allocation-free after the first call; the LU factorizes
+  /// a copy of the matrix image in place.
   void solve_into(std::vector<double>& x);
 
   [[nodiscard]] std::size_t unknowns() const { return n_; }
-  [[nodiscard]] bool sparse() const { return use_sparse_; }
 
   /// Solve disposition counters: how many solve_into() calls refactorized,
   /// rebuilt only the rhs against the previous factorization, or returned
@@ -108,8 +104,8 @@ class MnaSystem {
     std::uint64_t cached = 0;
   };
   [[nodiscard]] const SolveStats& solve_stats() const { return stats_; }
-  /// Restricted vs full dense factors (zero on the sparse backend).
-  [[nodiscard]] const linalg::DenseLuWorkspace::Stats& dense_lu_stats() const {
+  /// Learned-pattern vs full-loop factors.
+  [[nodiscard]] const linalg::DenseLuWorkspace::Stats& lu_stats() const {
     return dlw_.stats();
   }
 
@@ -118,17 +114,7 @@ class MnaSystem {
     return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
   }
 
-  /// Map every slot to its CSC slot and order each CSC slot's slots the
-  /// way SparseMatrix merges duplicates, so scattered values match a
-  /// rebuilt matrix bitwise.
-  void learn_sparse_structure();
-  /// Map every slot to its dense cell (one per distinct column-major
-  /// offset), bind order kept per cell (the order a from-scratch +=
-  /// assemble accumulates in), and hand the dense LU its structural mask.
-  void learn_dense_structure();
-
   std::size_t n_;
-  bool use_sparse_;
   bool frozen_ = false;
   // Bound matrix sequence: slot s >= 1 is entry (trip_row_[s], trip_col_[s])
   // with value val_[s]; slot 0 is the sink.
@@ -137,18 +123,17 @@ class MnaSystem {
   std::vector<std::size_t> rhs_row_;       // bound rhs sequence (0: sink, row n)
   std::vector<double> rhs_val_;
 
-  // Assembled images, kept between solves: every matrix cell (a CSC slot,
-  // or a distinct dense offset) and rhs row holds the sum of its slots.
+  // Assembled images, kept between solves: every matrix cell (a distinct
+  // dense offset) and rhs row holds the sum of its slots.
   // set() queues exactly the cells / rows whose slot bits changed, and
   // solve_into() re-accumulates only those, each in its recorded order, so
   // the sums stay bitwise full-rebuild sums. No queued cell means the
   // previous factorization is still THE factorization of this system; no
   // queued rhs row either means the previous solution is this solve's
   // result (same bits in -> same bits out of a deterministic solver).
-  std::unique_ptr<linalg::SparseMatrix> a_;  // sparse image (frozen CSC)
-  std::vector<double> image_;      // dense image, one value per cell
+  std::vector<double> image_;      // one value per cell
   std::vector<std::size_t> cell_offset_;  // dense cell -> column-major offset
-  linalg::DenseMatrix dense_;      // dense factor buffer (consumes a copy)
+  linalg::DenseMatrix dense_;      // factor buffer (consumes a copy)
   std::vector<double> rhs_;
   std::vector<std::size_t> cell_;  // slot -> cell (the sink: an extra cell)
   std::vector<std::size_t> cell_ptr_, cell_src_;  // cell -> slots, in order
@@ -161,11 +146,9 @@ class MnaSystem {
   std::vector<char> rhs_row_dirty_;
   std::vector<std::size_t> dirty_rhs_rows_;
   std::size_t n_dirty_rhs_rows_ = 0;
-  bool first_scatter_ = true;     // no matrix values accumulated yet
-  bool factor_ok_ = false;        // dense_/slu_ hold a live factorization
+  bool factor_ok_ = false;        // dense_ holds a live factorization
   bool solve_cached_ = false;     // cached_x_ matches current values
   std::vector<double> cached_x_;
-  linalg::SparseLu slu_;
   linalg::DenseLuWorkspace dlw_;
   SolveStats stats_;
 };

@@ -43,8 +43,7 @@ struct NewtonOutcome {
 /// each device binds its own slots, in device order, then the per-node
 /// gmin-to-ground leak binds here — the order a full assemble stamps in.
 struct CircuitMna {
-  CircuitMna(Circuit& circuit, bool use_sparse)
-      : mna(circuit.unknown_count(), use_sparse) {
+  explicit CircuitMna(Circuit& circuit) : mna(circuit.unknown_count()) {
     for (const auto& dev : circuit.devices()) dev->bind(mna);
     leak.resize(circuit.node_count() - 1);
     for (std::size_t i = 0; i < leak.size(); ++i)
@@ -390,7 +389,7 @@ OpResult run_op_with_deadline(Circuit& circuit, const OpOptions& options,
   circuit.finalize();
   const std::size_t n = circuit.unknown_count();
   PPD_REQUIRE(n > 0, "circuit has no unknowns");
-  CircuitMna sys(circuit, /*use_sparse=*/false);
+  CircuitMna sys(circuit);
 
   // Starting point: flat zero plus any .NODESET biases.
   std::vector<double> x0(n, 0.0);
@@ -596,8 +595,8 @@ TransientStepper::Outcome TransientStepper::step() {
   if (t_ >= t_end_) return Outcome::kFinished;
   if (deadline_.expired())
     throw TimeoutError("transient exceeded its wall-clock budget at t = " +
-                       std::to_string(t_) + " of " + std::to_string(t_stop_) +
-                       " s" +
+                       util::format_double(t_) + " of " +
+                       util::format_double(t_stop_) + " s" +
                        (circuit_.source().empty()
                             ? ""
                             : " [" + circuit_.source() + "]"));
@@ -644,7 +643,7 @@ TransientStepper::Outcome TransientStepper::step() {
   if (!outcome.converged) {
     if (!options_.adaptive || h_ <= options_.dt_min * 1.0001)
       throw NumericalError("transient Newton failed at t = " +
-                           std::to_string(ctx.t));
+                           util::format_double(ctx.t));
     just_rejected_ = true;
     // The failed Newton left slots stamped along an abandoned trajectory
     // the dirty sets no longer describe — restamp everything on retry.
@@ -762,10 +761,7 @@ TransientResult run_transient(
       resil::Deadline::earliest(
           deadline, resil::Deadline::after(options.op.budget_seconds)));
   circuit.finalize();
-  const std::size_t n = circuit.unknown_count();
-  const bool use_sparse =
-      options.sparse_threshold == 0 || n > options.sparse_threshold;
-  CircuitMna sys(circuit, use_sparse);
+  CircuitMna sys(circuit);
 
   for (const auto& dev : circuit.devices()) dev->begin_transient(op.x);
 
@@ -818,7 +814,7 @@ TransientResult run_transient(
     obs::counter("spice.mna.refactored").add(solves.refactored);
     obs::counter("spice.mna.rhs_only").add(solves.rhs_only);
     obs::counter("spice.mna.cached").add(solves.cached);
-    const auto& lu = sys.mna.dense_lu_stats();
+    const auto& lu = sys.mna.lu_stats();
     obs::counter("spice.lu.pattern_factors").add(lu.pattern);
     obs::counter("spice.lu.full_factors").add(lu.full);
     obs::histogram("spice.transient.seconds", {1e-6, 1e4, 50})

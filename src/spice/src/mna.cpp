@@ -1,6 +1,5 @@
 #include "ppd/spice/mna.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <numeric>
 
@@ -25,9 +24,8 @@ void group_slots(const std::vector<std::size_t>& key, std::size_t keys,
 
 }  // namespace
 
-MnaSystem::MnaSystem(std::size_t unknowns, bool use_sparse)
+MnaSystem::MnaSystem(std::size_t unknowns)
     : n_(unknowns),
-      use_sparse_(use_sparse),
       // Slot 0 is the sink of both sequences; its row/col n is out of range
       // for every real entry.
       trip_row_{unknowns},
@@ -65,82 +63,6 @@ MnaSlot MnaSystem::bind_rhs(MnaIndex row) {
 
 void MnaSystem::freeze() {
   PPD_REQUIRE(!frozen_, "freeze() called twice");
-  if (use_sparse_)
-    learn_sparse_structure();
-  else
-    learn_dense_structure();
-  group_slots(rhs_row_, n_, rhs_ptr_, rhs_src_);
-  // Every cell and rhs row starts queued, so the first solve accumulates
-  // all of them. The extra cell and row n the sinks map to stay flagged
-  // forever, so set() / set_rhs() never queue them.
-  const std::size_t cells = cell_ptr_.size() - 1;
-  cell_dirty_.assign(cells + 1, 1);
-  dirty_cells_.resize(cells);
-  std::iota(dirty_cells_.begin(), dirty_cells_.end(), std::size_t{0});
-  n_dirty_cells_ = cells;
-  rhs_row_dirty_.assign(n_ + 1, 1);
-  dirty_rhs_rows_.resize(n_);
-  std::iota(dirty_rhs_rows_.begin(), dirty_rhs_rows_.end(), std::size_t{0});
-  n_dirty_rhs_rows_ = n_;
-  frozen_ = true;
-}
-
-void MnaSystem::learn_sparse_structure() {
-  // Replicate SparseMatrix's construction — counting sort into column
-  // buckets, an in-column sort by row, duplicates merged in sorted order —
-  // but record, for every slot, the CSC slot it lands in and the order it
-  // is accumulated, so assembles can scatter values straight into the CSC
-  // image with bitwise-identical sums.
-  const std::size_t ns = val_.size();  // slots, sink included
-  linalg::SparseBuilder b(n_, n_);
-  for (std::size_t s = 1; s < ns; ++s) b.add(trip_row_[s], trip_col_[s], 0.0);
-  a_ = std::make_unique<linalg::SparseMatrix>(b);
-
-  std::vector<std::size_t> count(n_ + 1, 0);
-  for (std::size_t s = 1; s < ns; ++s) ++count[trip_col_[s] + 1];
-  for (std::size_t c = 0; c < n_; ++c) count[c + 1] += count[c];
-
-  std::vector<std::size_t> rows(ns - 1), src(ns - 1);
-  std::vector<std::size_t> cursor(count.begin(), count.end() - 1);
-  for (std::size_t s = 1; s < ns; ++s) {
-    const std::size_t pos = cursor[trip_col_[s]]++;
-    rows[pos] = trip_row_[s];
-    src[pos] = s;
-  }
-
-  // cell_src_ lists slots in accumulation order; CSC slots open in order,
-  // so each CSC slot's contributions are contiguous in it.
-  const std::size_t nnz = a_->nonzeros();
-  cell_src_.clear();
-  cell_src_.reserve(ns - 1);
-  cell_.assign(ns, nnz);  // the sink's cell is the extra one, nnz
-  cell_ptr_.assign(nnz + 1, 0);
-  std::size_t slot = 0;  // next CSC slot to open, globally increasing
-  for (std::size_t c = 0; c < n_; ++c) {
-    const std::size_t lo = count[c];
-    const std::size_t hi = count[c + 1];
-    std::vector<std::size_t> order(hi - lo);
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = lo + i;
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b2) { return rows[a] < rows[b2]; });
-    bool first = true;
-    std::size_t prev_row = 0;
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      const std::size_t pos = order[i];
-      if (first || rows[pos] != prev_row) ++slot;  // opens a new CSC entry
-      first = false;
-      prev_row = rows[pos];
-      PPD_REQUIRE(slot <= nnz, "scatter program out of sync with CSC");
-      cell_src_.push_back(src[pos]);
-      cell_[src[pos]] = slot - 1;
-      ++cell_ptr_[slot];
-    }
-  }
-  PPD_REQUIRE(slot == nnz, "scatter program out of sync with CSC");
-  for (std::size_t c = 0; c < nnz; ++c) cell_ptr_[c + 1] += cell_ptr_[c];
-}
-
-void MnaSystem::learn_dense_structure() {
   // Cells are the distinct column-major offsets the slots feed, numbered
   // in order of first appearance; each cell accumulates its slots in bind
   // order, as a from-scratch dense assemble does.
@@ -163,6 +85,19 @@ void MnaSystem::learn_dense_structure() {
   image_.assign(cells, 0.0);
   dense_ = linalg::DenseMatrix(n_, n_);
   dlw_.set_structure(n_, cell_offset_);
+  group_slots(rhs_row_, n_, rhs_ptr_, rhs_src_);
+  // Every cell and rhs row starts queued, so the first solve accumulates
+  // all of them. The extra cell and row n the sinks map to stay flagged
+  // forever, so set() / set_rhs() never queue them.
+  cell_dirty_.assign(cells + 1, 1);
+  dirty_cells_.resize(cells);
+  std::iota(dirty_cells_.begin(), dirty_cells_.end(), std::size_t{0});
+  n_dirty_cells_ = cells;
+  rhs_row_dirty_.assign(n_ + 1, 1);
+  dirty_rhs_rows_.resize(n_);
+  std::iota(dirty_rhs_rows_.begin(), dirty_rhs_rows_.end(), std::size_t{0});
+  n_dirty_rhs_rows_ = n_;
+  frozen_ = true;
 }
 
 void MnaSystem::solve_into(std::vector<double>& x) {
@@ -185,43 +120,31 @@ void MnaSystem::solve_into(std::vector<double>& x) {
   }
   n_dirty_rhs_rows_ = 0;
   // An unchanged matrix re-solves against the factorization already in
-  // dense_/slu_ — the factors of bitwise these values.
+  // dense_ — the factors of bitwise these values.
   if (mat_changed || !factor_ok_) {
     ++stats_.refactored;
     factor_ok_ = false;
     solve_cached_ = false;
-    // A from-scratch += assemble sums each cell from +0.0. The one
-    // exception is the first sparse image, built the way SparseMatrix
-    // merges duplicates: first contribution as is, the rest added.
-    const bool merge_first = use_sparse_ && first_scatter_;
-    first_scatter_ = false;
-    double* img = use_sparse_ ? a_->mutable_values().data() : image_.data();
+    // A from-scratch += assemble sums each cell from +0.0.
     for (std::size_t i = 0; i < n_dirty_cells_; ++i) {
       const std::size_t c = dirty_cells_[i];
-      std::size_t k = cell_ptr_[c];
-      double acc = merge_first ? val_[cell_src_[k++]] : 0.0;
-      for (; k < cell_ptr_[c + 1]; ++k) acc += val_[cell_src_[k]];
-      img[c] = acc;
+      double acc = 0.0;
+      for (std::size_t k = cell_ptr_[c]; k < cell_ptr_[c + 1]; ++k)
+        acc += val_[cell_src_[k]];
+      image_[c] = acc;
       cell_dirty_[c] = 0;
     }
     n_dirty_cells_ = 0;
-    if (use_sparse_) {
-      if (!slu_.factored() || !slu_.refactor(*a_)) slu_.factor(*a_);
-    } else {
-      // The in-place factorization consumes its input: factor a copy.
-      dense_.set_zero();
-      double* d = dense_.data();
-      for (std::size_t c = 0; c < image_.size(); ++c) d[cell_offset_[c]] = image_[c];
-      dlw_.factor(dense_);
-    }
+    // The in-place factorization consumes its input: factor a copy.
+    dlw_.clear(dense_);
+    double* d = dense_.data();
+    for (std::size_t c = 0; c < image_.size(); ++c) d[cell_offset_[c]] = image_[c];
+    dlw_.factor(dense_);
     factor_ok_ = true;
   } else {
     ++stats_.rhs_only;
   }
-  if (use_sparse_)
-    slu_.solve_into(rhs_, x);
-  else
-    dlw_.solve_into(rhs_, x);
+  dlw_.solve_into(rhs_, x);
   cached_x_ = x;
   solve_cached_ = true;
 }

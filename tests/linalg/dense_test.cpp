@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -33,53 +34,58 @@ TEST(DenseMatrix, MultiplyIdentity) {
   EXPECT_EQ(i.multiply(x), x);
 }
 
-TEST(DenseLu, SolvesSmallSystem) {
+/// Factor a copy of `a` with a structure-free workspace (the full loops)
+/// and solve for `b`.
+std::vector<double> lu_solve(const DenseMatrix& a, const std::vector<double>& b) {
+  DenseMatrix lu = a;
+  DenseLuWorkspace ws;
+  ws.factor(lu);
+  std::vector<double> x;
+  ws.solve_into(b, x);
+  return x;
+}
+
+TEST(LuWorkspace, SolvesSmallSystem) {
   // [2 1; 1 3] x = [3; 5] -> x = [4/5, 7/5]
   DenseMatrix a(2, 2);
   a(0, 0) = 2;
   a(0, 1) = 1;
   a(1, 0) = 1;
   a(1, 1) = 3;
-  const DenseLu lu(a);
-  const auto x = lu.solve({3.0, 5.0});
+  const auto x = lu_solve(a, {3.0, 5.0});
   EXPECT_NEAR(x[0], 0.8, 1e-12);
   EXPECT_NEAR(x[1], 1.4, 1e-12);
 }
 
-TEST(DenseLu, RequiresPivoting) {
+TEST(LuWorkspace, RequiresPivoting) {
   // Zero on the initial diagonal but nonsingular.
   DenseMatrix a(2, 2);
   a(0, 0) = 0;
   a(0, 1) = 1;
   a(1, 0) = 1;
   a(1, 1) = 0;
-  const DenseLu lu(a);
-  const auto x = lu.solve({2.0, 3.0});
+  const auto x = lu_solve(a, {2.0, 3.0});
   EXPECT_NEAR(x[0], 3.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
 
-TEST(DenseLu, SingularThrows) {
+TEST(LuWorkspace, SingularThrows) {
   DenseMatrix a(2, 2);
   a(0, 0) = 1;
   a(0, 1) = 2;
   a(1, 0) = 2;
   a(1, 1) = 4;
-  EXPECT_THROW(DenseLu{a}, NumericalError);
+  DenseLuWorkspace ws;
+  EXPECT_THROW(ws.factor(a), NumericalError);
+  // A factor that threw leaves nothing to solve against.
+  std::vector<double> x;
+  EXPECT_THROW(ws.solve_into({1.0, 1.0}, x), PreconditionError);
 }
 
-TEST(DenseLu, NonSquareThrows) {
+TEST(LuWorkspace, NonSquareThrows) {
   DenseMatrix a(2, 3);
-  EXPECT_THROW(DenseLu{a}, PreconditionError);
-}
-
-TEST(DenseLu, Determinant) {
-  DenseMatrix a(2, 2);
-  a(0, 0) = 3;
-  a(0, 1) = 1;
-  a(1, 0) = 2;
-  a(1, 1) = 4;
-  EXPECT_NEAR(DenseLu(a).determinant(), 10.0, 1e-12);
+  DenseLuWorkspace ws;
+  EXPECT_THROW(ws.factor(a), PreconditionError);
 }
 
 class DenseLuRandom : public ::testing::TestWithParam<int> {};
@@ -96,7 +102,7 @@ TEST_P(DenseLuRandom, SolveMatchesMultiply) {
   std::vector<double> x_ref(static_cast<std::size_t>(n));
   for (auto& v : x_ref) v = rng.uniform(-10.0, 10.0);
   const auto b = a.multiply(x_ref);
-  const auto x = DenseLu(a).solve(b);
+  const auto x = lu_solve(a, b);
   for (int i = 0; i < n; ++i) EXPECT_NEAR(x[static_cast<std::size_t>(i)],
                                           x_ref[static_cast<std::size_t>(i)], 1e-9);
 }
@@ -196,10 +202,22 @@ DenseMatrix valued(std::size_t n, const std::vector<std::size_t>& cells,
   return a;
 }
 
+/// Factor `a` on both workspaces and solve two right-hand sides with exact
+/// zeros in about a fifth of their entries: all +0 (the pattern workspace
+/// keeps its restricted substitutions), then of either sign (a -0 sends it
+/// to the full loops). `lp` is the pattern workspace's persistent buffer:
+/// clear() must leave it all +0. The factors agree bitwise wherever either
+/// is non-zero (an L position outside the pattern may be +0 on one side and
+/// -0 on the other), also the partial factors a throwing factor leaves; the
+/// solutions agree bitwise everywhere.
 void expect_same_factor(DenseLuWorkspace& pat, DenseLuWorkspace& ref,
-                        const DenseMatrix& a, mc::Rng& rng) {
+                        DenseMatrix& lp, const DenseMatrix& a, mc::Rng& rng) {
   const std::size_t n = a.rows();
-  DenseMatrix lp = a, lr = a;
+  pat.clear(lp);
+  for (std::size_t i = 0; i < n * n; ++i)
+    ASSERT_TRUE(bits_equal(lp.data()[i], 0.0)) << "cleared entry " << i;
+  std::copy(a.data(), a.data() + n * n, lp.data());
+  DenseMatrix lr = a;
   bool threw_pat = false, threw_ref = false;
   try {
     pat.factor(lp);
@@ -212,32 +230,46 @@ void expect_same_factor(DenseLuWorkspace& pat, DenseLuWorkspace& ref,
     threw_ref = true;
   }
   ASSERT_EQ(threw_pat, threw_ref);
-  for (std::size_t i = 0; i < n * n; ++i)
-    ASSERT_TRUE(bits_equal(lp.data()[i], lr.data()[i]))
+  for (std::size_t i = 0; i < n * n; ++i) {
+    const double p = lp.data()[i], r = lr.data()[i];
+    ASSERT_TRUE(bits_equal(p, r) || (p == 0.0 && r == 0.0))
         << "factor entry " << i % n << "," << i / n;
+  }
   if (threw_ref) return;
-  std::vector<double> b(n), xp, xr;
-  for (double& v : b) v = rng.uniform(-1.0, 1.0);
-  pat.solve_into(b, xp);
-  ref.solve_into(b, xr);
-  for (std::size_t i = 0; i < n; ++i)
-    ASSERT_TRUE(bits_equal(xp[i], xr[i])) << "solution component " << i;
+  for (bool signed_zeros : {false, true}) {
+    std::vector<double> b(n), xp, xr;
+    for (double& v : b) {
+      v = rng.uniform(-1.0, 1.0);
+      if (rng.uniform(0.0, 1.0) < 0.2) v = signed_zeros && v < 0.0 ? -0.0 : 0.0;
+    }
+    pat.solve_into(b, xp);
+    ref.solve_into(b, xr);
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_TRUE(bits_equal(xp[i], xr[i]))
+          << "solution component " << i << (signed_zeros ? " (+-0 rhs)" : " (+0 rhs)");
+  }
 }
 
 TEST(DenseLuPattern, BitIdenticalToFullLoopOnMnaShapedMatrices) {
   const Style schedule[] = {Style::kDominant, Style::kDominant, Style::kPivotFlip,
                             Style::kDominant, Style::kZeros,    Style::kNegative,
                             Style::kPivotFlip, Style::kInf,     Style::kDominant};
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 8; n <= 40; n += 4) sizes.push_back(n);
+  for (std::size_t n : {96, 200, 320}) sizes.push_back(n);
   DenseLuWorkspace::Stats total;
-  for (std::size_t n = 8; n <= 40; n += 4) {
+  for (std::size_t n : sizes) {
     mc::Rng rng(4242u + n);
     const std::vector<std::size_t> cells = mna_structure(n, rng);
-    DenseLuWorkspace pat, ref;  // ref has no structure: the full loop
+    DenseLuWorkspace pat, ref;  // ref has no structure: the full loops
     pat.set_structure(n, cells);
-    for (int round = 0; round < 12; ++round)
+    DenseMatrix lp(n, n);
+    // The reference's O(n^3) loops bound the rounds at the large sizes.
+    const int rounds = n <= 40 ? 12 : 2;
+    for (int round = 0; round < rounds; ++round)
       for (Style style : schedule) {
         const DenseMatrix a = valued(n, cells, style, rng);
-        expect_same_factor(pat, ref, a, rng);
+        expect_same_factor(pat, ref, lp, a, rng);
         if (HasFatalFailure()) return;
       }
     EXPECT_EQ(ref.stats().pattern, 0u);
@@ -247,7 +279,34 @@ TEST(DenseLuPattern, BitIdenticalToFullLoopOnMnaShapedMatrices) {
   // Both paths ran: restricted factors, and full-loop fallbacks after the
   // first factor of each size (pivot flips, then a re-learn).
   EXPECT_GT(total.pattern, 0u);
-  EXPECT_GT(total.full, 9u);
+  EXPECT_GT(total.full, 12u);
+}
+
+TEST(DenseLuPattern, NegativeZeroRhsReadsTheFullLoopsZeros) {
+  // diag(-2, 3): the full loop scales the structurally zero (1, 0) to -0,
+  // the learned pattern leaves it +0. With b = [1, -0] the full forward
+  // substitution computes -0 - (-0 * 1) = +0 for x[1]; a solve that read
+  // the restricted factor's +0 there would return -0 instead.
+  const std::size_t n = 2;
+  DenseLuWorkspace pat, ref;
+  pat.set_structure(n, {0, 3});
+  DenseMatrix a(n, n);
+  a(0, 0) = -2.0;
+  a(1, 1) = 3.0;
+  DenseMatrix lp(n, n);
+  mc::Rng rng(3);
+  expect_same_factor(pat, ref, lp, a, rng);  // first factor: full, learns
+  DenseMatrix l2 = a;
+  pat.factor(l2);  // restricted: (1, 0) stays +0
+  ASSERT_EQ(pat.stats().pattern, 1u);
+  DenseMatrix lr = a;
+  ref.factor(lr);
+  std::vector<double> xp, xr;
+  pat.solve_into({1.0, -0.0}, xp);
+  ref.solve_into({1.0, -0.0}, xr);
+  EXPECT_FALSE(std::signbit(xr[1]));
+  for (std::size_t i = 0; i < n; ++i)
+    EXPECT_TRUE(bits_equal(xp[i], xr[i])) << "solution component " << i;
 }
 
 TEST(DenseLuPattern, FallbackMidFactorRelearnsThePivots) {
@@ -260,6 +319,7 @@ TEST(DenseLuPattern, FallbackMidFactorRelearnsThePivots) {
   for (std::size_t i = 0; i < n * n; ++i) cells.push_back(i);
   DenseLuWorkspace pat, ref;
   pat.set_structure(n, cells);
+  DenseMatrix lp(n, n);
   mc::Rng rng(5);
   const auto matrix = [](std::initializer_list<double> row_major) {
     DenseMatrix a(3, 3);
@@ -272,13 +332,13 @@ TEST(DenseLuPattern, FallbackMidFactorRelearnsThePivots) {
   };
   const DenseMatrix dominant = matrix({4, 1, 1, 1, 4, 1, 1, 1, 4});
   const DenseMatrix flipped = matrix({4, 1, 1, 1, 0.5, 1, 1, 6, 4});
-  expect_same_factor(pat, ref, dominant, rng);  // first factor: full, learns
-  expect_same_factor(pat, ref, dominant, rng);  // same pivots: restricted
+  expect_same_factor(pat, ref, lp, dominant, rng);  // first factor: full, learns
+  expect_same_factor(pat, ref, lp, dominant, rng);  // same pivots: restricted
   EXPECT_EQ(pat.stats().full, 1u);
   EXPECT_EQ(pat.stats().pattern, 1u);
-  expect_same_factor(pat, ref, flipped, rng);   // diverges at column 1
+  expect_same_factor(pat, ref, lp, flipped, rng);   // diverges at column 1
   EXPECT_EQ(pat.stats().full, 2u);
-  expect_same_factor(pat, ref, flipped, rng);   // re-learned pivots hold
+  expect_same_factor(pat, ref, lp, flipped, rng);   // re-learned pivots hold
   EXPECT_EQ(pat.stats().pattern, 2u);
 }
 

@@ -1,10 +1,10 @@
 // Bit pins of the transient engine. run_transient on the 3-inverter path
-// with an external resistive open (the coverage tests' ROP fixture) in five
-// configurations — fixed-step TRAP and BE, both adaptive step controls, and
-// the sparse (frozen-CSC) solver at a fixed step — must reproduce exactly
-// the step counts and every recorded (t, v) sample bit for bit. The hash is
-// FNV-1a over the samples' bit patterns, so any change to assembly order,
-// factorization, bypass or step control that moves one ulp fails here.
+// with an external resistive open (the coverage tests' ROP fixture) in four
+// configurations — fixed-step TRAP and BE and both adaptive step controls —
+// must reproduce exactly the step counts and every recorded (t, v) sample
+// bit for bit. The hash is FNV-1a over the samples' bit patterns, so any
+// change to assembly order, factorization, bypass or step control that
+// moves one ulp fails here.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -89,12 +89,6 @@ TEST(EnginePin, AdaptiveLte) {
   opt.adaptive = true;
   opt.step_control = StepControl::kLte;
   expect_pinned(opt, {408, 1168, 48, 0xa80e1169490b1183ull});
-}
-
-TEST(EnginePin, FixedStepSparseSolver) {
-  TransientOptions opt = base_options();
-  opt.sparse_threshold = 0;  // frozen CSC + in-place sparse refactorization
-  expect_pinned(opt, {750, 1607, 0, 0x05dd268fea48da43ull});
 }
 
 }  // namespace

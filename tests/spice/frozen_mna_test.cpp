@@ -1,8 +1,7 @@
 // Slot-bound MnaSystem contract: slot writes + in-place refactorization
 // produce bit-identical solutions to a from-scratch assemble/factor/solve,
-// across many random value sets, for both solver backends; and the bitwise
-// change tracking takes the cached / rhs-only / refactor shortcuts exactly
-// when it may.
+// across many random value sets; and the bitwise change tracking takes the
+// cached / rhs-only / refactor shortcuts exactly when it may.
 #include "ppd/spice/mna.hpp"
 
 #include <gtest/gtest.h>
@@ -12,7 +11,6 @@
 #include <vector>
 
 #include "ppd/linalg/dense.hpp"
-#include "ppd/linalg/sparse.hpp"
 #include "ppd/mc/rng.hpp"
 
 namespace ppd::spice {
@@ -57,7 +55,7 @@ void assemble(Sink& mna, mc::Rng& mat_rng, mc::Rng& rhs_rng) {
 // the same entry.
 class Bound {
  public:
-  Bound(std::size_t n, bool use_sparse) : mna_(n, use_sparse) {}
+  explicit Bound(std::size_t n) : mna_(n) {}
 
   void add(MnaIndex row, MnaIndex col, double value) {
     if (!frozen_) {
@@ -100,36 +98,29 @@ class Bound {
 };
 
 // From-scratch reference: the same add calls accumulated the textbook way
-// (triplets -> CSC -> full sparse LU, or dense += -> dense LU) and solved
-// once, with no structure learned or replayed.
+// (dense +=) and factored and solved once by a structure-free workspace, the
+// full loops, with no structure learned or replayed.
 class Reference {
  public:
-  Reference(std::size_t n, bool use_sparse)
-      : use_sparse_(use_sparse), builder_(n, n), dense_(n, n), rhs_(n, 0.0) {}
+  explicit Reference(std::size_t n) : dense_(n, n), rhs_(n, 0.0) {}
 
   void add(MnaIndex row, MnaIndex col, double value) {
-    const auto r = static_cast<std::size_t>(row);
-    const auto c = static_cast<std::size_t>(col);
-    if (use_sparse_)
-      builder_.add(r, c, value);
-    else
-      dense_(r, c) += value;
+    dense_(static_cast<std::size_t>(row), static_cast<std::size_t>(col)) += value;
   }
   void add_rhs(MnaIndex row, double value) {
     rhs_[static_cast<std::size_t>(row)] += value;
   }
 
   [[nodiscard]] std::vector<double> solve() const {
-    if (use_sparse_) {
-      const linalg::SparseMatrix a(builder_);
-      return linalg::SparseLu(a).solve(rhs_);
-    }
-    return linalg::DenseLu(dense_).solve(rhs_);
+    linalg::DenseMatrix lu = dense_;
+    linalg::DenseLuWorkspace ws;
+    ws.factor(lu);
+    std::vector<double> x;
+    ws.solve_into(rhs_, x);
+    return x;
   }
 
  private:
-  bool use_sparse_;
-  linalg::SparseBuilder builder_;
   linalg::DenseMatrix dense_;
   std::vector<double> rhs_;
 };
@@ -141,8 +132,8 @@ void expect_bitwise_equal(const std::vector<double>& a,
     EXPECT_TRUE(bits_equal(a[i], b[i])) << "component " << i;
 }
 
-void run_random_assembles(bool use_sparse) {
-  Bound frozen(kN, use_sparse);
+TEST(FrozenMna, DenseRefactorBitIdenticalAcross100RandomAssembles) {
+  Bound frozen(kN);
   for (int round = 0; round < 100; ++round) {
     // Same value streams for both systems: re-derive the round's rngs.
     const auto seed = static_cast<std::uint64_t>(round) * 977 + 11;
@@ -153,23 +144,15 @@ void run_random_assembles(bool use_sparse) {
     std::vector<double> x;
     frozen.solve_into(x);
 
-    Reference fresh(kN, use_sparse);
+    Reference fresh(kN);
     assemble(fresh, mat2, rhs2);
     const std::vector<double> x_ref = fresh.solve();
     expect_bitwise_equal(x, x_ref);
   }
 }
 
-TEST(FrozenMna, SparseRefactorBitIdenticalAcross100RandomAssembles) {
-  run_random_assembles(/*use_sparse=*/true);
-}
-
-TEST(FrozenMna, DenseRefactorBitIdenticalAcross100RandomAssembles) {
-  run_random_assembles(/*use_sparse=*/false);
-}
-
-void run_solve_stats(bool use_sparse) {
-  Bound mna(kN, use_sparse);
+TEST(FrozenMna, DenseSolveStatsTakeTheBitwiseShortcuts) {
+  Bound mna(kN);
   mc::Rng mat(7), rhs(8);
   mc::Rng mat_replay = mat, rhs_replay = rhs;
 
@@ -210,24 +193,16 @@ void run_solve_stats(bool use_sparse) {
     mna.solve_into(x_new);
     EXPECT_EQ(mna.mna().solve_stats().refactored, 2u);
 
-    Reference fresh(kN, use_sparse);
+    Reference fresh(kN);
     assemble(fresh, m2, r2);
     expect_bitwise_equal(x_new, fresh.solve());
   }
 }
 
-TEST(FrozenMna, SparseSolveStatsTakeTheBitwiseShortcuts) {
-  run_solve_stats(/*use_sparse=*/true);
-}
-
-TEST(FrozenMna, DenseSolveStatsTakeTheBitwiseShortcuts) {
-  run_solve_stats(/*use_sparse=*/false);
-}
-
-void run_ground_sink(bool use_sparse) {
+TEST(FrozenMna, DenseGroundWritesGoToTheSink) {
   // Ground entries bind to the sink: their writes change nothing, so a
   // solve after writing only sink slots is the cached one.
-  MnaSystem mna(2, use_sparse);
+  MnaSystem mna(2);
   const MnaSlot a = mna.bind(0, 0);
   const MnaSlot b = mna.bind(1, 1);
   const MnaSlot c = mna.bind(0, 1);
@@ -252,10 +227,6 @@ void run_ground_sink(bool use_sparse) {
   EXPECT_EQ(mna.solve_stats().refactored, 1u);
   EXPECT_EQ(mna.solve_stats().cached, 3u);
 }
-
-TEST(FrozenMna, SparseGroundWritesGoToTheSink) { run_ground_sink(true); }
-
-TEST(FrozenMna, DenseGroundWritesGoToTheSink) { run_ground_sink(false); }
 
 }  // namespace
 }  // namespace ppd::spice

@@ -3,7 +3,10 @@
 // and determinism guarantees the Monte-Carlo experiments rely on.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <string>
+#include <thread>
 
 #include "ppd/cells/netlist.hpp"
 #include "ppd/cells/path.hpp"
@@ -83,6 +86,70 @@ TEST(OpRobustness, NanIterateThrowsInsteadOfConverging) {
   const resil::FaultPlan plan = resil::FaultPlan::parse("seed=1,nan=1");
   const resil::FaultScope scope(plan, 0);
   EXPECT_THROW(static_cast<void>(run_op(c, opt)), NumericalError);
+}
+
+/// The time a transient error message reports after "at t = ".
+double reported_time(const std::string& what) {
+  const std::string key = "at t = ";
+  const std::size_t at = what.find(key);
+  EXPECT_NE(at, std::string::npos) << what;
+  if (at == std::string::npos) return 0.0;
+  return std::stod(what.substr(at + key.size()));
+}
+
+/// An RC low-pass driven by a DC source: a few fixed 10 ps steps.
+void rc_lowpass(Circuit& c) {
+  const NodeId a = c.node("a");
+  const NodeId b = c.node("b");
+  c.add_vsource("V1", a, kGround, Dc{1.0});
+  c.add_resistor("R1", a, b, 1e3);
+  c.add_capacitor("C1", b, kGround, 1e-12);
+}
+
+TEST(Transient, BudgetExpiryReportsTheStepTime) {
+  // The first accepted step outlasts the whole budget, so the next step's
+  // deadline check throws. The message must name nanosecond times as such
+  // (a %f rendering printed every one as 0.000000).
+  Circuit c;
+  rc_lowpass(c);
+  TransientOptions opt;
+  opt.t_stop = 1e-9;
+  opt.dt = 1e-11;
+  opt.budget_seconds = 0.1;
+  const auto stall = [](const TransientResult&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    return false;
+  };
+  try {
+    static_cast<void>(run_transient(c, opt, stall));
+    FAIL() << "budget did not expire";
+  } catch (const TimeoutError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("of 1e-09 s"), std::string::npos) << what;
+    EXPECT_DOUBLE_EQ(reported_time(what), 1e-11) << what;
+  }
+}
+
+TEST(Transient, NewtonFailureReportsTheStepTime) {
+  // The chaos seam fails a fixed-step Newton solve after the operating
+  // point converged; the message must carry that step's time, not 0.000000.
+  Circuit c;
+  rc_lowpass(c);
+  TransientOptions opt;
+  opt.t_stop = 1e-9;
+  opt.dt = 1e-11;
+  const resil::FaultPlan plan = resil::FaultPlan::parse("seed=3,newton=0.2");
+  const resil::FaultScope scope(plan, 0);
+  try {
+    static_cast<void>(run_transient(c, opt));
+    FAIL() << "no Newton failure was injected";
+  } catch (const NumericalError& e) {
+    const std::string what = e.what();
+    ASSERT_NE(what.find("transient Newton failed"), std::string::npos) << what;
+    const double t = reported_time(what);
+    EXPECT_GT(t, 0.0) << what;
+    EXPECT_LE(t, opt.t_stop) << what;
+  }
 }
 
 TEST(Transient, ProbeSubsetRestrictsRecording) {

@@ -391,6 +391,18 @@ for san in thread undefined; do
     --gtest_brief=1
 done
 
+echo "== linalg + spice under ASan =="
+# The LU workspace's learned index lists address raw n x n buffers; the
+# address sanitizer catches a heap overrun there that TSan and UBSan above
+# would not.
+abuild="$build-address"
+cmake -B "$abuild" -S "$repo" -DPPD_SANITIZE=address >/dev/null
+cmake --build "$abuild" -j "$(nproc)" --target test_linalg test_spice >/dev/null
+echo "-- address: test_linalg"
+"$abuild/tests/test_linalg" --gtest_brief=1
+echo "-- address: test_spice"
+"$abuild/tests/test_spice" --gtest_brief=1
+
 if command -v clang-tidy >/dev/null 2>&1; then
   echo "== clang-tidy (changed files) =="
   # Tidy the C++ sources touched relative to the merge base with main (or
