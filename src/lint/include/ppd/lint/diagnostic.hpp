@@ -6,7 +6,7 @@
 // location ("file:line" or a net/device name), a human message and an
 // actionable hint. Checks append to a Report; callers filter by severity
 // threshold / per-code suppression and render through the text or JSON
-// reporter. Load-time gates (load_bench_file, validate_circuit) throw
+// reporter. Load-time gates (parse_bench, validate_circuit) throw
 // LintError — a ParseError subclass carrying the full report — when any
 // error-severity finding survives filtering, so existing catch sites keep
 // working while new ones can inspect the structured findings.

@@ -2,8 +2,9 @@
 //
 // ppd::lint sits below ppd::logic so that load-time validation does not
 // create a dependency cycle: the .bench front end (bench_lint.hpp) builds
-// this IR straight from text — including text the strict parser rejects —
-// and ppd::logic adapts an already-built Netlist into it (logic/lint.hpp).
+// this IR straight from text — including text with errors — and
+// ppd::logic builds its Netlist from it (logic::parse_bench) or adapts an
+// already-built Netlist into it (logic/lint.hpp).
 //
 // Checks (stable codes):
 //   PPD001 error   combinational cycle (Tarjan SCC)

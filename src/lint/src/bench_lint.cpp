@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 #include <unordered_map>
+#include <utility>
 
 #include "ppd/util/strings.hpp"
 
@@ -10,17 +11,22 @@ namespace ppd::lint {
 
 namespace {
 
-bool known_gate_type(std::string_view name) {
-  using util::iequals;
-  return iequals(name, "BUF") || iequals(name, "BUFF") ||
-         iequals(name, "NOT") || iequals(name, "INV") || iequals(name, "AND") ||
-         iequals(name, "OR") || iequals(name, "NAND") || iequals(name, "NOR") ||
-         iequals(name, "XOR") || iequals(name, "XNOR");
+/// The one .bench gate-type table: the canonical name of `type`
+/// (case-insensitive, BUFF and INV read as BUF and NOT), or empty when it
+/// names no gate.
+std::string_view canonical_gate_type(std::string_view type) {
+  static constexpr std::pair<std::string_view, std::string_view> kTypes[] = {
+      {"BUF", "BUF"}, {"BUFF", "BUF"}, {"NOT", "NOT"},   {"INV", "NOT"},
+      {"AND", "AND"}, {"OR", "OR"},    {"NAND", "NAND"}, {"NOR", "NOR"},
+      {"XOR", "XOR"}, {"XNOR", "XNOR"}};
+  for (const auto& [name, canonical] : kTypes)
+    if (util::iequals(type, name)) return canonical;
+  return {};
 }
 
 class GraphBuilder {
  public:
-  explicit GraphBuilder(std::string source) { graph_.source = std::move(source); }
+  explicit GraphBuilder(NetGraph& graph) : graph_(graph) {}
 
   std::size_t get_or_create(const std::string& name) {
     const auto it = by_name_.find(name);
@@ -33,19 +39,19 @@ class GraphBuilder {
     return id;
   }
 
-  NetGraph& graph() { return graph_; }
-
  private:
-  NetGraph graph_;
+  NetGraph& graph_;
   std::unordered_map<std::string, std::size_t> by_name_;
 };
 
 }  // namespace
 
-Report lint_bench_text(const std::string& text, const std::string& source,
-                       const BenchLintOptions& options) {
-  Report report;
-  GraphBuilder builder(source);
+BenchScan scan_bench(const std::string& text, const std::string& source,
+                     const BenchLintOptions& options) {
+  BenchScan scan;
+  Report& report = scan.report;
+  scan.graph.source = source;
+  GraphBuilder builder(scan.graph);
 
   std::istringstream is(text);
   std::string raw;
@@ -76,20 +82,23 @@ Report lint_bench_text(const std::string& text, const std::string& source,
         continue;
       }
       const std::size_t id = builder.get_or_create(name);
-      GraphNode& node = builder.graph().nodes[id];
+      GraphNode& node = scan.graph.nodes[id];
       if (is_input) {
+        scan.inputs.push_back(id);
         node.is_input = true;
         node.driven = true;
         ++node.driver_count;
         if (node.line == 0) node.line = line_no;
       } else {
         const auto prev = output_decl_line.find(name);
-        if (prev != output_decl_line.end())
+        if (prev != output_decl_line.end()) {
           report.add(Severity::kWarning, "PPD012", here,
                      "duplicate OUTPUT declaration for '" + name +
                          "' (first on line " + std::to_string(prev->second) + ")");
-        else
+        } else {
           output_decl_line.emplace(name, line_no);
+          scan.outputs.push_back(id);
+        }
         node.is_output = true;
         output_decls.emplace_back(name, line_no);
       }
@@ -116,7 +125,8 @@ Report lint_bench_text(const std::string& text, const std::string& source,
       continue;
     }
     const std::string type{util::trim(rhs.substr(0, open))};
-    if (!known_gate_type(type)) {
+    const std::string_view kind = canonical_gate_type(type);
+    if (kind.empty()) {
       report.add(Severity::kError, "PPD013", here,
                  "unknown gate type '" + type + "'",
                  "use BUF|NOT|AND|OR|NAND|NOR|XOR|XNOR");
@@ -140,13 +150,18 @@ Report lint_bench_text(const std::string& text, const std::string& source,
                  "gate '" + out_name + "' has no operands");
       continue;
     }
+    if ((kind == "NOT" || kind == "BUF") && fanin.size() != 1)
+      report.add(Severity::kError, "PPD013", here,
+                 type + " gate '" + out_name +
+                     "' takes one operand, got " + std::to_string(fanin.size()));
     const std::size_t id = builder.get_or_create(out_name);
-    GraphNode& node = builder.graph().nodes[id];
+    GraphNode& node = scan.graph.nodes[id];
     ++node.driver_count;
     if (!node.driven) {
       // First driver wins; later drivers are reported as PPD003.
+      scan.gates.push_back(id);
       node.driven = true;
-      node.kind = util::to_upper(type);
+      node.kind = std::string(kind);
       node.fanin = std::move(fanin);
       node.line = line_no;
     }
@@ -157,15 +172,20 @@ Report lint_bench_text(const std::string& text, const std::string& source,
   // but an explicit code matches what the user wrote.)
   for (const auto& [name, decl_line] : output_decls) {
     const std::size_t id = builder.get_or_create(name);
-    if (!builder.graph().nodes[id].driven)
+    if (!scan.graph.nodes[id].driven)
       report.add(Severity::kError, "PPD014",
                  source + ":" + std::to_string(decl_line),
                  "OUTPUT '" + name + "' is never defined",
                  "define it with a gate or remove the declaration");
   }
 
-  report.merge(lint_graph(builder.graph(), options.graph));
-  return report;
+  report.merge(lint_graph(scan.graph, options.graph));
+  return scan;
+}
+
+Report lint_bench_text(const std::string& text, const std::string& source,
+                       const BenchLintOptions& options) {
+  return scan_bench(text, source, options).report;
 }
 
 Report lint_bench_file(const std::string& path, const BenchLintOptions& options) {

@@ -14,11 +14,17 @@
 
 namespace ppd::logic {
 
-/// Parse .bench text. Throws ParseError on malformed input and undefined
-/// signals.
-[[nodiscard]] Netlist parse_bench(const std::string& text);
+/// Parse .bench text through the one .bench scanner (lint::scan_bench).
+/// When the scan reports any error-severity diagnostic, throws lint::LintError
+/// (a ParseError) carrying every error, located as `source`:line. Otherwise
+/// builds the netlist: inputs first in INPUT declaration order, then gates
+/// in repeated passes over the gate lines in file order, each added once all
+/// its fanins exist; outputs are marked in first-declaration order.
+[[nodiscard]] Netlist parse_bench(const std::string& text,
+                                  const std::string& source = "<string>");
 
-/// Read a .bench file from disk.
+/// Read a .bench file from disk and parse it with `path` as the source.
+/// An unreadable file throws ParseError.
 [[nodiscard]] Netlist load_bench_file(const std::string& path);
 
 /// Serialize back to .bench text (INPUT/OUTPUT decls then gate lines in

@@ -1,132 +1,62 @@
 #include "ppd/logic/bench.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
-#include <unordered_map>
 
 #include "ppd/lint/bench_lint.hpp"
 #include "ppd/mc/rng.hpp"
 #include "ppd/util/error.hpp"
-#include "ppd/util/strings.hpp"
 
 namespace ppd::logic {
 
 namespace {
 
-LogicKind kind_from_name(std::string_view name) {
-  using util::iequals;
-  if (iequals(name, "BUF") || iequals(name, "BUFF")) return LogicKind::kBuf;
-  if (iequals(name, "NOT") || iequals(name, "INV")) return LogicKind::kNot;
-  if (iequals(name, "AND")) return LogicKind::kAnd;
-  if (iequals(name, "OR")) return LogicKind::kOr;
-  if (iequals(name, "NAND")) return LogicKind::kNand;
-  if (iequals(name, "NOR")) return LogicKind::kNor;
-  if (iequals(name, "XOR")) return LogicKind::kXor;
-  if (iequals(name, "XNOR")) return LogicKind::kXnor;
-  throw ParseError("unknown gate type in .bench: " + std::string(name));
+/// The LogicKind whose name is `name`, one of the scanner's canonical gate
+/// types.
+LogicKind kind_named(const std::string& name) {
+  for (LogicKind kind : {LogicKind::kBuf, LogicKind::kNot, LogicKind::kAnd,
+                         LogicKind::kOr, LogicKind::kNand, LogicKind::kNor,
+                         LogicKind::kXor, LogicKind::kXnor})
+    if (name == logic_kind_name(kind)) return kind;
+  throw PreconditionError("not a canonical gate type: " + name);
 }
-
-struct PendingGate {
-  std::string output;
-  LogicKind kind;
-  std::vector<std::string> inputs;
-};
 
 }  // namespace
 
-Netlist parse_bench(const std::string& text) {
-  std::vector<std::string> input_names;
-  std::vector<std::string> output_names;
-  std::vector<PendingGate> pending;
+Netlist parse_bench(const std::string& text, const std::string& source) {
+  const lint::BenchScan scan = lint::scan_bench(text, source);
+  lint::LintOptions errors_only;
+  errors_only.min_severity = lint::Severity::kError;
+  scan.report.filtered(errors_only).throw_on_error(source);
 
-  std::istringstream is(text);
-  std::string raw;
-  int line_no = 0;
-  while (std::getline(is, raw)) {
-    ++line_no;
-    std::string_view line = util::trim(raw);
-    if (line.empty() || line.front() == '#') continue;
-
-    const auto err = [&](const std::string& msg) {
-      throw ParseError(".bench line " + std::to_string(line_no) + ": " + msg);
-    };
-
-    if (util::starts_with(util::to_upper(line), "INPUT(")) {
-      const auto close = line.find(')');
-      if (close == std::string_view::npos) err("missing ')'");
-      input_names.emplace_back(util::trim(line.substr(6, close - 6)));
-      continue;
-    }
-    if (util::starts_with(util::to_upper(line), "OUTPUT(")) {
-      const auto close = line.find(')');
-      if (close == std::string_view::npos) err("missing ')'");
-      output_names.emplace_back(util::trim(line.substr(7, close - 7)));
-      continue;
-    }
-    const auto eq = line.find('=');
-    if (eq == std::string_view::npos) err("expected '=' assignment");
-    PendingGate g;
-    g.output = std::string(util::trim(line.substr(0, eq)));
-    std::string_view rhs = util::trim(line.substr(eq + 1));
-    const auto open = rhs.find('(');
-    const auto close = rhs.rfind(')');
-    if (open == std::string_view::npos || close == std::string_view::npos ||
-        close < open)
-      err("expected TYPE(args)");
-    g.kind = kind_from_name(util::trim(rhs.substr(0, open)));
-    for (const auto& arg :
-         util::split(std::string(rhs.substr(open + 1, close - open - 1)), ',')) {
-      const auto trimmed = util::trim(arg);
-      if (trimmed.empty()) err("empty gate operand");
-      g.inputs.emplace_back(trimmed);
-    }
-    if (g.output.empty()) err("empty gate output name");
-    pending.push_back(std::move(g));
-  }
-
+  // No error means no cycle, no undriven or multi-driven net and one
+  // definition per gate: every net below resolves.
+  const auto& nodes = scan.graph.nodes;
+  constexpr NetId kUnbuilt = ~NetId{0};
+  std::vector<NetId> net(nodes.size(), kUnbuilt);
   Netlist nl;
-  std::unordered_map<std::string, NetId> by_name;
-  for (const auto& name : input_names) {
-    if (by_name.contains(name))
-      throw ParseError("duplicate INPUT declaration: " + name);
-    by_name.emplace(name, nl.add_input(name));
-  }
-  // Gates may reference forward; resolve with a worklist.
-  std::vector<PendingGate> work = std::move(pending);
-  bool progress = true;
-  while (!work.empty() && progress) {
-    progress = false;
-    std::vector<PendingGate> next;
-    for (auto& g : work) {
-      bool ready = true;
-      std::vector<NetId> fanin;
-      for (const auto& in : g.inputs) {
-        const auto it = by_name.find(in);
-        if (it == by_name.end()) {
-          ready = false;
-          break;
-        }
-        fanin.push_back(it->second);
-      }
-      if (!ready) {
-        next.push_back(std::move(g));
+  for (std::size_t i : scan.inputs) net[i] = nl.add_input(nodes[i].name);
+  // Gates may reference forward: pass over the gate lines in file order
+  // until each is added, adding a gate once all its fanins exist.
+  std::vector<std::size_t> work = scan.gates;
+  while (!work.empty()) {
+    std::vector<std::size_t> next;
+    for (std::size_t i : work) {
+      const lint::GraphNode& g = nodes[i];
+      if (std::any_of(g.fanin.begin(), g.fanin.end(),
+                      [&](std::size_t f) { return net[f] == kUnbuilt; })) {
+        next.push_back(i);
         continue;
       }
-      if (by_name.contains(g.output))
-        throw ParseError("signal defined twice: " + g.output);
-      by_name.emplace(g.output, nl.add_gate(g.kind, g.output, std::move(fanin)));
-      progress = true;
+      std::vector<NetId> fanin;
+      for (std::size_t f : g.fanin) fanin.push_back(net[f]);
+      net[i] = nl.add_gate(kind_named(g.kind), g.name, std::move(fanin));
     }
+    PPD_REQUIRE(next.size() < work.size(), "acyclic scan left a gate unbuilt");
     work = std::move(next);
   }
-  if (!work.empty())
-    throw ParseError("undefined or cyclic signal: " + work.front().inputs.front());
-
-  for (const auto& name : output_names) {
-    const auto it = by_name.find(name);
-    if (it == by_name.end()) throw ParseError("undefined OUTPUT: " + name);
-    nl.mark_output(it->second);
-  }
+  for (std::size_t i : scan.outputs) nl.mark_output(net[i]);
   return nl;
 }
 
@@ -135,16 +65,7 @@ Netlist load_bench_file(const std::string& path) {
   if (!in) throw ParseError("cannot open .bench file: " + path);
   std::ostringstream os;
   os << in.rdbuf();
-  // Static analysis gates the load: a structurally broken netlist is
-  // rejected here with the complete diagnostic set (cycles, undriven and
-  // multi-driven nets, ... — every defect, with file:line locations)
-  // instead of the strict parser's first-error-only message.
-  lint::LintOptions errors_only;
-  errors_only.min_severity = lint::Severity::kError;
-  lint::lint_bench_text(os.str(), path)
-      .filtered(errors_only)
-      .throw_on_error(path);
-  Netlist nl = parse_bench(os.str());
+  Netlist nl = parse_bench(os.str(), path);
   nl.set_source(path);
   return nl;
 }

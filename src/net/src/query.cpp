@@ -427,12 +427,7 @@ QueryResult run_sta(const QueryParams& p) {
   // run over the same file.
   logic::Netlist nl;
   if (!p.bench_text.empty()) {
-    lint::LintOptions errors_only;
-    errors_only.min_severity = lint::Severity::kError;
-    lint::lint_bench_text(p.bench_text, p.bench_name)
-        .filtered(errors_only)
-        .throw_on_error(p.bench_name);
-    nl = logic::parse_bench(p.bench_text);
+    nl = logic::parse_bench(p.bench_text, p.bench_name);
     nl.set_source(base_name(p.bench_name));
   } else if (!p.bench.empty()) {
     nl = logic::load_bench_file(p.bench);

@@ -204,6 +204,25 @@ z = FROB(a)
   EXPECT_TRUE(line_1);
 }
 
+TEST(BenchLint, UnaryGateArityIsPpd013) {
+  // NOT and BUF take exactly one operand; a netlist that gives them more
+  // must not load (evaluation would fail a precondition later on).
+  const std::string text = R"(INPUT(a)
+INPUT(b)
+OUTPUT(y)
+OUTPUT(z)
+y = NOT(a, b)
+z = BUFF(a, b)
+)";
+  const Report r = lint::lint_bench_text(text, "arity.bench");
+  ASSERT_EQ(count_code(r, "PPD013"), 2u) << to_text(r);
+  EXPECT_EQ(r.count(Severity::kError), 2u) << to_text(r);
+  EXPECT_EQ(r.diagnostics()[0].location, "arity.bench:5");
+  EXPECT_EQ(r.diagnostics()[0].message, "NOT gate 'y' takes one operand, got 2");
+  EXPECT_EQ(r.diagnostics()[1].message, "BUFF gate 'z' takes one operand, got 2");
+  EXPECT_THROW((void)logic::parse_bench(text), lint::LintError);
+}
+
 TEST(BenchLint, OutputDeclarationsChecked) {
   const Report r = lint::lint_bench_text(R"(INPUT(a)
 OUTPUT(y)
@@ -223,8 +242,7 @@ TEST(BenchLint, MissingInterfaceIsPpd010And011) {
 }
 
 TEST(BenchLint, LenientScannerReportsAllDefectsAtOnce) {
-  // One pass over one bad file finds every independent problem, unlike the
-  // strict parser which stops at the first.
+  // One pass over one bad file finds every independent problem.
   const Report r = lint::lint_bench_text(R"(INPUT(a)
 INPUT(unused)
 OUTPUT(y)

@@ -45,6 +45,27 @@ TEST(BenchParser, HandlesForwardReferencesAndComments) {
       "m = BUF(a)\n");
   EXPECT_EQ(nl.gate_count(), 2u);
   EXPECT_EQ(nl.gate(nl.find("y")).kind, LogicKind::kNot);
+
+  // Gate lines two levels out of topological order, INPUTs interleaved.
+  // Net ids: inputs in declaration order, then gates by repeated passes
+  // over the gate lines in file order, each added once its fanins exist.
+  const Netlist deep = parse_bench(
+      "INPUT(a)\n"
+      "OUTPUT(z)\n"
+      "y = NAND(p, q)\n"
+      "INPUT(b)\n"
+      "w = NOT(z)\n"
+      "z = OR(y, a)\n"
+      "p = NOT(m)\n"
+      "q = AND(m, b)\n"
+      "m = BUF(a)\n"
+      "OUTPUT(w)\n"
+      "OUTPUT(z)\n");
+  const std::vector<std::string> by_id = {"a", "b", "m", "p", "q", "y", "z", "w"};
+  ASSERT_EQ(deep.size(), by_id.size());
+  for (NetId id = 0; id < by_id.size(); ++id)
+    EXPECT_EQ(deep.gate(id).name, by_id[id]) << "net " << id;
+  EXPECT_EQ(deep.outputs(), (std::vector<NetId>{6, 7}));
 }
 
 TEST(BenchParser, AcceptsAllGateTypes) {

@@ -23,6 +23,14 @@ for f in "$repo"/data/*.bench; do
   echo "-- $f"
   "$build/tools/ppdtool" lint "$f"
 done
+# Every reject-* regression of the .bench fuzz corpus must fail the lint
+# (NOT/BUF with two operands once loaded and died in evaluation).
+for f in "$repo"/tests/corpus/bench/reject-*.bench; do
+  if "$build/tools/ppdtool" lint "$f" >/dev/null; then
+    echo "lint stage: $f unexpectedly lints clean" >&2
+    exit 1
+  fi
+done
 
 echo "== sta stage (interval STA + PPD3xx screen over data/) =="
 # The static-analysis gate: `ppdtool sta --json` must emit well-formed JSON
@@ -343,6 +351,18 @@ cmp "$obs_dir/coverage_bridge_pulse.csv" "$golden/coverage_bridge_pulse.csv"
 cmp "$obs_dir/coverage_bridge_delay.csv" "$golden/coverage_bridge_delay.csv"
 "$build/tools/ppdtool" calibrate --samples=4 > "$obs_dir/calibrate.txt"
 cmp "$obs_dir/calibrate.txt" "$golden/calibrate.txt"
+# The .bench front end's contract: lint findings, the netlist's net ids
+# (which order STA paths and ATPG tests) and everything built on them stay
+# byte-identical. Run from the repo root: the outputs name the input path.
+(
+  cd "$repo"
+  "$build/tools/ppdtool" lint --json data/c17.bench data/c432_class.bench |
+    cmp - "$golden/lint_data.json"
+  "$build/tools/ppdtool" sta --json --bench=data/c432_class.bench \
+    --suppress=PPD302 | cmp - "$golden/sta_c432.json"
+  "$build/tools/ppdtool" atpg --bench=data/c432_class.bench --csv |
+    cmp - "$golden/atpg_c432.csv"
+)
 
 echo "== bench gate (perf-regression rules over bench output) =="
 # tools/bench_gate.py compares a bench's JSON rows against the committed
@@ -353,13 +373,14 @@ python3 "$repo/tools/bench_gate.py" --self-test
   python3 "$repo/tools/bench_gate.py" \
     --baseline "$repo/bench/baseline/service_load.json" -
 
-echo "== util + resil + exec + cache + net + sta under TSan and UBSan =="
+echo "== util + resil + exec + cache + net + sta under TSan and UBSan (+ lint + logic under UBSan) =="
 # The recovery/quarantine/checkpoint paths are themselves exercised under
 # injected chaos, the sharded solve cache takes concurrent mixed traffic,
 # and the path screen fans out across a thread pool; run those suites with
 # the race and UB detectors on. test_util carries a seeded mutation fuzzer
 # (fixed seed and budget) of the JSON reader that loads checkpoints,
-# journals and wire events.
+# journals and wire events; test_lint carries one of the .bench front end,
+# whose netlists test_logic drives.
 for san in thread undefined; do
   sbuild="$build-$san"
   cmake -B "$sbuild" -S "$repo" -DPPD_SANITIZE="$san" >/dev/null
@@ -382,6 +403,15 @@ for san in thread undefined; do
   "$sbuild/tests/test_recovery" --gtest_brief=1
   echo "-- $san: test_sta"
   "$sbuild/tests/test_sta" --gtest_brief=1
+  if [ "$san" = undefined ]; then
+    # The .bench fuzzer runs on one thread: UBSan (and ASan below) are its
+    # detectors, TSan would only slow it down.
+    cmake --build "$sbuild" -j "$(nproc)" --target test_lint test_logic >/dev/null
+    for t in test_lint test_logic; do
+      echo "-- $san: $t"
+      "$sbuild/tests/$t" --gtest_brief=1
+    done
+  fi
   # The frozen transient engine driven across exec lanes — one circuit and
   # MnaSystem per sample, nothing shared — under the race detector (and
   # UBSan for the bit-punning change tracking).
@@ -391,17 +421,19 @@ for san in thread undefined; do
     --gtest_brief=1
 done
 
-echo "== linalg + spice under ASan =="
-# The LU workspace's learned index lists address raw n x n buffers; the
+echo "== linalg + spice + lint + logic under ASan =="
+# The LU workspace's learned index lists address raw n x n buffers, and the
+# .bench fuzzer feeds the scanner and netlist builder malformed text; the
 # address sanitizer catches a heap overrun there that TSan and UBSan above
 # would not.
 abuild="$build-address"
 cmake -B "$abuild" -S "$repo" -DPPD_SANITIZE=address >/dev/null
-cmake --build "$abuild" -j "$(nproc)" --target test_linalg test_spice >/dev/null
-echo "-- address: test_linalg"
-"$abuild/tests/test_linalg" --gtest_brief=1
-echo "-- address: test_spice"
-"$abuild/tests/test_spice" --gtest_brief=1
+cmake --build "$abuild" -j "$(nproc)" \
+  --target test_linalg test_spice test_lint test_logic >/dev/null
+for t in test_linalg test_spice test_lint test_logic; do
+  echo "-- address: $t"
+  "$abuild/tests/$t" --gtest_brief=1
+done
 
 if command -v clang-tidy >/dev/null 2>&1; then
   echo "== clang-tidy (changed files) =="
