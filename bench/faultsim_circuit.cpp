@@ -12,7 +12,7 @@
 #include "bench_common.hpp"
 #include "ppd/logic/bench.hpp"
 #include "ppd/logic/faultsim.hpp"
-#include "ppd/logic/sta.hpp"
+#include "ppd/sta/interval_sta.hpp"
 #include "ppd/util/table.hpp"
 
 namespace {
@@ -28,14 +28,14 @@ int run(int argc, char** argv) {
 
   const logic::Netlist nl = logic::synthetic_benchmark(logic::SyntheticOptions{});
   const auto lib = logic::GateTimingLibrary::generic();
-  const logic::StaResult sta = logic::run_sta(nl, lib);
+  const sta::IntervalStaResult timing = sta::run_interval_sta(nl, lib);
   std::cout << "# benchmark: " << nl.gate_count() << " gates, critical delay "
-            << util::format_double(sta.critical_delay * 1e9, 4) << " ns\n";
+            << util::format_double(timing.critical_delay * 1e9, 4) << " ns\n";
 
   // Fault sites: every gate with at least 20% of the cycle as slack —
   // exactly the defects at-speed testing cannot screen.
-  const double min_slack = 0.20 * sta.critical_delay;
-  const auto sites = logic::slack_sites(nl, sta, min_slack);
+  const double min_slack = 0.20 * timing.critical_delay;
+  const auto sites = sta::slack_sites(nl, timing, min_slack);
   std::cout << "# " << sites.size() << " of " << nl.gate_count()
             << " gates have slack >= "
             << util::format_double(min_slack * 1e9, 3) << " ns\n";
@@ -61,7 +61,7 @@ int run(int argc, char** argv) {
     const auto df_at_speed =
         logic::run_delay_testing(sim, faults, logic::DelayTestModel{}, aopt);
     logic::DelayTestModel reduced;
-    reduced.clock_period = 0.6 * (sta.critical_delay + reduced.ff_overhead);
+    reduced.clock_period = 0.6 * (timing.critical_delay + reduced.ff_overhead);
     const auto df_reduced = logic::run_delay_testing(sim, faults, reduced, aopt);
     t.add_row({util::format_double(r, 4), std::to_string(res.faults_total),
                util::format_double(res.coverage.coverage(res.faults_total), 3),

@@ -77,14 +77,6 @@ void emit(std::ostream& os, const util::Table& t, bool csv) {
 // the session SET validation in lock-step.
 // ---------------------------------------------------------------------------
 
-double to_double(const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0')
-    throw ParseError("option --" + key + " expects a number, got: " + value);
-  return v;
-}
-
 struct Lookup {
   const ParamLookup& raw;
 
@@ -95,10 +87,19 @@ struct Lookup {
   }
   [[nodiscard]] double get(const std::string& key, double def) const {
     const auto v = raw(key);
-    return v ? to_double(key, *v) : def;
+    return v ? util::parse_number(key, *v) : def;
   }
   [[nodiscard]] int get(const std::string& key, int def) const {
     return static_cast<int>(get(key, static_cast<double>(def)));
+  }
+  [[nodiscard]] std::size_t count(const std::string& key,
+                                  std::size_t def) const {
+    const auto v = raw(key);
+    return v ? util::parse_count(key, *v) : def;
+  }
+  [[nodiscard]] double finite(const std::string& key, double def) const {
+    const auto v = raw(key);
+    return v ? util::parse_finite(key, *v) : def;
   }
   [[nodiscard]] bool has(const std::string& key) const {
     // Presence-style flags (--csv, --strict): the Cli adapter yields "1"
@@ -220,12 +221,12 @@ QueryParams params_from_lookup(QueryKind kind, const ParamLookup& lookup) {
       break;
     case QueryKind::kSta:
       p.bench = kv.get("bench", std::string());
-      p.clock = kv.get("clock", 0.0);
-      p.k_paths = static_cast<std::size_t>(kv.get("k", 5));
+      p.clock = kv.finite("clock", 0.0);
+      p.k_paths = kv.count("k", 5);
       p.w_in_max = kv.get("w-in-max", 1.2e-9);
       p.w_th_floor = kv.get("w-th-floor", 50e-12);
       p.margin = kv.get("margin", 0.25);
-      p.slack_frac = kv.get("slack-frac", 0.25);
+      p.slack_frac = kv.finite("slack-frac", 0.25);
       p.lint_json = kv.has("json");
       p.lint_suppress = kv.get("suppress", std::string());
       break;
@@ -439,17 +440,14 @@ QueryResult run_sta(const QueryParams& p) {
   const auto lib = logic::GateTimingLibrary::generic();
 
   const sta::IntervalStaResult ista = sta::run_interval_sta(nl, lib, p.clock);
-  sta::SlackiestOptions sopt;
-  sopt.clock_period = p.clock;
-  const auto slackiest = sta::k_slackiest_paths(nl, lib, p.k_paths, sopt);
+  const auto slackiest = sta::k_slackiest_paths(nl, lib, ista, p.k_paths);
 
   sta::StaLintOptions lopt;
-  lopt.clock_period = p.clock;
   lopt.survival.w_in_max = p.w_in_max;
   lopt.survival.w_th_floor = p.w_th_floor;
   lopt.survival.margin = p.margin;
   lopt.slack_frac = p.slack_frac;
-  const lint::Report report = lint_sta(nl, lib, lopt);
+  const lint::Report report = sta::lint_sta(nl, lib, ista, lopt);
   lint::LintOptions filter;
   filter.suppress = lint::parse_suppress_list(p.lint_suppress);
   const lint::Report shown = report.filtered(filter);

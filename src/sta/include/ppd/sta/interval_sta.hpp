@@ -1,11 +1,12 @@
 // Four-value interval STA: {min,max} x {rise,fall} arrival windows per net.
 //
 // The paper's target population is the set of paths whose slack exceeds the
-// defect-induced delay; ppd::logic's single worst-case arrival pass cannot
-// see how *much* of a net's timing is certain (a net fed by reconvergent
-// short and long paths has a wide arrival window, and its true slack is a
-// range, not a number) and collapses rise/fall delays through inverting
-// gates, overstating slack on inverter-heavy paths. This pass tracks both:
+// defect-induced delay. This is the repository's one timing pass. A single
+// worst-case arrival per net cannot show how *much* of a net's timing is
+// certain (a net fed by reconvergent short and long paths has a wide
+// arrival window, and its true slack is a range, not a number), and
+// collapsing rise/fall delays through inverting gates overstates delay on
+// inverter-heavy paths. This pass tracks both:
 //
 //  * polarity — an inverting gate's rising output edge is caused by a
 //    falling input edge and costs delay_rise (XOR/XNOR may be flipped by
@@ -83,16 +84,20 @@ struct SlackPath {
   double slack = 0.0;  ///< clock_period - delay
 };
 
-struct SlackiestOptions {
-  double clock_period = 0.0;       ///< <= 0: use the critical delay
-  std::size_t node_budget = 1u << 18;  ///< branch-and-bound expansion cap
-};
-
 /// The `k` PI->PO paths of largest slack (= smallest worst-case delay),
 /// best-first branch-and-bound on per-(net, polarity) suffix lower bounds.
+/// Slack is measured against `sta.clock_period`, the caller's pass over the
+/// same netlist and library. The search expands at most 2^18 nodes.
 /// Deterministic: sorted by (delay, path nets lexicographically).
 [[nodiscard]] std::vector<SlackPath> k_slackiest_paths(
     const logic::Netlist& netlist, const logic::GateTimingLibrary& library,
-    std::size_t k, const SlackiestOptions& options = {});
+    const IntervalStaResult& sta, std::size_t k);
+
+/// Fault sites (gate outputs) whose guaranteed slack (`slack.lo`) is at
+/// least `min_slack`: a defect there is invisible to delay testing until it
+/// eats that much delay, so these are the pulse method's target population.
+[[nodiscard]] std::vector<logic::NetId> slack_sites(
+    const logic::Netlist& netlist, const IntervalStaResult& sta,
+    double min_slack);
 
 }  // namespace ppd::sta

@@ -18,12 +18,12 @@
 #include "ppd/lint/diagnostic.hpp"
 #include "ppd/logic/attenuation.hpp"
 #include "ppd/logic/sensitize.hpp"
+#include "ppd/sta/interval_sta.hpp"
 #include "ppd/sta/survival.hpp"
 
 namespace ppd::sta {
 
 struct StaLintOptions {
-  double clock_period = 0.0;  ///< <= 0: use the netlist's critical delay
   SurvivalOptions survival;
   /// A net is a "slack site" for PPD303 when its guaranteed slack is at
   /// least this fraction of the clock period.
@@ -33,9 +33,11 @@ struct StaLintOptions {
   logic::SensitizeOptions sensitize;
 };
 
-/// Run the PPD3xx family over one netlist.
+/// Run the PPD3xx family over one netlist, judging slack against the
+/// caller's interval STA pass over the same netlist and library.
 [[nodiscard]] lint::Report lint_sta(const logic::Netlist& netlist,
                                     const logic::GateTimingLibrary& library,
+                                    const IntervalStaResult& sta,
                                     const StaLintOptions& options = {});
 
 }  // namespace ppd::sta

@@ -13,6 +13,9 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Branch-and-bound expansion cap of k_slackiest_paths.
+constexpr std::size_t kSlackiestNodeBudget = std::size_t{1} << 18;
+
 }  // namespace
 
 EdgeCause edge_cause(logic::LogicKind kind) {
@@ -116,7 +119,7 @@ IntervalStaResult run_interval_sta(const logic::Netlist& netlist,
   }
 
   // Slack windows. Nets reaching no output keep +inf required times; clamp
-  // them against the clock period like the scalar pass always did.
+  // them against the clock period for finite reporting.
   for (logic::NetId id = 0; id < n; ++id) {
     const EdgeTimes& a = res.arrival[id];
     const double rr = std::isinf(res.required_rise[id]) ? res.clock_period
@@ -179,8 +182,8 @@ double path_delay_worst(const logic::Netlist& netlist,
 
 std::vector<SlackPath> k_slackiest_paths(const logic::Netlist& netlist,
                                          const logic::GateTimingLibrary& library,
-                                         std::size_t k,
-                                         const SlackiestOptions& options) {
+                                         const IntervalStaResult& sta,
+                                         std::size_t k) {
   std::vector<SlackPath> out;
   if (k == 0 || netlist.outputs().empty()) return out;
   const std::size_t n = netlist.size();
@@ -247,10 +250,8 @@ std::vector<SlackPath> k_slackiest_paths(const logic::Netlist& netlist,
     if (std::isfinite(seed.bound)) open.push(std::move(seed));
   }
 
-  const IntervalStaResult sta =
-      run_interval_sta(netlist, library, options.clock_period);
   std::size_t expanded = 0;
-  while (!open.empty() && out.size() < k && expanded < options.node_budget) {
+  while (!open.empty() && out.size() < k && expanded < kSlackiestNodeBudget) {
     Node node = open.top();
     open.pop();
     ++expanded;
@@ -276,6 +277,17 @@ std::vector<SlackPath> k_slackiest_paths(const logic::Netlist& netlist,
     }
   }
   return out;
+}
+
+std::vector<logic::NetId> slack_sites(const logic::Netlist& netlist,
+                                      const IntervalStaResult& sta,
+                                      double min_slack) {
+  std::vector<logic::NetId> sites;
+  for (logic::NetId id = 0; id < netlist.size(); ++id) {
+    if (netlist.gate(id).kind == logic::LogicKind::kInput) continue;
+    if (sta.slack[id].lo >= min_slack) sites.push_back(id);
+  }
+  return sites;
 }
 
 }  // namespace ppd::sta

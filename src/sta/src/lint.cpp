@@ -4,7 +4,6 @@
 #include <limits>
 #include <string>
 
-#include "ppd/sta/interval_sta.hpp"
 #include "ppd/util/table.hpp"
 
 namespace ppd::sta {
@@ -25,10 +24,9 @@ std::string path_location(const logic::Netlist& netlist,
 
 lint::Report lint_sta(const logic::Netlist& netlist,
                       const logic::GateTimingLibrary& library,
+                      const IntervalStaResult& sta,
                       const StaLintOptions& options) {
   lint::Report report;
-  const IntervalStaResult sta =
-      run_interval_sta(netlist, library, options.clock_period);
   const SurvivalResult survival =
       compute_survival(netlist, library, options.survival);
 
@@ -74,10 +72,8 @@ lint::Report lint_sta(const logic::Netlist& netlist,
 
   // PPD302: the slackiest paths — precisely the ones the pulse method wants
   // to probe — must be sensitizable.
-  SlackiestOptions sopt;
-  sopt.clock_period = options.clock_period;
   for (const SlackPath& sp :
-       k_slackiest_paths(netlist, library, options.max_paths, sopt)) {
+       k_slackiest_paths(netlist, library, sta, options.max_paths)) {
     if (logic::sensitize_path(netlist, sp.path, options.sensitize).ok)
       continue;
     report.add(lint::Severity::kWarning, "PPD302",

@@ -3,6 +3,7 @@
 // different experiment than the operator asked for.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <map>
 #include <optional>
@@ -22,10 +23,23 @@ class Cli {
   [[nodiscard]] std::string get(const std::string& key, const std::string& def) const;
   [[nodiscard]] double get(const std::string& key, double def) const;
   [[nodiscard]] int get(const std::string& key, int def) const;
+  /// Checked reads: `count` takes a non-negative integer (a negative value
+  /// would wrap through a size_t cast), `finite` rejects nan and inf.
+  [[nodiscard]] std::size_t count(const std::string& key, std::size_t def) const;
+  [[nodiscard]] double finite(const std::string& key, double def) const;
 
  private:
   std::map<std::string, std::string> values_;
 };
+
+/// Value parsers behind Cli::get/count/finite, shared with every other
+/// --key=value source (query sessions). Each throws ParseError naming --key.
+[[nodiscard]] double parse_number(const std::string& key,
+                                  const std::string& value);
+[[nodiscard]] std::size_t parse_count(const std::string& key,
+                                      const std::string& value);
+[[nodiscard]] double parse_finite(const std::string& key,
+                                  const std::string& value);
 
 /// Join argv back into one space-separated command line (run-meta blocks,
 /// error messages).

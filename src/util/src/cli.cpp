@@ -1,6 +1,7 @@
 #include "ppd/util/cli.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 
 #include "ppd/util/error.hpp"
@@ -36,17 +37,47 @@ std::string Cli::get(const std::string& key, const std::string& def) const {
 
 double Cli::get(const std::string& key, double def) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) return def;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str() || *end != '\0')
-    throw ParseError("option --" + key + " expects a number, got: " + it->second);
-  return v;
+  return it == values_.end() ? def : parse_number(key, it->second);
 }
 
 int Cli::get(const std::string& key, int def) const {
   const double v = get(key, static_cast<double>(def));
   return static_cast<int>(v);
+}
+
+std::size_t Cli::count(const std::string& key, std::size_t def) const {
+  const auto it = values_.find(key);
+  return it == values_.end() ? def : parse_count(key, it->second);
+}
+
+double Cli::finite(const std::string& key, double def) const {
+  const auto it = values_.find(key);
+  return it == values_.end() ? def : parse_finite(key, it->second);
+}
+
+double parse_number(const std::string& key, const std::string& value) {
+  char* end = nullptr;
+  const double v = std::strtod(value.c_str(), &end);
+  if (end == value.c_str() || *end != '\0')
+    throw ParseError("option --" + key + " expects a number, got: " + value);
+  return v;
+}
+
+std::size_t parse_count(const std::string& key, const std::string& value) {
+  const double v = parse_number(key, value);
+  // 2^53: every whole number up to it is exact and fits a 64-bit size_t.
+  if (!(v >= 0.0 && v <= 9007199254740992.0) || v != std::floor(v))
+    throw ParseError("option --" + key +
+                     " expects a non-negative integer, got: " + value);
+  return static_cast<std::size_t>(v);
+}
+
+double parse_finite(const std::string& key, const std::string& value) {
+  const double v = parse_number(key, value);
+  if (!std::isfinite(v))
+    throw ParseError("option --" + key + " expects a finite number, got: " +
+                     value);
+  return v;
 }
 
 std::string command_line(int argc, const char* const* argv) {

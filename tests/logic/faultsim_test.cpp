@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ppd/logic/bench.hpp"
-#include "ppd/logic/sta.hpp"
+#include "ppd/sta/interval_sta.hpp"
 #include "ppd/util/error.hpp"
 
 namespace ppd::logic {
@@ -203,8 +203,8 @@ TEST(Atpg, FullFlowOnSyntheticBenchmarkSlackSites) {
   // ATPG -> coverage, on the C432-class benchmark.
   const Netlist nl = synthetic_benchmark(SyntheticOptions{});
   const auto lib = GateTimingLibrary::generic();
-  const StaResult sta = run_sta(nl, lib);
-  auto sites = slack_sites(nl, sta, 0.25 * sta.critical_delay);
+  const sta::IntervalStaResult sta = sta::run_interval_sta(nl, lib);
+  auto sites = sta::slack_sites(nl, sta, 0.25 * sta.critical_delay);
   ASSERT_GE(sites.size(), 8u);
   sites.resize(8);  // keep the test quick
   const FaultSimulator sim(nl, lib);
@@ -312,13 +312,13 @@ TEST(DelayTestingLogic, SlackHidesSmallDefects) {
   const Netlist nl = synthetic_benchmark(SyntheticOptions{});
   const auto lib = GateTimingLibrary::generic();
   const FaultSimulator sim(nl, lib);
-  const StaResult sta = run_sta(nl, lib);
+  const sta::IntervalStaResult sta = sta::run_interval_sta(nl, lib);
 
   // Find a slack site with a sensitizable path through it.
   Path tested;
   NetId site = 0;
   bool found = false;
-  for (NetId s : slack_sites(nl, sta, 0.4 * sta.critical_delay)) {
+  for (NetId s : sta::slack_sites(nl, sta, 0.4 * sta.critical_delay)) {
     for (const auto& p : enumerate_paths_through(nl, s, 16)) {
       if (sensitize_path(nl, p).ok) {
         tested = p;
@@ -352,8 +352,8 @@ TEST(DelayTestingLogic, PulseBeatsDelayAtCircuitScale) {
   const Netlist nl = synthetic_benchmark(SyntheticOptions{});
   const auto lib = GateTimingLibrary::generic();
   const FaultSimulator sim(nl, lib);
-  const StaResult sta = run_sta(nl, lib);
-  auto sites = slack_sites(nl, sta, 0.3 * sta.critical_delay);
+  const sta::IntervalStaResult sta = sta::run_interval_sta(nl, lib);
+  auto sites = sta::slack_sites(nl, sta, 0.3 * sta.critical_delay);
   ASSERT_GE(sites.size(), 6u);
   sites.resize(6);
   const auto faults = enumerate_rop_faults(sites, 20e3);

@@ -8,7 +8,7 @@
 
 #include "ppd/exec/cancel.hpp"
 #include "ppd/logic/bench.hpp"
-#include "ppd/logic/sta.hpp"
+#include "ppd/sta/interval_sta.hpp"
 
 namespace ppd::logic {
 namespace {
@@ -19,9 +19,10 @@ FaultSimulator c17_sim() {
 }
 
 std::vector<LogicFault> all_site_faults(const FaultSimulator& sim, double r) {
-  const StaResult sta = run_sta(sim.netlist(), sim.library());
+  const sta::IntervalStaResult sta =
+      sta::run_interval_sta(sim.netlist(), sim.library());
   // Zero slack floor: every gate output is a fault site.
-  return enumerate_rop_faults(slack_sites(sim.netlist(), sta, 0.0), r);
+  return enumerate_rop_faults(sta::slack_sites(sim.netlist(), sta, 0.0), r);
 }
 
 bool identical(const FaultCoverage& a, const FaultCoverage& b) {
@@ -76,7 +77,8 @@ TEST(FaultSimThreads, AtpgAndCompactionMatchSerial) {
 TEST(FaultSimThreads, DelayTestingMatchesSerial) {
   const FaultSimulator sim = c17_sim();
   const auto faults = all_site_faults(sim, 8e3);
-  const StaResult sta = run_sta(sim.netlist(), sim.library());
+  const sta::IntervalStaResult sta =
+      sta::run_interval_sta(sim.netlist(), sim.library());
   DelayTestModel reduced;
   reduced.clock_period = 0.6 * (sta.critical_delay + reduced.ff_overhead);
 

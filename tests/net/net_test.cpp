@@ -171,6 +171,35 @@ TEST(Query, DefaultsMatchDocumentedCliDefaults) {
   EXPECT_DOUBLE_EQ(sta.slack_frac, 0.25);
 }
 
+/// sta parameters with one key set, as a session SET or a CLI flag would.
+QueryParams sta_params_with(const std::string& key, const std::string& value) {
+  return params_from_lookup(
+      QueryKind::kSta,
+      [&](const std::string& k) -> std::optional<std::string> {
+        if (k == key) return value;
+        return std::nullopt;
+      });
+}
+
+TEST(Query, StaRejectsNegativePathCount) {
+  // -1 used to wrap through size_t and list every path up to the budget.
+  EXPECT_THROW((void)sta_params_with("k", "-1"), ParseError);
+  EXPECT_THROW((void)sta_params_with("k", "2.5"), ParseError);
+  EXPECT_EQ(sta_params_with("k", "12").k_paths, 12u);
+}
+
+TEST(Query, StaRejectsNonFiniteClock) {
+  // nan used to fall back silently to the critical delay.
+  EXPECT_THROW((void)sta_params_with("clock", "nan"), ParseError);
+  EXPECT_THROW((void)sta_params_with("clock", "inf"), ParseError);
+  EXPECT_DOUBLE_EQ(sta_params_with("clock", "2e-9").clock, 2e-9);
+}
+
+TEST(Query, StaRejectsNonFiniteSlackFraction) {
+  EXPECT_THROW((void)sta_params_with("slack-frac", "nan"), ParseError);
+  EXPECT_THROW((void)sta_params_with("slack-frac", "-inf"), ParseError);
+}
+
 TEST(Query, SuppressListIsValidatedAtRunTime) {
   const auto lookup = [](const std::string& key) -> std::optional<std::string> {
     if (key == "suppress") return "PPD999";

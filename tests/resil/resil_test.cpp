@@ -16,11 +16,11 @@
 #include "ppd/exec/parallel.hpp"
 #include "ppd/logic/bench.hpp"
 #include "ppd/logic/faultsim.hpp"
-#include "ppd/logic/sta.hpp"
 #include "ppd/resil/checkpoint.hpp"
 #include "ppd/resil/deadline.hpp"
 #include "ppd/resil/faultplan.hpp"
 #include "ppd/resil/retry.hpp"
+#include "ppd/sta/interval_sta.hpp"
 #include "ppd/util/error.hpp"
 
 namespace ppd::resil {
@@ -426,9 +426,10 @@ TEST(CoverageResilience, CheckpointResumeIsBitIdentical) {
 TEST(FaultSimResilience, QuarantineIsDeterministicAndDropsTheDenominator) {
   const logic::Netlist nl = logic::c17();
   const logic::FaultSimulator sim(nl, logic::GateTimingLibrary::generic());
-  const logic::StaResult sta = logic::run_sta(nl, sim.library());
+  const sta::IntervalStaResult sta =
+      sta::run_interval_sta(nl, sim.library());
   const auto faults =
-      logic::enumerate_rop_faults(logic::slack_sites(nl, sta, 0.0), 8e3);
+      logic::enumerate_rop_faults(sta::slack_sites(nl, sta, 0.0), 8e3);
   logic::AtpgOptions aopt;
   aopt.paths_per_site = 8;
   const logic::AtpgResult atpg = logic::generate_pulse_tests(sim, faults, aopt);

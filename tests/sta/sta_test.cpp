@@ -1,13 +1,19 @@
-// Unit tests for the ppd::sta static-analysis subsystem: interval STA,
-// K-slackiest enumeration, SCOAP, survival bounds, the path screen and the
-// PPD3xx lint family.
+// Unit tests for the ppd::sta static-analysis subsystem: interval STA
+// (checked against an exhaustive-path oracle), slack sites, K-slackiest
+// enumeration, SCOAP, survival bounds, the path screen and the PPD3xx lint
+// family.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <limits>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "ppd/logic/bench.hpp"
-#include "ppd/logic/sta.hpp"
 #include "ppd/sta/interval.hpp"
 #include "ppd/sta/interval_sta.hpp"
 #include "ppd/sta/lint.hpp"
@@ -35,6 +41,95 @@ GateTimingLibrary flat_library(double rise = 100e-12, double fall = 100e-12) {
                       LogicKind::kXor, LogicKind::kXnor})
     lib.set(k, t);
   return lib;
+}
+
+/// Chain with a short side branch:
+///  a -> g0 -> g1 -> g2 -> out (critical, 4 levels incl. out gate)
+///  b -> fast ---------------^
+Netlist chain_with_branch() {
+  Netlist nl;
+  const NetId a = nl.add_input("a");
+  const NetId b = nl.add_input("b");
+  const NetId g0 = nl.add_gate(LogicKind::kNot, "g0", {a});
+  const NetId g1 = nl.add_gate(LogicKind::kNot, "g1", {g0});
+  const NetId g2 = nl.add_gate(LogicKind::kNot, "g2", {g1});
+  const NetId fast = nl.add_gate(LogicKind::kNot, "fast", {b});
+  const NetId out = nl.add_gate(LogicKind::kNand, "out", {g2, fast});
+  nl.mark_output(out);
+  return nl;
+}
+
+/// Every kind with its own rise != fall delay, so an edge-polarity mistake
+/// anywhere in the pass changes some arrival.
+GateTimingLibrary skewed_library() {
+  GateTimingLibrary lib;
+  double rise = 50e-12;
+  for (LogicKind k : {LogicKind::kNot, LogicKind::kNand, LogicKind::kNor,
+                      LogicKind::kBuf, LogicKind::kAnd, LogicKind::kOr,
+                      LogicKind::kXor, LogicKind::kXnor}) {
+    GateTiming t;
+    t.delay_rise = rise;
+    t.delay_fall = 0.55 * rise + 7e-12;
+    lib.set(k, t);
+    rise += 11e-12;
+  }
+  return lib;
+}
+
+/// A seeded random DAG over every gate kind (XOR/XNOR included); every
+/// net without fanout is an output, plus one internal net.
+Netlist random_dag(std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  const LogicKind kinds[] = {LogicKind::kNot, LogicKind::kBuf,
+                             LogicKind::kAnd, LogicKind::kNand,
+                             LogicKind::kOr,  LogicKind::kNor,
+                             LogicKind::kXor, LogicKind::kXnor};
+  Netlist nl;
+  for (int i = 0; i < 4; ++i) nl.add_input("i" + std::to_string(i));
+  for (int g = 0; g < 18; ++g) {
+    const LogicKind kind = kinds[rng() % 8];
+    const std::size_t arity =
+        kind == LogicKind::kNot || kind == LogicKind::kBuf ? 1 : 2 + rng() % 2;
+    std::vector<NetId> fanin;
+    for (std::size_t k = 0; k < arity; ++k)
+      fanin.push_back(static_cast<NetId>(rng() % nl.size()));
+    nl.add_gate(kind, "g" + std::to_string(g), fanin);
+  }
+  for (NetId id = 0; id < nl.size(); ++id)
+    if (nl.fanout(id).empty()) nl.mark_output(id);
+  nl.mark_output(static_cast<NetId>(nl.inputs().size() + 3));
+  return nl;
+}
+
+/// Exhaustive reference for the interval pass: a DFS over every PI->PO
+/// path, each timed by path_delay_worst (whose prefix sums run in the same
+/// order as the forward pass).
+struct PathOracle {
+  std::size_t paths = 0;
+  double critical = -std::numeric_limits<double>::infinity();
+  std::vector<double> ending;   ///< max delay over the paths ending here
+  std::vector<double> through;  ///< max delay over the paths through here
+};
+
+PathOracle exhaustive_paths(const Netlist& nl, const GateTimingLibrary& lib) {
+  PathOracle o;
+  o.ending.assign(nl.size(), -std::numeric_limits<double>::infinity());
+  o.through = o.ending;
+  logic::Path path;
+  const std::function<void(NetId)> visit = [&](NetId net) {
+    path.nets.push_back(net);
+    if (nl.is_output(net)) {
+      const double d = path_delay_worst(nl, lib, path);
+      ++o.paths;
+      o.critical = std::max(o.critical, d);
+      o.ending[net] = std::max(o.ending[net], d);
+      for (NetId n : path.nets) o.through[n] = std::max(o.through[n], d);
+    }
+    for (NetId g : nl.fanout(net)) visit(g);
+    path.nets.pop_back();
+  };
+  for (NetId pi : nl.inputs()) visit(pi);
+  return o;
 }
 
 TEST(Interval, BasicsAndHull) {
@@ -109,16 +204,158 @@ TEST(IntervalSta, SlackIntervalClampsUnreachableNets) {
   EXPECT_DOUBLE_EQ(r.clock_period, 400e-12);
 }
 
-TEST(IntervalSta, AgreesWithScalarStaOnTheBenchmark) {
+TEST(IntervalSta, AgreesWithExhaustivePathOracle) {
+  struct Case {
+    std::string name;
+    Netlist netlist;
+    GateTimingLibrary library;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"c17", logic::c17(), skewed_library()});
+  for (std::uint32_t seed : {1u, 7u, 2007u})
+    cases.push_back(
+        {"dag" + std::to_string(seed), random_dag(seed), skewed_library()});
+  cases.push_back({"c432-class",
+                   logic::synthetic_benchmark(logic::SyntheticOptions{}),
+                   GateTimingLibrary::generic()});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Netlist& nl = c.netlist;
+    const IntervalStaResult r = run_interval_sta(nl, c.library);
+    const PathOracle o = exhaustive_paths(nl, c.library);
+    if (c.name == "c432-class") {
+      EXPECT_EQ(o.paths, 6852u);
+    }
+    // The latest bounds are maxima of the same prefix sums: bitwise equal.
+    EXPECT_EQ(r.critical_delay, o.critical);
+    for (NetId out : nl.outputs())
+      EXPECT_EQ(r.arrival[out].latest(), o.ending[out]) << nl.gate(out).name;
+    // Guaranteed slack is the clock minus the worst path through the net;
+    // the backward pass sums the suffix separately, so allow a few ulps.
+    const double ulp = std::numeric_limits<double>::epsilon() * r.clock_period;
+    for (NetId id = 0; id < nl.size(); ++id) {
+      if (std::isinf(o.through[id])) continue;  // on no PI->PO path
+      EXPECT_NEAR(r.slack[id].lo, r.clock_period - o.through[id], 4 * ulp)
+          << nl.gate(id).name;
+    }
+  }
+}
+
+TEST(Sta, ArrivalTimesAccumulate) {
+  const Netlist nl = chain_with_branch();
+  const IntervalStaResult r = run_interval_sta(nl, flat_library());
+  EXPECT_DOUBLE_EQ(r.arrival[nl.find("a")].latest(), 0.0);
+  EXPECT_DOUBLE_EQ(r.arrival[nl.find("g0")].latest(), 100e-12);
+  EXPECT_DOUBLE_EQ(r.arrival[nl.find("g2")].latest(), 300e-12);
+  EXPECT_DOUBLE_EQ(r.arrival[nl.find("fast")].latest(), 100e-12);
+  EXPECT_DOUBLE_EQ(r.arrival[nl.find("out")].latest(), 400e-12);
+  EXPECT_DOUBLE_EQ(r.critical_delay, 400e-12);
+}
+
+TEST(Sta, SlackZeroOnCriticalPathAtCriticalClock) {
+  const Netlist nl = chain_with_branch();
+  const IntervalStaResult r = run_interval_sta(nl, flat_library());
+  for (const char* n : {"g0", "g1", "g2", "out"})
+    EXPECT_NEAR(r.slack_at(nl.find(n)), 0.0, 1e-18) << n;
+  // The fast branch has two levels of spare time.
+  EXPECT_NEAR(r.slack_at(nl.find("fast")), 200e-12, 1e-18);
+}
+
+TEST(Sta, LargerClockAddsUniformSlack) {
+  const Netlist nl = chain_with_branch();
+  const IntervalStaResult r = run_interval_sta(nl, flat_library(), 600e-12);
+  EXPECT_NEAR(r.slack_at(nl.find("out")), 200e-12, 1e-18);
+  EXPECT_NEAR(r.slack_at(nl.find("fast")), 400e-12, 1e-18);
+  EXPECT_DOUBLE_EQ(r.clock_period, 600e-12);
+}
+
+TEST(Sta, SlackSitesSelectsNonCriticalGates) {
+  const Netlist nl = chain_with_branch();
+  const IntervalStaResult r = run_interval_sta(nl, flat_library());
+  const auto sites = slack_sites(nl, r, 150e-12);
+  ASSERT_EQ(sites.size(), 1u);
+  EXPECT_EQ(sites[0], nl.find("fast"));
+  // With an (epsilon-negative) threshold every gate qualifies — critical
+  // gates sit at slack 0 modulo rounding.
+  EXPECT_EQ(slack_sites(nl, r, -1e-15).size(), nl.gate_count());
+}
+
+TEST(Sta, SyntheticBenchmarkHasSlackSpread) {
+  // The premise of the paper: realistic circuits contain many gates with
+  // substantial slack where small defects hide from delay testing.
   const Netlist nl = logic::synthetic_benchmark(logic::SyntheticOptions{});
-  const auto lib = GateTimingLibrary::generic();
-  const IntervalStaResult ir = run_interval_sta(nl, lib);
-  const logic::StaResult sr = logic::run_sta(nl, lib);
-  // Both passes are polarity-aware; the worst-case critical delay and the
-  // per-net latest arrivals must agree exactly.
-  EXPECT_DOUBLE_EQ(ir.critical_delay, sr.critical_delay);
-  for (NetId id = 0; id < nl.size(); ++id)
-    EXPECT_DOUBLE_EQ(ir.arrival[id].latest(), sr.arrival[id]) << "net " << id;
+  const IntervalStaResult r = run_interval_sta(nl, GateTimingLibrary::generic());
+  EXPECT_GT(r.critical_delay, 1e-9);  // ~20 levels
+  const auto relaxed = slack_sites(nl, r, 0.25 * r.critical_delay);
+  EXPECT_GT(relaxed.size(), nl.gate_count() / 10)
+      << "expected a large non-critical population";
+  // And the critical output itself has (near) zero slack.
+  for (NetId out : nl.outputs()) {
+    if (r.arrival[out].latest() == r.critical_delay) {
+      EXPECT_LT(r.slack_at(out), 1e-12);
+    }
+  }
+}
+
+TEST(Sta, InverterChainUsesAlternatingEdgeDelays) {
+  // Polarity regression: through two inverters, a launched rising edge
+  // falls at the first output (delay_fall) and rises again at the second
+  // (delay_rise) — 120 + 60 = 180 ps either way, NOT 2 x max = 240 ps.
+  Netlist nl;
+  const NetId a = nl.add_input("a");
+  const NetId g1 = nl.add_gate(LogicKind::kNot, "g1", {a});
+  const NetId g2 = nl.add_gate(LogicKind::kNot, "g2", {g1});
+  nl.mark_output(g2);
+  const IntervalStaResult r =
+      run_interval_sta(nl, flat_library(120e-12, 60e-12));
+  EXPECT_DOUBLE_EQ(r.arrival[g1].rise.hi, 120e-12);
+  EXPECT_DOUBLE_EQ(r.arrival[g1].fall.hi, 60e-12);
+  EXPECT_DOUBLE_EQ(r.arrival[g2].rise.hi, 60e-12 + 120e-12);
+  EXPECT_DOUBLE_EQ(r.arrival[g2].fall.hi, 120e-12 + 60e-12);
+  EXPECT_DOUBLE_EQ(r.critical_delay, 180e-12);
+  // And the whole chain is critical: zero slack at every net on it.
+  for (NetId id : {a, g1, g2})
+    EXPECT_NEAR(r.slack_at(id), 0.0, 1e-18) << nl.gate(id).name;
+}
+
+TEST(Sta, SingleGateNetlist) {
+  Netlist nl;
+  const NetId a = nl.add_input("a");
+  const NetId g = nl.add_gate(LogicKind::kBuf, "g", {a});
+  nl.mark_output(g);
+  const IntervalStaResult r = run_interval_sta(nl, flat_library());
+  EXPECT_DOUBLE_EQ(r.critical_delay, 100e-12);
+  EXPECT_NEAR(r.slack_at(g), 0.0, 1e-18);
+  ASSERT_EQ(slack_sites(nl, r, -1e-15).size(), 1u);
+}
+
+TEST(Sta, GateReachingNoOutputClampsSlackToClock) {
+  // `dead` feeds nothing that reaches an output: its required time stays
+  // infinite, and the reported slack clamps against the clock period
+  // instead of going infinite.
+  Netlist nl;
+  const NetId a = nl.add_input("a");
+  const NetId b = nl.add_input("b");
+  const NetId g = nl.add_gate(LogicKind::kNot, "g", {a});
+  const NetId dead = nl.add_gate(LogicKind::kNot, "dead", {b});
+  nl.mark_output(g);
+  const IntervalStaResult r = run_interval_sta(nl, flat_library(), 500e-12);
+  EXPECT_TRUE(std::isinf(r.required_rise[dead]));
+  EXPECT_TRUE(std::isinf(r.required_fall[dead]));
+  EXPECT_NEAR(r.slack_at(dead), 500e-12 - 100e-12, 1e-18);
+  // slack_sites at a generous threshold picks it up (alongside the equally
+  // slack output gate), not an infinite or NaN slack.
+  const auto sites = slack_sites(nl, r, 300e-12);
+  EXPECT_EQ(sites, (std::vector<NetId>{g, dead}));
+}
+
+TEST(Sta, UsesWorstEdgeDelay) {
+  Netlist nl;
+  const NetId a = nl.add_input("a");
+  const NetId g = nl.add_gate(LogicKind::kNor, "g", {a, a});
+  nl.mark_output(g);
+  const IntervalStaResult r = run_interval_sta(nl, flat_library(120e-12, 60e-12));
+  EXPECT_DOUBLE_EQ(r.critical_delay, 120e-12);
 }
 
 TEST(KSlackiest, FindsAllPathsOfATinyNetlist) {
@@ -132,7 +369,8 @@ TEST(KSlackiest, FindsAllPathsOfATinyNetlist) {
   const NetId g3 = nl.add_gate(LogicKind::kBuf, "g3", {g1});
   const NetId out = nl.add_gate(LogicKind::kAnd, "out", {g3, g2});
   nl.mark_output(out);
-  const auto paths = k_slackiest_paths(nl, flat_library(), 8);
+  const auto lib = flat_library();
+  const auto paths = k_slackiest_paths(nl, lib, run_interval_sta(nl, lib), 8);
   ASSERT_EQ(paths.size(), 2u);
   EXPECT_EQ(paths[0].path.nets, (std::vector<NetId>{b, g2, out}));
   EXPECT_EQ(paths[1].path.nets, (std::vector<NetId>{a, g1, g3, out}));
@@ -146,7 +384,8 @@ TEST(KSlackiest, FindsAllPathsOfATinyNetlist) {
 TEST(KSlackiest, DelaysMatchPathDelayWorstAndAreSorted) {
   const Netlist nl = logic::synthetic_benchmark(logic::SyntheticOptions{});
   const auto lib = GateTimingLibrary::generic();
-  const auto paths = k_slackiest_paths(nl, lib, 12);
+  const IntervalStaResult sta = run_interval_sta(nl, lib);
+  const auto paths = k_slackiest_paths(nl, lib, sta, 12);
   ASSERT_EQ(paths.size(), 12u);
   for (std::size_t i = 0; i < paths.size(); ++i) {
     EXPECT_DOUBLE_EQ(paths[i].delay,
@@ -156,7 +395,7 @@ TEST(KSlackiest, DelaysMatchPathDelayWorstAndAreSorted) {
     }
   }
   // Determinism: a second run returns byte-identical paths.
-  const auto again = k_slackiest_paths(nl, lib, 12);
+  const auto again = k_slackiest_paths(nl, lib, sta, 12);
   for (std::size_t i = 0; i < paths.size(); ++i)
     EXPECT_EQ(paths[i].path.nets, again[i].path.nets);
 }
@@ -270,7 +509,7 @@ TEST(Survival, PathRequiredWidthAgreesWithBisection) {
   // bisection solver on the nominal (margin 0) chain map.
   const Netlist nl = logic::synthetic_benchmark(logic::SyntheticOptions{});
   const auto lib = GateTimingLibrary::generic();
-  const auto paths = k_slackiest_paths(nl, lib, 6);
+  const auto paths = k_slackiest_paths(nl, lib, run_interval_sta(nl, lib), 6);
   ASSERT_FALSE(paths.empty());
   for (const auto& sp : paths) {
     const double closed =
@@ -323,7 +562,8 @@ TEST(Screen, VerdictsAndDeterminismAcrossThreadCounts) {
   const Netlist nl = logic::synthetic_benchmark(logic::SyntheticOptions{});
   const auto lib = GateTimingLibrary::generic();
   std::vector<logic::Path> paths;
-  for (const auto& sp : k_slackiest_paths(nl, lib, 10)) paths.push_back(sp.path);
+  for (const auto& sp : k_slackiest_paths(nl, lib, run_interval_sta(nl, lib), 10))
+    paths.push_back(sp.path);
   ScreenOptions opt;
   opt.w_in_max = 0.14e-9;  // constrained generator: long paths must die
   opt.margin = 0.0;
@@ -351,7 +591,8 @@ TEST(Screen, GenerousCeilingKeepsSensitizablePaths) {
   const Netlist nl = logic::synthetic_benchmark(logic::SyntheticOptions{});
   const auto lib = GateTimingLibrary::generic();
   std::vector<logic::Path> paths;
-  for (const auto& sp : k_slackiest_paths(nl, lib, 6)) paths.push_back(sp.path);
+  for (const auto& sp : k_slackiest_paths(nl, lib, run_interval_sta(nl, lib), 6))
+    paths.push_back(sp.path);
   ScreenOptions opt;  // defaults: w_in_max = 1.2 ns, margin = 0.25
   const ScreenReport r = screen_paths(nl, lib, paths, opt);
   EXPECT_EQ(r.pulse_dead, 0u)
@@ -379,7 +620,8 @@ TEST(StaLint, FamilyTriggersOnAConstrainedNetlist) {
   StaLintOptions opt;
   opt.survival.w_in_max = 40e-12;  // below the 50 ps sensing floor
   opt.survival.margin = 0.0;
-  const lint::Report report = lint_sta(nl, GateTimingLibrary::generic(), opt);
+  const auto lib = GateTimingLibrary::generic();
+  const lint::Report report = lint_sta(nl, lib, run_interval_sta(nl, lib), opt);
   bool saw301 = false, saw303 = false, saw304 = false;
   for (const auto& d : report.diagnostics()) {
     saw301 |= d.code == "PPD301";
@@ -397,7 +639,8 @@ TEST(StaLint, CleanNetlistStaysClean) {
   const NetId a = nl.add_input("a");
   const NetId g = nl.add_gate(LogicKind::kNot, "g", {a});
   nl.mark_output(g);
-  const lint::Report report = lint_sta(nl, GateTimingLibrary::generic(), {});
+  const auto lib = GateTimingLibrary::generic();
+  const lint::Report report = lint_sta(nl, lib, run_interval_sta(nl, lib));
   EXPECT_EQ(report.diagnostics().size(), 0u) << lint::to_text(report);
 }
 

@@ -45,5 +45,23 @@ TEST(Cli, RejectsNonNumericValue) {
   EXPECT_THROW(static_cast<void>(cli.get("samples", 0)), ParseError);
 }
 
+TEST(Cli, CountRejectsNegativeAndFractionalValues) {
+  // `ppdtool atpg --paths=-1` used to wrap through size_t to SIZE_MAX.
+  const Cli cli = make({"--paths=-1", "--k=2.5", "--n=7"}, {"paths", "k", "n"});
+  EXPECT_THROW(static_cast<void>(cli.count("paths", 32)), ParseError);
+  EXPECT_THROW(static_cast<void>(cli.count("k", 5)), ParseError);
+  EXPECT_EQ(cli.count("n", 0), 7u);
+  EXPECT_EQ(cli.count("absent", 32), 32u);
+  EXPECT_THROW(static_cast<void>(parse_count("k", "1e300")), ParseError);
+}
+
+TEST(Cli, FiniteRejectsNanAndInf) {
+  // `ppdtool atpg --slack=nan` used to select 0 sites and exit 0.
+  const Cli cli = make({"--a=nan", "--b=inf", "--c=0.2"}, {"a", "b", "c"});
+  EXPECT_THROW(static_cast<void>(cli.finite("a", 0.0)), ParseError);
+  EXPECT_THROW(static_cast<void>(cli.finite("b", 0.0)), ParseError);
+  EXPECT_DOUBLE_EQ(cli.finite("c", 0.0), 0.2);
+}
+
 }  // namespace
 }  // namespace ppd::util

@@ -65,6 +65,17 @@ if "$build/tools/ppdtool" sta --suppress=PPD999 >/dev/null 2>&1; then
   echo "sta stage: unknown --suppress code unexpectedly accepted" >&2
   exit 1
 fi
+# So are unchecked numbers: a negative count once wrapped through size_t
+# and a nan fraction or clock was silently accepted, all exiting 0.
+for bad in "atpg --paths=-1" "atpg --slack=nan" "atpg --slack=inf" \
+           "sta --k=-1" "sta --clock=nan" "sta --slack-frac=nan"; do
+  rc=0
+  "$build/tools/ppdtool" $bad >/dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 1 ]; then
+    echo "sta stage: ppdtool $bad exited $rc, expected 1" >&2
+    exit 1
+  fi
+done
 
 echo "== observability smoke (metrics + trace JSON) =="
 # A tiny coverage run must produce a valid metrics snapshot (with a
@@ -363,6 +374,11 @@ cmp "$obs_dir/calibrate.txt" "$golden/calibrate.txt"
   "$build/tools/ppdtool" atpg --bench=data/c432_class.bench --csv |
     cmp - "$golden/atpg_c432.csv"
 )
+# Slack sites and the slackiest paths on the bundled synthetic netlist, at
+# the default and at an explicit clock: the one STA pass feeds both.
+"$build/tools/ppdtool" atpg --csv | cmp - "$golden/atpg_synthetic.csv"
+"$build/tools/ppdtool" sta --clock=2e-9 --k=12 |
+  cmp - "$golden/sta_synthetic.txt"
 
 echo "== bench gate (perf-regression rules over bench output) =="
 # tools/bench_gate.py compares a bench's JSON rows against the committed

@@ -36,8 +36,9 @@
 //       pulse-survival site counts, and the PPD3xx testability lint
 //       family. --json emits the whole report as one JSON object.
 //
-//   ppdtool atpg      [--bench=FILE] [--r=ohm] [--slack=FRACTION]
-//       Logic-level ROP fault list at slack sites + greedy pulse-test ATPG.
+//   ppdtool atpg      [--bench=FILE] [--r=ohm] [--slack=FRACTION] [--paths=N]
+//       Logic-level ROP fault list at slack sites (guaranteed interval-STA
+//       slack >= FRACTION x Tcrit) + greedy pulse-test ATPG.
 //
 //   ppdtool export    [--gates=...] [--fault=KIND] [--stage=N] [--r=ohm]
 //       Emit a runnable SPICE deck of the (optionally faulty) path for
@@ -71,11 +72,11 @@
 #include "ppd/lint/spice_lint.hpp"
 #include "ppd/logic/bench.hpp"
 #include "ppd/logic/faultsim.hpp"
-#include "ppd/logic/sta.hpp"
 #include "ppd/logic/vcd.hpp"
 #include "ppd/net/query.hpp"
 #include "ppd/obs/run.hpp"
 #include "ppd/spice/export.hpp"
+#include "ppd/sta/interval_sta.hpp"
 #include "ppd/util/cli.hpp"
 #include "ppd/util/error.hpp"
 #include "ppd/util/strings.hpp"
@@ -218,13 +219,14 @@ int cmd_atpg(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"bench", "r", "slack", "paths", "csv"});
   const logic::Netlist nl = netlist_from_cli(cli);
   const auto lib = logic::GateTimingLibrary::generic();
-  const auto sta = logic::run_sta(nl, lib);
-  const double frac = cli.get("slack", 0.2);
-  const auto sites = logic::slack_sites(nl, sta, frac * sta.critical_delay);
+  const auto timing = sta::run_interval_sta(nl, lib);
+  const double frac = cli.finite("slack", 0.2);
+  const auto sites =
+      sta::slack_sites(nl, timing, frac * timing.critical_delay);
   const auto faults = logic::enumerate_rop_faults(sites, cli.get("r", 10e3));
   const logic::FaultSimulator sim(nl, lib);
   logic::AtpgOptions aopt;
-  aopt.paths_per_site = static_cast<std::size_t>(cli.get("paths", 32));
+  aopt.paths_per_site = cli.count("paths", 32);
   const auto res = logic::generate_pulse_tests(sim, faults, aopt);
   std::cout << "# " << sites.size() << " slack sites (slack >= "
             << util::format_double(frac, 3) << " x Tcrit), "
