@@ -442,17 +442,19 @@ QueryResult run_sta(const QueryParams& p) {
   const sta::IntervalStaResult ista = sta::run_interval_sta(nl, lib, p.clock);
   const auto slackiest = sta::k_slackiest_paths(nl, lib, ista, p.k_paths);
 
+  sta::SurvivalOptions sopt;
+  sopt.w_in_max = p.w_in_max;
+  sopt.w_th_floor = p.w_th_floor;
+  sopt.margin = p.margin;
+  const sta::SurvivalResult survival = sta::compute_survival(nl, lib, sopt);
+
   sta::StaLintOptions lopt;
-  lopt.survival.w_in_max = p.w_in_max;
-  lopt.survival.w_th_floor = p.w_th_floor;
-  lopt.survival.margin = p.margin;
   lopt.slack_frac = p.slack_frac;
-  const lint::Report report = sta::lint_sta(nl, lib, ista, lopt);
+  const lint::Report report = sta::lint_sta(nl, lib, ista, survival, lopt);
   lint::LintOptions filter;
   filter.suppress = lint::parse_suppress_list(p.lint_suppress);
   const lint::Report shown = report.filtered(filter);
 
-  const auto survival = sta::compute_survival(nl, lib, lopt.survival);
   std::size_t sites = 0;
   std::size_t dead_sites = 0;
   for (logic::NetId id = 0; id < nl.size(); ++id) {

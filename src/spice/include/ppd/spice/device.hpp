@@ -51,11 +51,23 @@ struct StampContext {
   double gmin = 1e-9;
   double source_scale = 1.0;  ///< source-stepping homotopy factor
   const std::vector<double>* x = nullptr;  ///< current iterate (may be null in OP start)
-  /// True during a partial re-assembly (see analysis.cpp): the MNA
-  /// slots still hold this device's last-stamped values, so a device whose
-  /// stamp inputs are BITWISE unchanged since that stamp may return without
-  /// stamping at all — the slots already hold its values exactly.
-  bool replay = false;
+};
+
+class Resistor;
+class Capacitor;
+class VoltageSource;
+class CurrentSource;
+class Mosfet;
+
+/// A circuit's devices grouped by kind, each list in device order, for the
+/// typed stamp loops below. Built once per bound system: each device adds
+/// itself (Device::enlist), so the stamps need no virtual call and no cast.
+struct StampLists {
+  std::vector<const Resistor*> resistors;
+  std::vector<Capacitor*> capacitors;
+  std::vector<const VoltageSource*> vsources;
+  std::vector<const CurrentSource*> isources;
+  std::vector<const Mosfet*> mosfets;
 };
 
 class Device {
@@ -77,36 +89,13 @@ class Device {
   [[nodiscard]] virtual std::size_t aux_rows() const { return 0; }
   void set_aux_base(std::size_t base) { aux_base_ = base; }
 
-  [[nodiscard]] virtual bool is_nonlinear() const { return false; }
-  [[nodiscard]] virtual bool is_dynamic() const { return false; }
-
-  /// True when the device's stamp values can change between accepted time
-  /// points of one transient (dynamic state, nonlinearity, or explicit time
-  /// dependence). Devices returning false — resistors — stamp once per
-  /// transient; partial re-assembly leaves their slot values in place on
-  /// every later step (see analysis.cpp).
-  [[nodiscard]] virtual bool stamp_time_varying() const {
-    return is_dynamic() || is_nonlinear();
-  }
-
-  /// Bind every matrix and rhs slot stamp() writes, in stamp order, into a
-  /// system that is still binding. Every stamp() into that system (in any
-  /// mode) writes only these slots.
+  /// Bind every matrix and rhs slot the device's stamp writes, in stamp
+  /// order, into a system that is still binding. Every stamp into that
+  /// system (in any mode) writes only these slots.
   virtual void bind(MnaSystem& mna) = 0;
 
-  /// Stamp the device into the MNA system it was last bound to.
-  virtual void stamp(MnaSystem& mna, const StampContext& ctx) const = 0;
-
-  /// Called once when a transient starts, with the operating point.
-  virtual void begin_transient(const std::vector<double>& x_op);
-
-  /// Called when a time step is accepted so dynamic devices can update
-  /// their integration state. Returns true when that state — any input of
-  /// the device's next stamp other than the iterate itself — changed
-  /// BITWISE, so the selective re-assembly walk (analysis.cpp) knows
-  /// the device must be revisited on the next step; devices without stamp
-  /// state return false.
-  virtual bool commit_step(const StampContext& ctx, const std::vector<double>& x);
+  /// Add this device to its kind's list; its stamp runs from there.
+  virtual void enlist(StampLists& lists) = 0;
 
  protected:
   /// MNA index of terminal `i`: node n is row n - 1, so ground (node 0)
@@ -135,7 +124,9 @@ class Resistor final : public Device {
   void set_resistance(double ohms);
 
   void bind(MnaSystem& mna) override;
-  void stamp(MnaSystem& mna, const StampContext& ctx) const override;
+  void enlist(StampLists& lists) override { lists.resistors.push_back(this); }
+  /// Stamp 1/R into the system the resistor was last bound to.
+  void stamp(MnaSystem& mna) const;
 
  private:
   double ohms_;
@@ -152,11 +143,13 @@ class Capacitor final : public Device {
   [[nodiscard]] double capacitance() const { return farads_; }
   void set_capacitance(double farads);
 
-  [[nodiscard]] bool is_dynamic() const override { return true; }
   void bind(MnaSystem& mna) override;
-  void stamp(MnaSystem& mna, const StampContext& ctx) const override;
-  void begin_transient(const std::vector<double>& x_op) override;
-  bool commit_step(const StampContext& ctx, const std::vector<double>& x) override;
+  void enlist(StampLists& lists) override { lists.capacitors.push_back(this); }
+  void stamp(MnaSystem& mna, const StampContext& ctx) const;
+  /// Start a transient from the operating point `x_op`.
+  void begin_transient(const std::vector<double>& x_op);
+  /// Advance the integration state past the accepted solution `x`.
+  void commit_step(const StampContext& ctx, const std::vector<double>& x);
 
  private:
   [[nodiscard]] double branch_voltage(const std::vector<double>& x) const;
@@ -166,10 +159,6 @@ class Capacitor final : public Device {
   MnaSlot rhs_a_ = kSinkSlot, rhs_b_ = kSinkSlot;  ///< companion source
   double v_state_ = 0.0;  ///< voltage at the last accepted point
   double i_state_ = 0.0;  ///< current at the last accepted point (TRAP memory)
-  // Inputs of the last transient stamp, for the ctx.replay quiescent skip
-  // (bitwise compare; only consulted during partial re-assembly).
-  mutable double st_h_ = 0.0, st_v_ = 0.0, st_i_ = 0.0;
-  mutable bool st_valid_ = false;
 };
 
 /// Independent voltage source from nodes()[0] (+) to nodes()[1] (-); adds
@@ -183,11 +172,9 @@ class VoltageSource final : public Device {
   [[nodiscard]] double value_at(double t) const;
 
   [[nodiscard]] std::size_t aux_rows() const override { return 1; }
-  // Conservatively time-varying: the rhs tracks value_at(t). A DC spec
-  // could stamp once, but sources are too few for the distinction to matter.
-  [[nodiscard]] bool stamp_time_varying() const override { return true; }
   void bind(MnaSystem& mna) override;
-  void stamp(MnaSystem& mna, const StampContext& ctx) const override;
+  void enlist(StampLists& lists) override { lists.vsources.push_back(this); }
+  void stamp(MnaSystem& mna, const StampContext& ctx) const;
 
   /// MNA index of this source's branch current (valid after finalize).
   [[nodiscard]] MnaIndex current_index() const {
@@ -208,9 +195,9 @@ class CurrentSource final : public Device {
   [[nodiscard]] const SourceSpec& spec() const { return spec_; }
   void set_spec(SourceSpec spec) { spec_ = std::move(spec); }
 
-  [[nodiscard]] bool stamp_time_varying() const override { return true; }
   void bind(MnaSystem& mna) override;
-  void stamp(MnaSystem& mna, const StampContext& ctx) const override;
+  void enlist(StampLists& lists) override { lists.isources.push_back(this); }
+  void stamp(MnaSystem& mna, const StampContext& ctx) const;
 
  private:
   SourceSpec spec_;
@@ -241,9 +228,13 @@ class Mosfet final : public Device {
 
   [[nodiscard]] const MosParams& params() const { return params_; }
 
-  [[nodiscard]] bool is_nonlinear() const override { return true; }
   void bind(MnaSystem& mna) override;
-  void stamp(MnaSystem& mna, const StampContext& ctx) const override;
+  void enlist(StampLists& lists) override { lists.mosfets.push_back(this); }
+  /// Stamp the channel, linearized at the iterate ctx.x.
+  void stamp(MnaSystem& mna, const StampContext& ctx) const;
+  /// Stamp the gmin leak across the channel, which keeps cutoff devices
+  /// from isolating nodes: a function of gmin alone.
+  void stamp_gmin(MnaSystem& mna, double gmin) const { gmin_.set(mna, gmin); }
 
   /// Drain current (drain->source through the channel) and its partial
   /// derivatives for given terminal voltages; exposed for unit tests.
@@ -264,5 +255,28 @@ class Mosfet final : public Device {
   MnaSlot rhs_d_ = kSinkSlot, rhs_s_ = kSinkSlot;
   ConductanceSlots gmin_;  ///< gmin across the channel, (d, s)
 };
+
+// Typed stamp loops over a circuit's lists (defined beside the stamp bodies
+// in device.cpp, so the stamps inline). Each device writes only its own
+// slots and MnaSystem sums every cell in bind order, so the loops may run
+// in any order and any subset may be restamped: the result is bitwise that
+// of stamping every device in device order.
+
+/// Resistors and the MOSFETs' channel gmin leaks: functions of gmin alone,
+/// so a transient stamps them once.
+void stamp_static(const StampLists& lists, MnaSystem& mna, double gmin);
+/// Capacitor companions and sources: functions of the time point (t, h,
+/// integration state, source scale), not of the Newton iterate.
+void stamp_time_point(const StampLists& lists, MnaSystem& mna,
+                      const StampContext& ctx);
+/// MOSFET channels: linearized at the iterate ctx.x on every Newton
+/// iteration.
+void stamp_iterate(const StampLists& lists, MnaSystem& mna,
+                   const StampContext& ctx);
+/// Start every capacitor's integration state from the operating point.
+void begin_transient(const StampLists& lists, const std::vector<double>& x_op);
+/// Accept a time step: advance every capacitor's integration state.
+void commit_step(const StampLists& lists, const StampContext& ctx,
+                 const std::vector<double>& x);
 
 }  // namespace ppd::spice

@@ -9,18 +9,28 @@
 // from that sequence: which cell (dense offset) each slot feeds and in what
 // order duplicates accumulate, plus the LU's structural mask. Every later
 // stamp writes a value straight into its slot with the inline set() /
-// set_rhs(); solve_into() re-accumulates the cells whose slots changed,
-// each in its recorded order, so sums are bitwise those of a from-scratch
-// `A(row, col) += value` assemble, and refactorizes in place into a
-// caller-owned buffer: no triplet rebuild, no symbolic analysis, no
-// per-iteration allocation. Results are bit-identical to a from-scratch
-// factor + solve (the LU runs on its learned pattern only while pivots
-// repeat the learned ones).
+// set_rhs(); solve_into() sums every cell and rhs row from its slots, each
+// in bind order starting from +0.0, so sums are bitwise those of a
+// from-scratch `A(row, col) += value` assemble whatever order the devices
+// stamped in, and refactorizes in place into a caller-owned buffer: no
+// triplet rebuild, no symbolic analysis, no per-iteration allocation.
+// Results are bit-identical to a from-scratch factor + solve (the LU runs
+// on its learned pattern only while pivots repeat the learned ones).
 //
 // Ground rows and columns bind to a sink slot whose writes are discarded,
-// so stamp code needs no ground branch. Because slot values persist between
-// assembles, an assemble may restamp only the devices whose values changed;
-// every other slot keeps its value (see analysis.cpp).
+// so stamp code needs no ground branch. Slot values persist between solves,
+// so a device whose values cannot have changed need not restamp (see
+// analysis.cpp).
+//
+// Change tracking is two flags: set() / set_rhs() store unconditionally
+// and, without a branch, note whether the stored bits differ. That is all
+// the solve shortcuts need. An unchanged matrix means
+// the live factorization is still THE factorization of these values, so
+// only the rhs is re-solved; unchanged matrix and rhs mean the previous
+// solution is this solve's result (same bits in, same bits out of a
+// deterministic solver). Which cell changed never matters, because every
+// solve re-sums every cell: at the paper's sizes nearly all of them change
+// on every Newton iteration anyway.
 #pragma once
 
 #include <bit>
@@ -61,36 +71,21 @@ class MnaSystem {
 
   /// Set the value of a bound matrix slot (its contribution to the cell it
   /// was bound to). Frozen systems only. Small enough to inline into every
-  /// stamp: the dirty queues are preallocated, so there is no growth path.
+  /// stamp; the sink's writes never count as a change.
   void set(MnaSlot s, double value) {
-    double& slot = val_[s];
-    if (bits_equal(slot, value)) return;
-    slot = value;
-    // The sink maps to a cell that is permanently flagged dirty, so it is
-    // never queued.
-    const std::size_t c = cell_[s];
-    if (!cell_dirty_[c]) {
-      cell_dirty_[c] = 1;
-      dirty_cells_[n_dirty_cells_++] = c;
-    }
+    matrix_changed_ |= (s != kSinkSlot) & !bits_equal(val_[s], value);
+    val_[s] = value;
   }
 
   /// Set the value of a bound rhs slot. Frozen systems only.
   void set_rhs(MnaSlot s, double value) {
-    double& slot = rhs_val_[s];
-    if (bits_equal(slot, value)) return;
-    slot = value;
-    // The sink's row (n) is permanently flagged dirty, so it is never queued.
-    const std::size_t r = rhs_row_[s];
-    if (!rhs_row_dirty_[r]) {
-      rhs_row_dirty_[r] = 1;
-      dirty_rhs_rows_[n_dirty_rhs_rows_++] = r;
-    }
+    rhs_changed_ |= (s != kSinkSlot) & !bits_equal(rhs_val_[s], value);
+    rhs_val_[s] = value;
   }
 
   /// Factorize and solve into `x` (resized). Throws NumericalError on
-  /// singularity. Allocation-free after the first call; the LU factorizes
-  /// a copy of the matrix image in place.
+  /// singularity. Allocation-free after the first call; a changed matrix
+  /// is summed into the factor buffer and factorized there in place.
   void solve_into(std::vector<double>& x);
 
   [[nodiscard]] std::size_t unknowns() const { return n_; }
@@ -123,29 +118,14 @@ class MnaSystem {
   std::vector<std::size_t> rhs_row_;       // bound rhs sequence (0: sink, row n)
   std::vector<double> rhs_val_;
 
-  // Assembled images, kept between solves: every matrix cell (a distinct
-  // dense offset) and rhs row holds the sum of its slots.
-  // set() queues exactly the cells / rows whose slot bits changed, and
-  // solve_into() re-accumulates only those, each in its recorded order, so
-  // the sums stay bitwise full-rebuild sums. No queued cell means the
-  // previous factorization is still THE factorization of this system; no
-  // queued rhs row either means the previous solution is this solve's
-  // result (same bits in -> same bits out of a deterministic solver).
-  std::vector<double> image_;      // one value per cell
-  std::vector<std::size_t> cell_offset_;  // dense cell -> column-major offset
-  linalg::DenseMatrix dense_;      // factor buffer (consumes a copy)
+  std::vector<std::size_t> cell_offset_;  // cell -> column-major offset
+  linalg::DenseMatrix dense_;      // factor buffer, re-summed every refactor
   std::vector<double> rhs_;
-  std::vector<std::size_t> cell_;  // slot -> cell (the sink: an extra cell)
   std::vector<std::size_t> cell_ptr_, cell_src_;  // cell -> slots, in order
   std::vector<std::size_t> rhs_ptr_, rhs_src_;    // row -> rhs slots, in order
-  // Dirty queues hold each cell / row at most once (the flag arrays
-  // dedupe), so they are sized once and never grow.
-  std::vector<char> cell_dirty_;
-  std::vector<std::size_t> dirty_cells_;
-  std::size_t n_dirty_cells_ = 0;
-  std::vector<char> rhs_row_dirty_;
-  std::vector<std::size_t> dirty_rhs_rows_;
-  std::size_t n_dirty_rhs_rows_ = 0;
+  // A non-sink slot's bits changed since the last solve.
+  bool matrix_changed_ = false;
+  bool rhs_changed_ = false;
   bool factor_ok_ = false;        // dense_ holds a live factorization
   bool solve_cached_ = false;     // cached_x_ matches current values
   std::vector<double> cached_x_;

@@ -1,7 +1,6 @@
 #include "ppd/spice/analysis.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -25,10 +24,6 @@ namespace ppd::spice {
 
 namespace {
 
-[[nodiscard]] bool bits_equal(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
 struct NewtonOutcome {
   bool converged = false;
   int iterations = 0;
@@ -41,154 +36,42 @@ struct NewtonOutcome {
 
 /// A circuit's MnaSystem with every slot bound and the structure frozen:
 /// each device binds its own slots, in device order, then the per-node
-/// gmin-to-ground leak binds here — the order a full assemble stamps in.
+/// gmin-to-ground leak binds here; the circuit's devices are also grouped
+/// by kind for the typed stamp loops.
+///
+/// Slot values persist between solves, and MnaSystem sums every cell in
+/// bind order whatever order the stamps ran in, so each stamp runs only
+/// when its inputs can have changed and leaves the rest in place. An
+/// operating-point stage stamps resistors, gmin leaks, capacitors and
+/// sources once; a transient stamps resistors and gmin leaks once and
+/// capacitors and sources once per attempted step. MOSFET channels, the
+/// only stamps that read the iterate, are restamped on every Newton
+/// iteration. There is no per-device change tracking: on the paper's
+/// circuits every MOSFET moves on every iteration and nearly every
+/// capacitor on every step, so a walk that skips unchanged devices would
+/// skip almost nothing and cost branches on every stamp.
 struct CircuitMna {
   explicit CircuitMna(Circuit& circuit) : mna(circuit.unknown_count()) {
-    for (const auto& dev : circuit.devices()) dev->bind(mna);
+    for (const auto& dev : circuit.devices()) {
+      dev->bind(mna);
+      dev->enlist(lists);
+    }
     leak.resize(circuit.node_count() - 1);
     for (std::size_t i = 0; i < leak.size(); ++i)
       leak[i] = mna.bind(static_cast<MnaIndex>(i), static_cast<MnaIndex>(i));
     mna.freeze();
   }
 
+  /// Resistors and every gmin leak (channel and node-to-ground).
+  void stamp_static(double gmin) {
+    spice::stamp_static(lists, mna, gmin);
+    for (MnaSlot s : leak) mna.set(s, gmin);
+  }
+
   MnaSystem mna;
   std::vector<MnaSlot> leak;
+  StampLists lists;
 };
-
-/// Which subset of devices an assemble must restamp. Ignored — every
-/// assemble is full — until the plan has been learned.
-enum class AssemblePhase {
-  kFull,           ///< stamp everything (first assemble, OP)
-  kStepRefresh,    ///< new time point: time-varying devices only
-  kIterateRefresh  ///< same time point, new Newton iterate: nonlinear only
-};
-
-/// Which devices a partial assemble restamps, recorded during the first
-/// (full) assemble. With a learned plan, kStepRefresh / kIterateRefresh
-/// assembles restamp just the listed devices, each writing its own bound
-/// slots; every untouched slot keeps the value it had, and solve_into()
-/// accumulates all slots in bind order — so partial assembles are
-/// bit-identical to full ones whenever the skipped devices' values are
-/// unchanged (linear stamps within a step; static stamps across the whole
-/// transient).
-struct AssemblePlan {
-  bool learned = false;
-  std::vector<std::size_t> refresh;      ///< device idx: stamp_time_varying()
-  std::vector<std::size_t> nonlinear;    ///< device idx: is_nonlinear()
-
-  // Selective (dirty-driven) refresh. The refresh/nonlinear lists above are
-  // membership tests (which devices CAN change); the machinery below tracks
-  // which devices DID change since their slots were last written, so a
-  // partial walk visits only those. Three channels feed it:
-  //   - node_watch: nonlinear stamps are functions of the iterate, so the
-  //     Newton update marks every x entry whose bits moved (node_dirty) and
-  //     the walk visits the nonlinear devices watching those entries;
-  //   - dev_dirty: dynamic stamps are functions of committed integration
-  //     state, so commit_step() reports bitwise state changes per device;
-  //   - sources: explicit time dependence, revisited every new time point.
-  // Skipped devices' slots keep their values, which is exactly the bit-
-  // identity contract of partial assembly — the dirty sets only ever ADD
-  // visits relative to the minimal correct set, never remove one.
-  std::vector<std::size_t> sources;      ///< time-varying, static state
-  std::vector<std::vector<std::uint32_t>> node_watch;  ///< x idx -> nonlinear
-  std::vector<char> node_dirty;   ///< x bits moved since the last walk
-  std::vector<char> dev_dirty;    ///< commit state moved since the last walk
-  std::vector<std::uint32_t> visit_epoch;  ///< per device, walk dedupe
-  std::uint32_t epoch = 0;
-  bool all_dirty = true;   ///< conservative reset: next walk is a full one
-};
-
-/// Stamp every device plus the global gmin-to-ground leak — or, given a
-/// learned plan, only the phase's subset.
-void assemble(Circuit& circuit, CircuitMna& sys, const StampContext& ctx,
-              AssemblePlan* plan = nullptr,
-              AssemblePhase phase = AssemblePhase::kFull) {
-  MnaSystem& mna = sys.mna;
-  if (plan != nullptr && plan->learned && phase != AssemblePhase::kFull) {
-    // Partial re-assembly: restamp only the devices whose values can have
-    // changed since their slots were last written; everything else (and the
-    // gmin leak) keeps its slot values. Skipping the per-device virtual walk
-    // is the point — at MC sizes assembly, not the solve, dominates a
-    // Newton iteration.
-    const auto& devices = circuit.devices();
-    StampContext rctx = ctx;
-    rctx.replay = true;  // slots retain values: quiescent devices may skip
-    if (!plan->all_dirty) {
-      // Dirty-driven walk: only devices whose stamp inputs actually moved
-      // since their last visit. The epoch dedupes a device watched by
-      // several dirty nodes within one walk.
-      ++plan->epoch;
-      const auto visit = [&](std::size_t i) {
-        if (plan->visit_epoch[i] == plan->epoch) return;
-        plan->visit_epoch[i] = plan->epoch;
-        devices[i]->stamp(mna, rctx);
-      };
-      for (std::size_t nidx = 0; nidx < plan->node_dirty.size(); ++nidx) {
-        if (!plan->node_dirty[nidx]) continue;
-        plan->node_dirty[nidx] = 0;
-        for (std::uint32_t d : plan->node_watch[nidx]) visit(d);
-      }
-      if (phase == AssemblePhase::kStepRefresh) {
-        for (std::size_t i : plan->sources) visit(i);
-        for (std::size_t i : plan->refresh) {
-          if (!plan->dev_dirty[i]) continue;
-          plan->dev_dirty[i] = 0;
-          visit(i);
-        }
-      }
-      return;
-    }
-    const auto& list = phase == AssemblePhase::kStepRefresh ? plan->refresh
-                                                            : plan->nonlinear;
-    for (std::size_t i : list) devices[i]->stamp(mna, rctx);
-    // A full list walk consumes every pending change its phase covers:
-    // node-driven dirt only ever targets nonlinear devices (both lists),
-    // commit-driven dirt needs the refresh list (kStepRefresh only).
-    std::fill(plan->node_dirty.begin(), plan->node_dirty.end(), 0);
-    if (phase == AssemblePhase::kStepRefresh) {
-      std::fill(plan->dev_dirty.begin(), plan->dev_dirty.end(), 0);
-      plan->all_dirty = false;
-    }
-    return;
-  }
-  const bool learn = plan != nullptr && !plan->learned;
-  if (learn) {
-    plan->refresh.clear();
-    plan->nonlinear.clear();
-    plan->sources.clear();
-    plan->node_watch.assign(circuit.node_count() - 1, {});
-  }
-  for (std::size_t i = 0; i < circuit.devices().size(); ++i) {
-    const auto& dev = circuit.devices()[i];
-    if (learn) {
-      if (dev->stamp_time_varying()) plan->refresh.push_back(i);
-      if (dev->is_nonlinear()) {
-        plan->nonlinear.push_back(i);
-        for (NodeId n : dev->nodes())
-          if (n != kGround)
-            plan->node_watch[static_cast<std::size_t>(n - 1)].push_back(
-                static_cast<std::uint32_t>(i));
-      } else if (!dev->is_dynamic() && dev->stamp_time_varying()) {
-        plan->sources.push_back(i);
-      }
-    }
-    dev->stamp(mna, ctx);
-  }
-  for (MnaSlot s : sys.leak) mna.set(s, ctx.gmin);
-  if (learn) {
-    const std::size_t nodes = sys.leak.size();
-    // Arm selective refresh BEFORE the first Newton update runs, so the
-    // updates applied while converging this very solve are tracked; the
-    // machinery starts all_dirty and earns its first selective walk only
-    // after a full kStepRefresh pass has synced slots with the dirty sets.
-    plan->node_dirty.assign(nodes, 0);
-    plan->dev_dirty.assign(circuit.devices().size(), 0);
-    plan->visit_epoch.assign(circuit.devices().size(), 0);
-    plan->epoch = 0;
-    plan->all_dirty = true;
-    plan->learned = true;
-  }
-}
 
 /// Histogram of iterations-to-convergence per Newton solve; 1..256 covers
 /// everything max_iterations allows, log bins keep the fast common case
@@ -209,15 +92,14 @@ void record_newton(const NewtonOutcome& out) {
 
 /// Newton-Raphson: iterate solves of the linearized system until the voltage
 /// update is below tolerance. `x` carries the initial guess in and the
-/// solution out; `x_new` is the caller-owned solve buffer. `first_phase`
-/// applies to the first assemble; later iterations use kIterateRefresh (a
-/// no-op downgrade to kFull without a learned plan).
+/// solution out; `x_new` is the caller-owned solve buffer. Only the MOSFET
+/// channels read the iterate, so each iteration restamps them alone; the
+/// caller stamps everything else for `ctx` before the solve.
 NewtonOutcome newton_solve_impl(Circuit& circuit, CircuitMna& sys,
                                 StampContext ctx, const NewtonOptions& opt,
                                 std::vector<double>& x,
                                 std::vector<double>& x_new,
-                                const resil::Deadline& deadline,
-                                AssemblePlan* plan, AssemblePhase first_phase) {
+                                const resil::Deadline& deadline) {
   const std::size_t node_unknowns = circuit.node_count() - 1;
   NewtonOutcome out;
   // Chaos seam: poison the first iterate so the non-finite guard below —
@@ -229,10 +111,7 @@ NewtonOutcome newton_solve_impl(Circuit& circuit, CircuitMna& sys,
       throw TimeoutError("Newton solve exceeded its wall-clock budget (" +
                          std::to_string(out.iterations) + " iterations in)");
     ctx.x = &x;
-    // Only the iterate moves between iterations of one solve, so after the
-    // first assemble a learned plan needs nothing but the nonlinear stamps.
-    assemble(circuit, sys, ctx, plan,
-             it == 0 ? first_phase : AssemblePhase::kIterateRefresh);
+    stamp_iterate(sys.lists, sys.mna, ctx);
     try {
       sys.mna.solve_into(x_new);
     } catch (const NumericalError&) {
@@ -247,11 +126,6 @@ NewtonOutcome newton_solve_impl(Circuit& circuit, CircuitMna& sys,
     // The convergence test and the applied update use the clamped step; the
     // reported residual is the unclamped inf-norm, so failure diagnostics
     // show the true update instead of saturating at dv_max.
-    // With a learned plan, record which node entries the update actually
-    // moved BITWISE — that dirty set is what the next partial assemble's
-    // device walk is driven by (see assemble).
-    const bool track = plan != nullptr && plan->learned &&
-                       plan->node_dirty.size() >= node_unknowns;
     bool converged = true;
     double max_dv = 0.0;
     for (std::size_t i = 0; i < x.size(); ++i) {
@@ -261,10 +135,7 @@ NewtonOutcome newton_solve_impl(Circuit& circuit, CircuitMna& sys,
         dv = std::clamp(dv, -opt.dv_max, opt.dv_max);
         if (std::abs(dv) > opt.abstol + opt.reltol * std::abs(x[i]))
           converged = false;
-        const double before = x[i];
         x[i] += dv;
-        if (track && !bits_equal(before, x[i]))
-          plan->node_dirty[i] = 1;
       } else {
         x[i] = x_new[i];
       }
@@ -288,9 +159,7 @@ NewtonOutcome newton_solve_impl(Circuit& circuit, CircuitMna& sys,
 NewtonOutcome newton_solve(Circuit& circuit, CircuitMna& sys, StampContext ctx,
                            const NewtonOptions& opt, std::vector<double>& x,
                            std::vector<double>& x_new,
-                           const resil::Deadline& deadline,
-                           AssemblePlan* plan = nullptr,
-                           AssemblePhase first_phase = AssemblePhase::kFull) {
+                           const resil::Deadline& deadline) {
   // Chaos seam: report non-convergence without solving, exercising the
   // callers' recovery ladders. No-op without an active FaultScope.
   if (resil::inject_newton_nonconvergence()) {
@@ -298,9 +167,8 @@ NewtonOutcome newton_solve(Circuit& circuit, CircuitMna& sys, StampContext ctx,
     record_newton(out);
     return out;
   }
-  const NewtonOutcome out = newton_solve_impl(circuit, sys, ctx, opt, x,
-                                              x_new, deadline, plan,
-                                              first_phase);
+  const NewtonOutcome out =
+      newton_solve_impl(circuit, sys, ctx, opt, x, x_new, deadline);
   record_newton(out);
   return out;
 }
@@ -316,6 +184,9 @@ bool schedule_solve(Circuit& circuit, CircuitMna& sys,
                     const resil::Deadline& deadline, NewtonOutcome* last) {
   NewtonOutcome out;
   for (const StampContext& ctx : schedule) {
+    // Gmin, source scale and time are fixed for the whole solve.
+    sys.stamp_static(ctx.gmin);
+    stamp_time_point(sys.lists, sys.mna, ctx);
     out = newton_solve(circuit, sys, ctx, opt, x, x_new, deadline);
     if (last != nullptr) *last = out;
     if (!out.converged) return false;
@@ -359,7 +230,9 @@ bool op_verified_at(Circuit& circuit, CircuitMna& sys, StampContext ctx,
                     const NewtonOptions& opt, const std::vector<double>& x) {
   const std::size_t node_unknowns = circuit.node_count() - 1;
   ctx.x = &x;
-  assemble(circuit, sys, ctx);
+  sys.stamp_static(ctx.gmin);
+  stamp_time_point(sys.lists, sys.mna, ctx);
+  stamp_iterate(sys.lists, sys.mna, ctx);
   std::vector<double> x_new;
   try {
     sys.mna.solve_into(x_new);
@@ -529,9 +402,8 @@ OpResult run_op_with_deadline(Circuit& circuit, const OpOptions& options,
 /// Transient state machine: one step() call is one attempted time step
 /// (accepted, rejected, or nothing left to do). Owns the step size, the
 /// adaptive controllers (iteration-count and LTE), the end-of-sweep
-/// snapping, the iterate and solve buffers and the assemble plan.
-/// run_transient owns the circuit, the bound MnaSystem, the OP phase and
-/// waveform recording.
+/// snapping and the iterate and solve buffers. run_transient owns the
+/// circuit, the bound MnaSystem, the OP phase and waveform recording.
 class TransientStepper {
  public:
   enum class Outcome { kAccepted, kRejected, kFinished };
@@ -564,13 +436,10 @@ class TransientStepper {
   double t_ = 0.0;
   double h_;
   double h_prev_ = 0.0;
-  double stamp_h_ = 0.0;  // h of the last attempted solve (bitwise compare)
-  bool have_stamp_h_ = false;
   bool have_history_ = false;
   bool just_rejected_ = false;
   bool snapped_ = false;
   int last_iterations_ = 0;
-  AssemblePlan plan_;  // partial re-assembly device lists
   std::vector<double> x_, x_try_, x_prev_, x_new_;
 };
 
@@ -589,7 +458,10 @@ TransientStepper::TransientStepper(Circuit& circuit, CircuitMna& sys,
       // meaningless against nanosecond sweeps.
       t_end_(options.t_stop * (1.0 - 1e-12)),
       h_(options.dt),
-      x_(x_op) {}
+      x_(x_op) {
+  // Static stamps hold for the whole transient.
+  sys_.stamp_static(options.newton.gmin);
+}
 
 TransientStepper::Outcome TransientStepper::step() {
   if (t_ >= t_end_) return Outcome::kFinished;
@@ -623,21 +495,13 @@ TransientStepper::Outcome TransientStepper::step() {
   ctx.h = h_;
   ctx.gmin = options_.newton.gmin;
 
-  // A new step size invalidates every dynamic companion (geq = C/h) at
-  // once; selective refresh must not skip caps on state bits alone, so a
-  // bitwise h change forces the next walk to be a full one.
-  if (!have_stamp_h_ || !bits_equal(h_, stamp_h_)) plan_.all_dirty = true;
-  stamp_h_ = h_;
-  have_stamp_h_ = true;
-
   x_try_ = x_;  // previous point as predictor
-  // Entering a step only the time-varying stamps can differ from the slots'
-  // recorded values (static stamps are constant across the whole transient),
-  // so a learned plan assembles kStepRefresh here and kIterateRefresh inside
-  // the Newton loop.
+  // The time-point stamps hold for every iteration of this step; the
+  // Newton loop restamps only the MOSFET channels.
+  stamp_time_point(sys_.lists, sys_.mna, ctx);
   const NewtonOutcome outcome =
       newton_solve(circuit_, sys_, ctx, options_.newton, x_try_, x_new_,
-                   deadline_, &plan_, AssemblePhase::kStepRefresh);
+                   deadline_);
   last_iterations_ = outcome.iterations;
 
   if (!outcome.converged) {
@@ -645,9 +509,6 @@ TransientStepper::Outcome TransientStepper::step() {
       throw NumericalError("transient Newton failed at t = " +
                            util::format_double(ctx.t));
     just_rejected_ = true;
-    // The failed Newton left slots stamped along an abandoned trajectory
-    // the dirty sets no longer describe — restamp everything on retry.
-    plan_.all_dirty = true;
     h_ = std::max(h_ * 0.25, options_.dt_min);
     return Outcome::kRejected;
   }
@@ -668,7 +529,6 @@ TransientStepper::Outcome TransientStepper::step() {
     lte = err * (h_ / (h_ + h_prev_));
     if (lte > options_.lte_tol && h_ > options_.dt_min * 1.0001) {
       just_rejected_ = true;
-      plan_.all_dirty = true;  // slots follow the abandoned iterate
       h_ = std::max(
           h_ * std::max(0.25, 0.9 * std::sqrt(options_.lte_tol / lte)),
           options_.dt_min);
@@ -679,13 +539,7 @@ TransientStepper::Outcome TransientStepper::step() {
   // Accept the step.
   if (options_.step_control == StepControl::kLte) x_prev_ = x_;
   std::swap(x_, x_try_);
-  const auto& devs = circuit_.devices();
-  for (std::size_t i = 0; i < devs.size(); ++i) {
-    // Commit reports bitwise state changes; with selective refresh armed
-    // those become next step's restamp set (untracked otherwise).
-    const bool state_moved = devs[i]->commit_step(ctx, x_);
-    if (state_moved && plan_.learned) plan_.dev_dirty[i] = 1;
-  }
+  commit_step(sys_.lists, ctx, x_);
   t_ += h_;
   if (t_ >= t_end_) t_ = t_stop_;  // record the final point at exactly t_stop
   h_prev_ = h_;
@@ -762,8 +616,7 @@ TransientResult run_transient(
           deadline, resil::Deadline::after(options.op.budget_seconds)));
   circuit.finalize();
   CircuitMna sys(circuit);
-
-  for (const auto& dev : circuit.devices()) dev->begin_transient(op.x);
+  begin_transient(sys.lists, op.x);
 
   TransientResult result;
   result.node_names.resize(circuit.node_count());

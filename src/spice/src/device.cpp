@@ -1,24 +1,10 @@
 #include "ppd/spice/device.hpp"
 
-#include <bit>
 #include <cmath>
-#include <cstdint>
 
 #include "ppd/util/error.hpp"
 
 namespace ppd::spice {
-
-namespace {
-
-/// Bitwise double equality. The quiescent-skip decisions below must
-/// preserve slot values EXACTLY, and operator== is too loose for that:
-/// -0.0 == +0.0, yet the two produce different bit patterns downstream
-/// (and different CSV bytes).
-[[nodiscard]] bool bits_equal(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-}  // namespace
 
 Device::Device(std::string name, std::vector<NodeId> nodes)
     : name_(std::move(name)), nodes_(std::move(nodes)) {
@@ -30,11 +16,6 @@ void Device::rewire(std::size_t terminal, NodeId node) {
   PPD_REQUIRE(terminal < nodes_.size(), "terminal index out of range");
   PPD_REQUIRE(node >= 0, "invalid node id");
   nodes_[terminal] = node;
-}
-
-void Device::begin_transient(const std::vector<double>&) {}
-bool Device::commit_step(const StampContext&, const std::vector<double>&) {
-  return false;
 }
 
 // ---------------------------------------------------------------- Resistor
@@ -51,7 +32,7 @@ void Resistor::set_resistance(double ohms) {
 
 void Resistor::bind(MnaSystem& mna) { g_.bind(mna, idx(0), idx(1)); }
 
-void Resistor::stamp(MnaSystem& mna, const StampContext&) const {
+void Resistor::stamp(MnaSystem& mna) const {
   g_.set(mna, 1.0 / ohms_);
 }
 
@@ -65,7 +46,6 @@ Capacitor::Capacitor(std::string name, NodeId a, NodeId b, double farads)
 void Capacitor::set_capacitance(double farads) {
   PPD_REQUIRE(farads > 0.0, "capacitance must be positive");
   farads_ = farads;
-  st_valid_ = false;
 }
 
 double Capacitor::branch_voltage(const std::vector<double>& x) const {
@@ -87,20 +67,6 @@ void Capacitor::stamp(MnaSystem& mna, const StampContext& ctx) const {
     return;
   }
   PPD_REQUIRE(ctx.h > 0.0, "transient stamp needs a positive step");
-  // Quiescent skip: the companion values are a pure function of
-  // (h, v_state_, i_state_); when all three are bitwise what they were at
-  // the last stamp, restamping would rewrite the exact same numbers — let
-  // the slots keep them instead. This is what makes settle-tail steps
-  // cheap: under backward Euler a settled node's state freezes bitwise and
-  // its capacitors drop out of assembly.
-  if (ctx.replay && st_valid_ && bits_equal(ctx.h, st_h_) &&
-      bits_equal(v_state_, st_v_) && bits_equal(i_state_, st_i_)) {
-    return;
-  }
-  st_h_ = ctx.h;
-  st_v_ = v_state_;
-  st_i_ = i_state_;
-  st_valid_ = true;
   // Companion: i = geq * v - ieq_src  with the device current defined from
   // node a through the capacitor to node b.
   double geq = 0.0, ieq_src = 0.0;
@@ -119,12 +85,9 @@ void Capacitor::stamp(MnaSystem& mna, const StampContext& ctx) const {
 void Capacitor::begin_transient(const std::vector<double>& x_op) {
   v_state_ = branch_voltage(x_op);
   i_state_ = 0.0;  // steady state: no capacitor current
-  st_valid_ = false;  // the new run may use a different integrator
 }
 
-bool Capacitor::commit_step(const StampContext& ctx, const std::vector<double>& x) {
-  const double v_prev = v_state_;
-  const double i_prev = i_state_;
+void Capacitor::commit_step(const StampContext& ctx, const std::vector<double>& x) {
   const double v_new = branch_voltage(x);
   if (ctx.integrator == Integrator::kBackwardEuler) {
     i_state_ = farads_ / ctx.h * (v_new - v_state_);
@@ -132,7 +95,6 @@ bool Capacitor::commit_step(const StampContext& ctx, const std::vector<double>& 
     i_state_ = 2.0 * farads_ / ctx.h * (v_new - v_state_) - i_state_;
   }
   v_state_ = v_new;
-  return !bits_equal(v_state_, v_prev) || !bits_equal(i_state_, i_prev);
 }
 
 // ----------------------------------------------------------- VoltageSource
@@ -273,8 +235,34 @@ void Mosfet::stamp(MnaSystem& mna, const StampContext& ctx) const {
   mna.set(m_[5], -e.gds);
   mna.set_rhs(rhs_d_, -ieq);
   mna.set_rhs(rhs_s_, ieq);
-  // gmin across the channel keeps cutoff devices from isolating nodes.
-  gmin_.set(mna, ctx.gmin);
+}
+
+// ------------------------------------------------------ typed stamp loops
+
+void stamp_static(const StampLists& lists, MnaSystem& mna, double gmin) {
+  for (const Resistor* r : lists.resistors) r->stamp(mna);
+  for (const Mosfet* m : lists.mosfets) m->stamp_gmin(mna, gmin);
+}
+
+void stamp_time_point(const StampLists& lists, MnaSystem& mna,
+                      const StampContext& ctx) {
+  for (const Capacitor* c : lists.capacitors) c->stamp(mna, ctx);
+  for (const VoltageSource* v : lists.vsources) v->stamp(mna, ctx);
+  for (const CurrentSource* i : lists.isources) i->stamp(mna, ctx);
+}
+
+void stamp_iterate(const StampLists& lists, MnaSystem& mna,
+                   const StampContext& ctx) {
+  for (const Mosfet* m : lists.mosfets) m->stamp(mna, ctx);
+}
+
+void begin_transient(const StampLists& lists, const std::vector<double>& x_op) {
+  for (Capacitor* c : lists.capacitors) c->begin_transient(x_op);
+}
+
+void commit_step(const StampLists& lists, const StampContext& ctx,
+                 const std::vector<double>& x) {
+  for (Capacitor* c : lists.capacitors) c->commit_step(ctx, x);
 }
 
 }  // namespace ppd::spice

@@ -1,7 +1,6 @@
 #include "ppd/spice/mna.hpp"
 
 #include <limits>
-#include <numeric>
 
 #include "ppd/util/error.hpp"
 
@@ -69,76 +68,57 @@ void MnaSystem::freeze() {
   const std::size_t ns = val_.size();  // slots, sink included
   constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
   std::vector<std::size_t> cell_at(n_ * n_, kNone);
+  std::vector<std::size_t> cell(ns);  // slot -> cell
   cell_offset_.clear();
-  cell_.resize(ns);
   for (std::size_t s = 1; s < ns; ++s) {
     const std::size_t off = trip_col_[s] * n_ + trip_row_[s];
     if (cell_at[off] == kNone) {
       cell_at[off] = cell_offset_.size();
       cell_offset_.push_back(off);
     }
-    cell_[s] = cell_at[off];
+    cell[s] = cell_at[off];
   }
-  const std::size_t cells = cell_offset_.size();
-  cell_[kSinkSlot] = cells;  // the sink's cell is the extra one
-  group_slots(cell_, cells, cell_ptr_, cell_src_);
-  image_.assign(cells, 0.0);
+  group_slots(cell, cell_offset_.size(), cell_ptr_, cell_src_);
   dense_ = linalg::DenseMatrix(n_, n_);
   dlw_.set_structure(n_, cell_offset_);
   group_slots(rhs_row_, n_, rhs_ptr_, rhs_src_);
-  // Every cell and rhs row starts queued, so the first solve accumulates
-  // all of them. The extra cell and row n the sinks map to stay flagged
-  // forever, so set() / set_rhs() never queue them.
-  cell_dirty_.assign(cells + 1, 1);
-  dirty_cells_.resize(cells);
-  std::iota(dirty_cells_.begin(), dirty_cells_.end(), std::size_t{0});
-  n_dirty_cells_ = cells;
-  rhs_row_dirty_.assign(n_ + 1, 1);
-  dirty_rhs_rows_.resize(n_);
-  std::iota(dirty_rhs_rows_.begin(), dirty_rhs_rows_.end(), std::size_t{0});
-  n_dirty_rhs_rows_ = n_;
   frozen_ = true;
 }
 
 void MnaSystem::solve_into(std::vector<double>& x) {
   PPD_REQUIRE(frozen_, "solve_into() before freeze()");
-  const bool mat_changed = n_dirty_cells_ > 0;
   // No slot changed bits since the last solve: this is bitwise the same
   // system, so the last solution IS this solve's result.
-  if (!mat_changed && n_dirty_rhs_rows_ == 0 && solve_cached_) {
+  if (!matrix_changed_ && !rhs_changed_ && solve_cached_) {
     ++stats_.cached;
     x = cached_x_;
     return;
   }
-  for (std::size_t i = 0; i < n_dirty_rhs_rows_; ++i) {
-    const std::size_t r = dirty_rhs_rows_[i];
+  // A from-scratch += assemble sums each row and cell from +0.0.
+  for (std::size_t r = 0; r < n_; ++r) {
     double acc = 0.0;
     for (std::size_t k = rhs_ptr_[r]; k < rhs_ptr_[r + 1]; ++k)
       acc += rhs_val_[rhs_src_[k]];
     rhs_[r] = acc;
-    rhs_row_dirty_[r] = 0;
   }
-  n_dirty_rhs_rows_ = 0;
+  rhs_changed_ = false;
   // An unchanged matrix re-solves against the factorization already in
   // dense_ — the factors of bitwise these values.
-  if (mat_changed || !factor_ok_) {
+  if (matrix_changed_ || !factor_ok_) {
     ++stats_.refactored;
+    matrix_changed_ = false;
     factor_ok_ = false;
     solve_cached_ = false;
-    // A from-scratch += assemble sums each cell from +0.0.
-    for (std::size_t i = 0; i < n_dirty_cells_; ++i) {
-      const std::size_t c = dirty_cells_[i];
+    // The in-place factorization consumed the last sums: clear its
+    // positions and sum every cell again.
+    dlw_.clear(dense_);
+    double* d = dense_.data();
+    for (std::size_t c = 0; c < cell_offset_.size(); ++c) {
       double acc = 0.0;
       for (std::size_t k = cell_ptr_[c]; k < cell_ptr_[c + 1]; ++k)
         acc += val_[cell_src_[k]];
-      image_[c] = acc;
-      cell_dirty_[c] = 0;
+      d[cell_offset_[c]] = acc;
     }
-    n_dirty_cells_ = 0;
-    // The in-place factorization consumes its input: factor a copy.
-    dlw_.clear(dense_);
-    double* d = dense_.data();
-    for (std::size_t c = 0; c < image_.size(); ++c) d[cell_offset_[c]] = image_[c];
     dlw_.factor(dense_);
     factor_ok_ = true;
   } else {

@@ -24,7 +24,6 @@
 namespace ppd::sta {
 
 struct StaLintOptions {
-  SurvivalOptions survival;
   /// A net is a "slack site" for PPD303 when its guaranteed slack is at
   /// least this fraction of the clock period.
   double slack_frac = 0.25;
@@ -33,11 +32,14 @@ struct StaLintOptions {
   logic::SensitizeOptions sensitize;
 };
 
-/// Run the PPD3xx family over one netlist, judging slack against the
-/// caller's interval STA pass over the same netlist and library.
+/// Run the PPD3xx family over one netlist, judging slack and pulse
+/// survival against the caller's interval STA and survival passes over the
+/// same netlist and library (the survival limits the diagnostics quote are
+/// `survival.options`).
 [[nodiscard]] lint::Report lint_sta(const logic::Netlist& netlist,
                                     const logic::GateTimingLibrary& library,
                                     const IntervalStaResult& sta,
+                                    const SurvivalResult& survival,
                                     const StaLintOptions& options = {});
 
 }  // namespace ppd::sta

@@ -25,10 +25,10 @@ std::string path_location(const logic::Netlist& netlist,
 lint::Report lint_sta(const logic::Netlist& netlist,
                       const logic::GateTimingLibrary& library,
                       const IntervalStaResult& sta,
+                      const SurvivalResult& survival,
                       const StaLintOptions& options) {
   lint::Report report;
-  const SurvivalResult survival =
-      compute_survival(netlist, library, options.survival);
+  const SurvivalOptions& limits = survival.options;
 
   // PPD301/PPD303: per-site survival vs slack.
   double min_need = std::numeric_limits<double>::infinity();
@@ -43,9 +43,9 @@ lint::Report lint_sta(const logic::Netlist& netlist,
     report.add(lint::Severity::kWarning, "PPD301", g.name,
                "statically pulse-dead gate: a pulse launched here needs " +
                    need_s + " to reach any output at the " +
-                   ps(options.survival.w_th_floor) +
+                   ps(limits.w_th_floor) +
                    " sensing floor, above the " +
-                   ps(options.survival.w_in_max) + " generator ceiling",
+                   ps(limits.w_in_max) + " generator ceiling",
                "raise w_in_max, lower w_th_floor, or exclude the site from "
                "the pulse-test fault list");
     const double slack = sta.slack[id].lo;
@@ -60,9 +60,9 @@ lint::Report lint_sta(const logic::Netlist& netlist,
   }
 
   // PPD304: the whole netlist is statically undetectable.
-  if (min_need > options.survival.w_in_max) {
+  if (min_need > limits.w_in_max) {
     report.add(lint::Severity::kWarning, "PPD304", netlist.source(),
-               "generator ceiling " + ps(options.survival.w_in_max) +
+               "generator ceiling " + ps(limits.w_in_max) +
                    " is below every site's provable block threshold (best "
                    "site needs " +
                    (std::isinf(min_need) ? "unbounded" : ps(min_need)) +

@@ -1,17 +1,24 @@
 // Slot-bound MnaSystem contract: slot writes + in-place refactorization
 // produce bit-identical solutions to a from-scratch assemble/factor/solve,
-// across many random value sets; and the bitwise change tracking takes the
-// cached / rhs-only / refactor shortcuts exactly when it may.
+// across many random value sets; the bitwise change flags take the cached /
+// rhs-only / refactor shortcuts exactly when they may; and neither the order
+// the devices stamp in nor skipping devices whose values did not change
+// moves a bit.
 #include "ppd/spice/mna.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <random>
 #include <vector>
 
 #include "ppd/linalg/dense.hpp"
 #include "ppd/mc/rng.hpp"
+#include "ppd/spice/circuit.hpp"
 
 namespace ppd::spice {
 namespace {
@@ -226,6 +233,184 @@ TEST(FrozenMna, DenseGroundWritesGoToTheSink) {
   }
   EXPECT_EQ(mna.solve_stats().refactored, 1u);
   EXPECT_EQ(mna.solve_stats().cached, 3u);
+}
+
+// Two inverters joined through a resistor, with load, Miller and coupling
+// capacitances and a current source: every device kind, and node cells
+// that sum many slots of different magnitudes.
+Circuit stamp_order_circuit() {
+  Circuit c;
+  const NodeId vdd = c.node("vdd");
+  const NodeId in = c.node("in");
+  const NodeId out = c.node("out");
+  const NodeId mid = c.node("mid");
+  const NodeId o2 = c.node("o2");
+  c.add_vsource("Vdd", vdd, kGround, Dc{1.8});
+  Pulse p;
+  p.v2 = 1.8;
+  p.delay = 1e-12;
+  p.rise = 4e-12;
+  p.width = 1e-9;
+  c.add_vsource("Vin", in, kGround, p);
+  MosParams pmos;
+  pmos.type = MosType::kPmos;
+  pmos.vt0 = -0.45;
+  pmos.kp = 60e-6;
+  pmos.w = 2e-6;
+  const MosParams nmos;
+  c.add_mosfet("Mp1", out, in, vdd, pmos);
+  c.add_mosfet("Mn1", out, in, kGround, nmos);
+  c.add_capacitor("Cm1", in, out, 1.5e-15);
+  c.add_capacitor("Cl1", out, kGround, 7e-15);
+  c.add_resistor("Rop", out, mid, 4.7e3);
+  c.add_capacitor("Cmid", mid, kGround, 3e-15);
+  c.add_mosfet("Mp2", o2, mid, vdd, pmos);
+  c.add_mosfet("Mn2", o2, mid, kGround, nmos);
+  c.add_capacitor("Cl2", o2, kGround, 9e-15);
+  c.add_capacitor("Cc", out, o2, 0.7e-15);
+  c.add_isource("Ileak", o2, kGround, Dc{2e-7});
+  c.add_resistor("Rl", o2, kGround, 50e3);
+  c.finalize();
+  return c;
+}
+
+// A circuit bound into its own system in device order, plus its devices'
+// stamps as closures in device order (a MOSFET's channel, then its gmin
+// leak), each tagged with what it depends on.
+struct BoundCircuit {
+  enum Kind { kStatic, kTimePoint, kIterate };
+  struct Stamp {
+    Kind kind;
+    std::function<void(MnaSystem&, const StampContext&)> run;
+  };
+
+  BoundCircuit() : circuit(stamp_order_circuit()), mna(circuit.unknown_count()) {
+    for (const auto& dev : circuit.devices()) {
+      dev->bind(mna);
+      dev->enlist(lists);
+      Device* d = dev.get();
+      if (auto* r = dynamic_cast<Resistor*>(d)) {
+        stamps.push_back({kStatic, [r](MnaSystem& m, const StampContext&) {
+                            r->stamp(m);
+                          }});
+      } else if (auto* c = dynamic_cast<Capacitor*>(d)) {
+        stamps.push_back({kTimePoint, [c](MnaSystem& m, const StampContext& ctx) {
+                            c->stamp(m, ctx);
+                          }});
+      } else if (auto* v = dynamic_cast<VoltageSource*>(d)) {
+        stamps.push_back({kTimePoint, [v](MnaSystem& m, const StampContext& ctx) {
+                            v->stamp(m, ctx);
+                          }});
+      } else if (auto* i = dynamic_cast<CurrentSource*>(d)) {
+        stamps.push_back({kTimePoint, [i](MnaSystem& m, const StampContext& ctx) {
+                            i->stamp(m, ctx);
+                          }});
+      } else {
+        auto* mos = dynamic_cast<Mosfet*>(d);
+        stamps.push_back({kIterate, [mos](MnaSystem& m, const StampContext& ctx) {
+                            mos->stamp(m, ctx);
+                          }});
+        stamps.push_back({kStatic, [mos](MnaSystem& m, const StampContext& ctx) {
+                            mos->stamp_gmin(m, ctx.gmin);
+                          }});
+      }
+    }
+    mna.freeze();
+  }
+
+  Circuit circuit;
+  MnaSystem mna;
+  StampLists lists;
+  std::vector<Stamp> stamps;
+};
+
+TEST(FrozenMna, StampOrderDoesNotChangeBits) {
+  // Four copies of one circuit follow the same transient-like schedule,
+  // stamping in device (= bind) order or in a shuffled order, and either
+  // restamping every device each round or only the devices whose inputs
+  // changed. Each cell is the bind-order fold of its slots whatever the
+  // stamp order, so all four must solve to the same bits and take the same
+  // solve shortcuts.
+  struct Round {
+    double t, h;
+    std::size_t iterate;  // the iterate the MOSFETs linearize at
+    bool commit;          // accept the previous round's solution first
+    bool time_point_moved, iterate_moved;
+  };
+  const std::vector<Round> rounds = {
+      {1e-12, 1e-12, 0, false, true, true},    // first stamp: everything
+      {1e-12, 1e-12, 1, false, false, true},   // new iterate: matrix moves
+      {1e-12, 1e-12, 1, false, false, false},  // nothing moves: cached
+      {2e-12, 1e-12, 1, true, true, false},    // new point, same h: rhs only
+      {4e-12, 2e-12, 1, true, true, false},    // new h: companions move
+      {4e-12, 2e-12, 2, false, false, true},   // new iterate again
+  };
+
+  constexpr int kVariants = 4;  // bit 0: shuffled order; bit 1: skip unchanged
+  std::vector<std::unique_ptr<BoundCircuit>> sys;
+  for (int v = 0; v < kVariants; ++v) sys.push_back(std::make_unique<BoundCircuit>());
+  const std::size_t n = sys[0]->mna.unknowns();
+
+  std::vector<std::size_t> order(sys[0]->stamps.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::vector<std::size_t> shuffled = order;
+  std::mt19937 shuffle_rng(2007);
+  std::shuffle(shuffled.begin(), shuffled.end(), shuffle_rng);
+  ASSERT_NE(shuffled, order);
+
+  mc::Rng rng(31);
+  std::vector<std::vector<double>> iterates(3, std::vector<double>(n));
+  for (auto& x : iterates)
+    for (double& xi : x) xi = rng.uniform(0.0, 1.8);
+  for (auto& b : sys) begin_transient(b->lists, iterates[0]);
+
+  StampContext prev;
+  std::vector<double> accepted;
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    const Round& round = rounds[r];
+    StampContext ctx;
+    ctx.mode = AnalysisMode::kTransient;
+    ctx.t = round.t;
+    ctx.h = round.h;
+    ctx.x = &iterates[round.iterate];
+    std::vector<double> first;
+    for (int v = 0; v < kVariants; ++v) {
+      BoundCircuit& b = *sys[static_cast<std::size_t>(v)];
+      if (round.commit) commit_step(b.lists, prev, accepted);
+      const bool skip = (v & 2) != 0;
+      for (std::size_t k : (v & 1) != 0 ? shuffled : order) {
+        const BoundCircuit::Stamp& st = b.stamps[k];
+        const bool moved =
+            r == 0 ||
+            (st.kind == BoundCircuit::kTimePoint && round.time_point_moved) ||
+            (st.kind == BoundCircuit::kIterate && round.iterate_moved);
+        if (!skip || moved) st.run(b.mna, ctx);
+      }
+      std::vector<double> x;
+      b.mna.solve_into(x);
+      if (v == 0) {
+        first = x;
+        continue;
+      }
+      ASSERT_EQ(x.size(), first.size());
+      for (std::size_t i = 0; i < x.size(); ++i)
+        EXPECT_TRUE(bits_equal(x[i], first[i]))
+            << "variant " << v << ", round " << r << ", component " << i;
+    }
+    accepted = first;
+    prev = ctx;
+  }
+
+  const MnaSystem::SolveStats& s0 = sys[0]->mna.solve_stats();
+  EXPECT_EQ(s0.refactored, 4u);
+  EXPECT_EQ(s0.rhs_only, 1u);
+  EXPECT_EQ(s0.cached, 1u);
+  for (int v = 1; v < kVariants; ++v) {
+    const MnaSystem::SolveStats& s = sys[static_cast<std::size_t>(v)]->mna.solve_stats();
+    EXPECT_EQ(s.refactored, s0.refactored) << "variant " << v;
+    EXPECT_EQ(s.rhs_only, s0.rhs_only) << "variant " << v;
+    EXPECT_EQ(s.cached, s0.cached) << "variant " << v;
+  }
 }
 
 }  // namespace

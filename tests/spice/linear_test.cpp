@@ -1,11 +1,14 @@
 // Linear-circuit validation against closed-form solutions: voltage divider,
 // RC step response, RC discharge, and a 302-unknown RC ladder against
-// reference samples.
+// reference samples; plus the linear-circuit solve shortcuts inside a
+// transient.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 
+#include "ppd/obs/metrics.hpp"
 #include "ppd/spice/analysis.hpp"
 #include "ppd/spice/circuit.hpp"
 #include "ppd/util/error.hpp"
@@ -173,6 +176,54 @@ TEST(Transient, LargeRcLadderMatchesReferenceSamples) {
   };
   for (const Sample& s : expected)
     EXPECT_NEAR(r.wave(s.node).at(s.t), s.v, 1e-9) << s.node << " t=" << s.t;
+}
+
+TEST(Transient, LinearLadderRefactorsOncePerStepSize) {
+  // A linear circuit's matrix depends on the step size alone. A fixed-step
+  // transient must factor once per distinct h — here dt, then the half step
+  // that lands on t_stop (both exact in binary, so no rounding sliver) — and
+  // answer every other solve against the live factorization (new companion
+  // rhs) or with the cached solution (an unchanged system).
+  Circuit c;
+  const NodeId vin = c.node("vin");
+  Pulse p;
+  p.v2 = 1.0;
+  p.delay = 1e-10;
+  p.rise = 5e-11;
+  p.width = 1.0;
+  c.add_vsource("V1", vin, kGround, p);
+  NodeId prev = vin;
+  for (int i = 0; i < 10; ++i) {
+    const NodeId n = c.node("n" + std::to_string(i));
+    c.add_resistor("R" + std::to_string(i), prev, n, 1e3);
+    c.add_capacitor("C" + std::to_string(i), n, kGround, 10e-15);
+    prev = n;
+  }
+  TransientOptions opt;
+  opt.dt = std::ldexp(1.0, -37);  // ~7.3 ps
+  opt.t_stop = 128.5 * opt.dt;
+
+  const auto count = [](const char* name) { return obs::counter(name).value(); };
+  ASSERT_TRUE(obs::metrics_enabled());
+  const std::uint64_t refactored0 = count("spice.mna.refactored");
+  const std::uint64_t rhs_only0 = count("spice.mna.rhs_only");
+  const std::uint64_t cached0 = count("spice.mna.cached");
+  const TransientResult r = run_transient(c, opt);
+  const std::uint64_t refactored = count("spice.mna.refactored") - refactored0;
+  const std::uint64_t rhs_only = count("spice.mna.rhs_only") - rhs_only0;
+  const std::uint64_t cached = count("spice.mna.cached") - cached0;
+
+  EXPECT_EQ(r.steps, 129u);
+  EXPECT_EQ(r.rejected_steps, 0u);
+  EXPECT_EQ(refactored, 2u);
+  EXPECT_EQ(refactored + rhs_only + cached, r.newton_iterations);
+  // A moving step solves its new companion rhs, then sees the same system
+  // once more and confirms convergence from the cached solution. Until the
+  // pulse arrives the ladder rests at its operating point: the first step
+  // (a fresh factor) converges at once, and the next 12 see an unchanged
+  // system on their only solve.
+  EXPECT_EQ(rhs_only, 115u);
+  EXPECT_EQ(cached, 128u);
 }
 
 TEST(Transient, RejectsBadOptions) {

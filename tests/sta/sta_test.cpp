@@ -617,11 +617,12 @@ TEST(StaLint, FamilyTriggersOnAConstrainedNetlist) {
   const NetId out = nl.add_gate(LogicKind::kAnd, "out", {prev, slackful});
   nl.mark_output(out);
 
-  StaLintOptions opt;
-  opt.survival.w_in_max = 40e-12;  // below the 50 ps sensing floor
-  opt.survival.margin = 0.0;
+  SurvivalOptions opt;
+  opt.w_in_max = 40e-12;  // below the 50 ps sensing floor
+  opt.margin = 0.0;
   const auto lib = GateTimingLibrary::generic();
-  const lint::Report report = lint_sta(nl, lib, run_interval_sta(nl, lib), opt);
+  const lint::Report report = lint_sta(nl, lib, run_interval_sta(nl, lib),
+                                       compute_survival(nl, lib, opt));
   bool saw301 = false, saw303 = false, saw304 = false;
   for (const auto& d : report.diagnostics()) {
     saw301 |= d.code == "PPD301";
@@ -640,7 +641,8 @@ TEST(StaLint, CleanNetlistStaysClean) {
   const NetId g = nl.add_gate(LogicKind::kNot, "g", {a});
   nl.mark_output(g);
   const auto lib = GateTimingLibrary::generic();
-  const lint::Report report = lint_sta(nl, lib, run_interval_sta(nl, lib));
+  const lint::Report report =
+      lint_sta(nl, lib, run_interval_sta(nl, lib), compute_survival(nl, lib));
   EXPECT_EQ(report.diagnostics().size(), 0u) << lint::to_text(report);
 }
 

@@ -340,9 +340,9 @@ wait "$rec2_pid"
 
 echo "== golden stage (ppdtool output byte-identical to tests/golden) =="
 # The transient engine's end-to-end contract: restructuring the engine
-# (frozen MNA, selective restamping, measurements stopped at their deciding
-# step) changes speed, never bytes. Fresh outputs must equal the committed
-# goldens exactly.
+# (frozen MNA, typed stamp loops that restamp every device that can have
+# changed, measurements stopped at their deciding step) changes speed,
+# never bytes. Fresh outputs must equal the committed goldens exactly.
 golden="$repo/tests/golden"
 "$build/tools/ppdtool" coverage --method=pulse --samples=4 --points=3 \
   --csv > "$obs_dir/coverage_pulse.csv"
@@ -389,14 +389,15 @@ python3 "$repo/tools/bench_gate.py" --self-test
   python3 "$repo/tools/bench_gate.py" \
     --baseline "$repo/bench/baseline/service_load.json" -
 
-echo "== util + resil + exec + cache + net + sta under TSan and UBSan (+ lint + logic under UBSan) =="
+echo "== util + resil + exec + cache + net + sta under TSan and UBSan (+ lint + logic + spice under UBSan) =="
 # The recovery/quarantine/checkpoint paths are themselves exercised under
 # injected chaos, the sharded solve cache takes concurrent mixed traffic,
 # and the path screen fans out across a thread pool; run those suites with
 # the race and UB detectors on. test_util carries a seeded mutation fuzzer
 # (fixed seed and budget) of the JSON reader that loads checkpoints,
 # journals and wire events; test_lint carries one of the .bench front end,
-# whose netlists test_logic drives.
+# whose netlists test_logic drives; test_spice's typed stamp lists and
+# slot-indexed stamps run under UBSan too.
 for san in thread undefined; do
   sbuild="$build-$san"
   cmake -B "$sbuild" -S "$repo" -DPPD_SANITIZE="$san" >/dev/null
@@ -422,15 +423,16 @@ for san in thread undefined; do
   if [ "$san" = undefined ]; then
     # The .bench fuzzer runs on one thread: UBSan (and ASan below) are its
     # detectors, TSan would only slow it down.
-    cmake --build "$sbuild" -j "$(nproc)" --target test_lint test_logic >/dev/null
-    for t in test_lint test_logic; do
+    cmake --build "$sbuild" -j "$(nproc)" \
+      --target test_lint test_logic test_spice >/dev/null
+    for t in test_lint test_logic test_spice; do
       echo "-- $san: $t"
       "$sbuild/tests/$t" --gtest_brief=1
     done
   fi
   # The frozen transient engine driven across exec lanes — one circuit and
   # MnaSystem per sample, nothing shared — under the race detector (and
-  # UBSan for the bit-punning change tracking).
+  # UBSan for the bit-punning change flags).
   echo "-- $san: test_core (transient engine across lanes)"
   "$sbuild/tests/test_core" \
     --gtest_filter='PulseCoverageThreads.*:DelayCoverageThreads.*:RminThreads.*' \
