@@ -1,18 +1,28 @@
 // Service load bench: N concurrent ppdctl-style clients against one
-// in-process ppdd server, mixed query types, cold cache then warm cache.
+// in-process ppdd server, mixed query types, cold cache then warm cache,
+// then replays of repeated queries.
 //
 // Emits perf_engine-style JSON rows:
 //   {"section":"meta",...}
-//   {"section":"service_load","pass":"cold"|"warm"|"warm_noobs",
+//   {"section":"service_load","pass":"cold"|"warm"|"replay"|"warm_noobs",
 //    "clients":N,...,"p50_ms":...,"p99_ms":...,"throughput_qps":...,
-//    "identical":true}
+//    "identical":true,"replayed_share":...}
 //   {"section":"service_load","pass":"overload","offered":N,"accepted":N,
 //    "busy":N,"expired":N,"shed_rate":...,"p99_ms":...,"typed":true,
 //    "alive":true,"identical":true}
 //   {"section":"service_obs_overhead","pairs":N,"p50_on_ms":...,
 //    "p50_off_ms":...,"overhead_pct":...}
 //   {"section":"service_load_summary","warm_p50_speedup":...,
-//    "metrics_events":N,...}
+//    "replay_p50_speedup":...,"metrics_events":N,...}
+//
+// The server answers a repeated query from the solve cache without solving
+// (a replay). So that the cold, warm and observability passes measure
+// solving queries, every client round of them spells one setting of each
+// query differently ("points 7.000", "suppress ,,,"): the body and the
+// cached measurements stay the same, the replay key does not, and no query
+// of those passes replays (replayed_share 0). The replay pass repeats the
+// warm pass's exact queries, so every one of its queries is a replay
+// (replayed_share 1).
 //
 // Every served response is compared byte-for-byte against the result of
 // calling net::run_query directly with the same parameters — the
@@ -69,17 +79,29 @@ struct QuerySpec {
   const char* kind;
   std::string arg;  // lint upload name
   std::vector<std::pair<std::string, std::string>> params;
+  /// Spelling `salt` of one of the kind's settings: `salt_key` set to
+  /// `salt_base` followed by `salt` copies of `salt_pad` means the same
+  /// thing for every salt (trailing zeros of a number, empty fields of a
+  /// list), so the body is the same and the replay key is not.
+  const char* salt_key;
+  const char* salt_base;
+  char salt_pad;
+
+  [[nodiscard]] std::string salted(int salt) const {
+    return salt_base + std::string(static_cast<std::size_t>(salt), salt_pad);
+  }
 };
 
 // Small instances of every query kind: the bench measures service overhead
 // and cache amortization, not the electrical solver itself.
 std::vector<QuerySpec> query_mix() {
   return {
-      {"transfer", "", {{"points", "7"}}},
-      {"calibrate", "", {{"samples", "6"}}},
-      {"coverage", "", {{"samples", "4"}, {"points", "3"}}},
-      {"rmin", "", {{"samples", "3"}, {"steps", "4"}}},
-      {"lint", kBenchUpload, {}},
+      {"transfer", "", {{"points", "7"}}, "points", "7.", '0'},
+      {"calibrate", "", {{"samples", "6"}}, "samples", "6.", '0'},
+      {"coverage", "", {{"samples", "4"}, {"points", "3"}}, "samples", "4.",
+       '0'},
+      {"rmin", "", {{"samples", "3"}, {"steps", "4"}}, "samples", "3.", '0'},
+      {"lint", kBenchUpload, {}, "suppress", "", ','},
   };
 }
 
@@ -104,9 +126,12 @@ struct ClientStats {
   int mismatches = 0;
 };
 
+/// `first_salt` is the salt of the client's first round; rounds count up
+/// from it.
 ClientStats run_client(std::uint16_t port, int rounds,
                        const std::vector<QuerySpec>& mix,
-                       const std::vector<std::string>& expected) {
+                       const std::vector<std::string>& expected,
+                       int first_salt) {
   ClientStats stats;
   net::Client client = net::Client::connect(port);
   client.upload(kBenchUpload, kBenchText);
@@ -114,6 +139,7 @@ ClientStats run_client(std::uint16_t port, int rounds,
     for (std::size_t q = 0; q < mix.size(); ++q) {
       for (const auto& [key, value] : mix[q].params)
         client.set(key, value);
+      client.set(mix[q].salt_key, mix[q].salted(first_salt + round));
       const auto start = Clock::now();
       const net::Client::Result res = client.run(mix[q].kind, mix[q].arg);
       stats.latencies_s.push_back(
@@ -142,6 +168,7 @@ struct PassResult {
   std::vector<double> latencies_s;  ///< one per query
   double wall_s = 0.0;
   bool identical = true;
+  std::uint64_t replayed = 0;  ///< queries the server answered by replay
 
   [[nodiscard]] double p50_ms() const {
     return percentile(latencies_s, 0.50) * 1e3;
@@ -155,25 +182,47 @@ struct PassResult {
                        other.latencies_s.end());
     wall_s += other.wall_s;
     identical = identical && other.identical;
+    replayed += other.replayed;
+  }
+  [[nodiscard]] double replayed_share() const {
+    return latencies_s.empty() ? 0.0
+                               : static_cast<double>(replayed) /
+                                     static_cast<double>(latencies_s.size());
   }
 };
 
-PassResult run_pass(std::uint16_t port, int clients, int rounds,
+/// Replays the server has counted, summed over the query kinds. Counts only
+/// while metrics record.
+std::uint64_t replayed_total(const net::Server& server) {
+  std::uint64_t total = 0;
+  for (const auto& [kind, row] :
+       util::json::parse(server.stats_json()).at("kinds").members)
+    total += row.at("replayed").as_uint();
+  return total;
+}
+
+/// One pass of every client over the mix. Each client round gets its own
+/// salt, counting up from `first_salt`.
+PassResult run_pass(const net::Server& server, int clients, int rounds,
                     const std::vector<QuerySpec>& mix,
-                    const std::vector<std::string>& expected) {
+                    const std::vector<std::string>& expected,
+                    int first_salt) {
   std::vector<ClientStats> stats(static_cast<std::size_t>(clients));
+  const std::uint64_t replayed_before = replayed_total(server);
   const auto start = Clock::now();
   {
     std::vector<std::thread> threads;
     for (int c = 0; c < clients; ++c)
       threads.emplace_back([&, c] {
         stats[static_cast<std::size_t>(c)] =
-            run_client(port, rounds, mix, expected);
+            run_client(server.port(), rounds, mix, expected,
+                       first_salt + c * rounds);
       });
     for (auto& t : threads) t.join();
   }
   PassResult res;
   res.wall_s = std::chrono::duration<double>(Clock::now() - start).count();
+  res.replayed = replayed_total(server) - replayed_before;
   for (const auto& s : stats) {
     res.latencies_s.insert(res.latencies_s.end(), s.latencies_s.begin(),
                            s.latencies_s.end());
@@ -188,10 +237,10 @@ void print_pass(const char* pass, int clients, int rounds,
       "{\"section\":\"service_load\",\"pass\":\"%s\",\"clients\":%d,"
       "\"rounds\":%d,\"queries\":%zu,\"wall_s\":%.4f,"
       "\"throughput_qps\":%.2f,\"p50_ms\":%.3f,\"p99_ms\":%.3f,"
-      "\"identical\":%s}\n",
+      "\"identical\":%s,\"replayed_share\":%.3f}\n",
       pass, clients, rounds, res.latencies_s.size(), res.wall_s,
       static_cast<double>(res.latencies_s.size()) / res.wall_s, res.p50_ms(),
-      res.p99_ms(), res.identical ? "true" : "false");
+      res.p99_ms(), res.identical ? "true" : "false", res.replayed_share());
 }
 
 struct OverloadResult {
@@ -371,12 +420,21 @@ int main(int argc, char** argv) {
   net::Server server(options);
   server.start();
 
+  // Each pass but the replay pass takes the next clients * rounds salts, so
+  // no two client rounds of those passes send the same replay key.
+  int next_salt = 1;
+  const auto fresh_salts = [&next_salt, clients, rounds] {
+    const int first = next_salt;
+    next_salt += clients * rounds;
+    return first;
+  };
+
   // Cold pass: empty cache, every client pays its own solves (minus what
-  // concurrent clients share). Warm pass: identical workload replayed
-  // against the populated cache.
+  // concurrent clients share). Warm pass: the same workload, spelled with
+  // new salts, against the populated measurement cache.
   cache::SolveCache::global().clear();
-  const PassResult cold =
-      run_pass(server.port(), clients, rounds, mix, expected);
+  const PassResult cold = run_pass(server, clients, rounds, mix, expected,
+                                   fresh_salts());
   print_pass("cold", clients, rounds, cold);
 
   // A subscriber validates the SUBSCRIBE metrics stream while the warm
@@ -385,10 +443,17 @@ int main(int argc, char** argv) {
   SubscriberResult sub;
   std::thread subscriber(
       [&sub, &server] { sub = run_subscriber(server.port(), 2); });
+  const int warm_salt = fresh_salts();
   const PassResult warm =
-      run_pass(server.port(), clients, rounds, mix, expected);
+      run_pass(server, clients, rounds, mix, expected, warm_salt);
   print_pass("warm", clients, rounds, warm);
   subscriber.join();
+
+  // Replay pass: the warm pass's queries again, each answered with the
+  // bytes its warm run stored.
+  const PassResult replay =
+      run_pass(server, clients, rounds, mix, expected, warm_salt);
+  print_pass("replay", clients, rounds, replay);
 
   // Observability overhead on the served path: pairs of warm passes with
   // metrics recording on and off, in alternating order, with no subscriber
@@ -403,7 +468,7 @@ int main(int argc, char** argv) {
     for (const bool metrics : {pair % 2 == 0, pair % 2 != 0}) {
       obs::set_metrics_enabled(metrics);
       (metrics ? on : off) =
-          run_pass(server.port(), clients, rounds, mix, expected);
+          run_pass(server, clients, rounds, mix, expected, fresh_salts());
     }
     obs::set_metrics_enabled(true);
     on_p50_ms.push_back(on.p50_ms());
@@ -414,6 +479,9 @@ int main(int argc, char** argv) {
     on_pooled.add(on);
     noobs.add(off);
   }
+  // Replays are counted only while metrics record: this row's share is the
+  // metrics-on passes'.
+  noobs.replayed = on_pooled.replayed;
   print_pass("warm_noobs", clients, rounds * kOverheadPairs, noobs);
   std::printf(
       "{\"section\":\"service_obs_overhead\",\"pairs\":%d,"
@@ -444,19 +512,18 @@ int main(int argc, char** argv) {
       over_typed ? "true" : "false", over.alive ? "true" : "false",
       over.errors == 0 ? "true" : "false");
 
+  const bool identical = cold.identical && warm.identical &&
+                         replay.identical && on_pooled.identical &&
+                         noobs.identical;
   std::printf(
       "{\"section\":\"service_load_summary\",\"warm_p50_speedup\":%.3f,"
-      "\"warm_p99_speedup\":%.3f,\"metrics_events\":%d,\"identical\":%s}\n",
+      "\"warm_p99_speedup\":%.3f,\"replay_p50_speedup\":%.3f,"
+      "\"metrics_events\":%d,\"identical\":%s}\n",
       warm.p50_ms() > 0.0 ? cold.p50_ms() / warm.p50_ms() : 0.0,
-      warm.p99_ms() > 0.0 ? cold.p99_ms() / warm.p99_ms() : 0.0, sub.events,
-      cold.identical && warm.identical && on_pooled.identical &&
-              noobs.identical
-          ? "true"
-          : "false");
+      warm.p99_ms() > 0.0 ? cold.p99_ms() / warm.p99_ms() : 0.0,
+      replay.p50_ms() > 0.0 ? warm.p50_ms() / replay.p50_ms() : 0.0,
+      sub.events, identical ? "true" : "false");
 
   server.drain();
-  return cold.identical && warm.identical && on_pooled.identical &&
-                 noobs.identical && sub.ok && over_typed && over.alive
-             ? 0
-             : 1;
+  return identical && sub.ok && over_typed && over.alive ? 0 : 1;
 }

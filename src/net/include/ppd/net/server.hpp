@@ -187,6 +187,7 @@ class Server {
     obs::Counter* busy = nullptr;
     obs::Counter* expired = nullptr;
     obs::Counter* shed = nullptr;
+    obs::Counter* replayed = nullptr;  ///< answered from a stored result
     obs::Histogram* queue_s = nullptr;
     obs::Histogram* execute_s = nullptr;
   };

@@ -25,6 +25,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -57,6 +58,25 @@ class QuotaError : public ParseError {
   std::string leaf_;
 };
 
+/// Content key of one served query, built by Session::make_params from the
+/// session snapshot: two independent 64-bit digests of the kind, each key of
+/// query_keys(kind) with its value or its absence, and the name and bytes of
+/// the upload the query names. `key` addresses a SolveCache entry; `check`
+/// is stored inside it, so two queries whose `key`s collide miss instead of
+/// serving each other's body.
+struct ReplayKey {
+  std::uint64_t key = 0;
+  std::uint64_t check = 0;
+};
+
+/// The (exit_code, body) stored under `key`, or nullopt (no entry, a
+/// `check` mismatch, or the solve cache disabled). Replay entries are
+/// ordinary SolveCache::global() entries: same byte budget, LRU, PPD_CACHE=0
+/// kill switch and clear().
+[[nodiscard]] std::optional<QueryResult> find_replay(const ReplayKey& key);
+/// Store a successfully computed result under `key`.
+void store_replay(const ReplayKey& key, const QueryResult& result);
+
 class Session {
  public:
   Session(std::string token, SessionLimits limits)
@@ -75,9 +95,16 @@ class Session {
   void upload(const std::string& name, std::string text);
 
   /// Build the params for one query from the current config snapshot;
-  /// `arg` is the upload name for lint queries.
-  [[nodiscard]] QueryParams make_params(QueryKind kind,
-                                        const std::string& arg) const;
+  /// `arg` is the upload name for lint (and optionally sta) queries.
+  /// `replay` receives the query's content key, or nullopt when the query
+  /// cannot replay: the solve cache is off, or the body can depend on
+  /// something outside the key (a `deadline_ms`, a solve/sweep budget, a
+  /// checkpoint or resume file, a quarantine side file, a fault plan (key
+  /// or PPD_FAULT_PLAN), or an sta netlist read from a local path). No key
+  /// is computed for a query that cannot replay.
+  [[nodiscard]] QueryParams make_params(QueryKind kind, const std::string& arg,
+                                        std::uint64_t deadline_ms,
+                                        std::optional<ReplayKey>& replay) const;
 
   /// Try to admit one query into the in-flight window: returns the new
   /// query id, or 0 when the window or the undelivered backlog is full
@@ -165,7 +192,11 @@ class Session {
 
   mutable std::mutex mutex_;
   std::map<std::string, std::string> config_;
-  std::map<std::string, std::string> uploads_;
+  struct Upload {
+    std::string text;
+    ReplayKey digest;  ///< both replay digests of `text`, taken at UPLOAD
+  };
+  std::map<std::string, Upload> uploads_;
   std::size_t upload_bytes_ = 0;
   std::uint64_t next_id_ = 0;
   std::size_t in_flight_ = 0;          ///< admitted, result not yet delivered

@@ -169,27 +169,41 @@ const std::vector<std::string>& query_keys(QueryKind kind) {
 }
 
 QueryParams params_from_lookup(QueryKind kind, const ParamLookup& lookup) {
+  // Each kind reads exactly the keys its query_keys table lists, so a value
+  // a session SET for another kind can neither change nor break this one,
+  // and the table alone names everything a body depends on.
   const Lookup kv{lookup};
   QueryParams p;
-  p.gates = kv.get("gates", std::string());
-  p.fault = kv.get("fault", std::string("external"));
-  p.stage = static_cast<std::size_t>(kv.get("stage", 1));
-  p.seed = static_cast<std::uint64_t>(kv.get("seed", 2007));
-  p.sigma = kv.get("sigma", 0.05);
-  p.csv = kv.has("csv");
-  p.threads = kv.get("threads", 1);
+  const auto read_path = [&p, &kv](bool with_fault) {
+    p.gates = kv.get("gates", std::string());
+    if (!with_fault) return;
+    p.fault = kv.get("fault", std::string("external"));
+    p.stage = static_cast<std::size_t>(kv.get("stage", 1));
+  };
+  const auto read_population = [&p, &kv](int default_samples) {
+    p.seed = static_cast<std::uint64_t>(kv.get("seed", 2007));
+    p.sigma = kv.get("sigma", 0.05);
+    p.samples = kv.get("samples", default_samples);
+  };
   switch (kind) {
     case QueryKind::kTransfer:
+      read_path(false);
+      p.csv = kv.has("csv");
       p.w_lo = kv.get("w-lo", 0.08e-9);
       p.w_hi = kv.get("w-hi", 0.8e-9);
       p.points = static_cast<std::size_t>(kv.get("points", 15));
       break;
     case QueryKind::kCalibrate:
-      p.samples = kv.get("samples", 30);
+      read_path(true);
+      read_population(30);
+      p.csv = kv.has("csv");
       break;
     case QueryKind::kCoverage:
+      read_path(true);
+      read_population(25);
+      p.csv = kv.has("csv");
+      p.threads = kv.get("threads", 1);
       p.method = kv.get("method", std::string("pulse"));
-      p.samples = kv.get("samples", 25);
       p.r_lo = kv.get("r-lo", 1e3);
       p.r_hi = kv.get("r-hi", 64e3);
       p.points = static_cast<std::size_t>(kv.get("points", 9));
@@ -206,7 +220,10 @@ QueryParams params_from_lookup(QueryKind kind, const ParamLookup& lookup) {
       p.quarantine_json = kv.get("quarantine-json", std::string());
       break;
     case QueryKind::kRmin:
-      p.samples = kv.get("samples", 20);
+      read_path(true);
+      read_population(20);
+      p.csv = kv.has("csv");
+      p.threads = kv.get("threads", 1);
       p.rmin_lo = kv.get("r-lo", 100.0);
       p.rmin_hi = kv.get("r-hi", 100e3);
       p.bisection_steps = kv.get("steps", 10);
@@ -220,6 +237,8 @@ QueryParams params_from_lookup(QueryKind kind, const ParamLookup& lookup) {
       p.lint_suppress = kv.get("suppress", std::string());
       break;
     case QueryKind::kSta:
+      p.csv = kv.has("csv");
+      p.threads = kv.get("threads", 1);
       p.bench = kv.get("bench", std::string());
       p.clock = kv.finite("clock", 0.0);
       p.k_paths = kv.count("k", 5);

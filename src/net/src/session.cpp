@@ -1,7 +1,11 @@
 #include "ppd/net/session.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdlib>
+#include <cstring>
 
+#include "ppd/cache/solve_cache.hpp"
 #include "ppd/obs/metrics.hpp"
 #include "ppd/util/error.hpp"
 
@@ -30,7 +34,94 @@ bool known_key(const std::string& key) {
   return std::binary_search(all.begin(), all.end(), key);
 }
 
+/// The one bypass decision: false when the solve cache is off, or when the
+/// body can depend on something outside the replay key. A deadline clamps
+/// the run's budgets.
+bool replayable(QueryKind kind, const QueryParams& p,
+                std::uint64_t deadline_ms) {
+  if (!cache::cache_enabled() || deadline_ms != 0) return false;
+  if (p.solve_budget > 0.0 || p.sweep_budget > 0.0) return false;
+  // A resume names its checkpoint file in `checkpoint` too.
+  if (!p.checkpoint.empty() || !p.quarantine_json.empty()) return false;
+  if (!p.fault_plan.empty()) return false;
+  const char* env_plan = std::getenv("PPD_FAULT_PLAN");
+  if (env_plan != nullptr && env_plan[0] != '\0') return false;
+  return !(kind == QueryKind::kSta && p.bench_text.empty() && !p.bench.empty());
+}
+
+// Both digests of a key read the same material from differently tagged
+// starting states, so they are two different hash functions of it.
+constexpr const char* kKeyDomain = "ppd.net.replay.key";
+constexpr const char* kCheckDomain = "ppd.net.replay.check";
+
+/// Both digests of an upload's bytes, taken once when it arrives, so a
+/// query over it hashes two words instead of the whole blob.
+ReplayKey upload_digest(const std::string& text) {
+  const auto digest = [&text](const char* domain) {
+    cache::Hasher h;
+    h.str(domain);
+    h.str(text);
+    return h.value();
+  };
+  return {digest(kKeyDomain), digest(kCheckDomain)};
+}
+
+/// `upload_name` is empty (and `upload` zero) when the query names none;
+/// upload names are never empty.
+ReplayKey replay_key(QueryKind kind,
+                     const std::map<std::string, std::string>& config,
+                     const std::string& upload_name, const ReplayKey& upload) {
+  const auto digest = [&](const char* domain, std::uint64_t upload_bytes) {
+    cache::Hasher h;
+    h.str(domain);
+    h.u8(static_cast<std::uint8_t>(kind));
+    for (const std::string& key : query_keys(kind)) {
+      const auto it = config.find(key);
+      h.boolean(it != config.end());
+      if (it != config.end()) h.str(it->second);
+    }
+    h.str(upload_name);
+    h.u64(upload_bytes);
+    return h.value();
+  };
+  return {digest(kKeyDomain, upload.key), digest(kCheckDomain, upload.check)};
+}
+
+/// Replay entry layout, one 64-bit word per double: check digest, exit
+/// code, body size, then the body bytes packed eight to a word.
+constexpr std::size_t kReplayHeaderWords = 3;
+
 }  // namespace
+
+std::optional<QueryResult> find_replay(const ReplayKey& key) {
+  const auto entry = cache::solve_cache().get(key.key);
+  if (!entry || entry->size() < kReplayHeaderWords ||
+      std::bit_cast<std::uint64_t>((*entry)[0]) != key.check)
+    return std::nullopt;
+  const auto size = std::bit_cast<std::uint64_t>((*entry)[2]);
+  if (size > (entry->size() - kReplayHeaderWords) * sizeof(double))
+    return std::nullopt;
+  QueryResult result;
+  result.exit_code = static_cast<int>(std::bit_cast<std::int64_t>((*entry)[1]));
+  result.body.assign(
+      reinterpret_cast<const char*>(entry->data() + kReplayHeaderWords), size);
+  return result;
+}
+
+void store_replay(const ReplayKey& key, const QueryResult& result) {
+  if (!cache::cache_enabled()) return;
+  std::vector<double> entry(
+      kReplayHeaderWords + (result.body.size() + sizeof(double) - 1) /
+                               sizeof(double),
+      0.0);
+  entry[0] = std::bit_cast<double>(key.check);
+  entry[1] = std::bit_cast<double>(static_cast<std::int64_t>(result.exit_code));
+  entry[2] = std::bit_cast<double>(
+      static_cast<std::uint64_t>(result.body.size()));
+  std::memcpy(entry.data() + kReplayHeaderWords, result.body.data(),
+              result.body.size());
+  cache::solve_cache().put(key.key, std::move(entry));
+}
 
 void Session::set(const std::string& key, const std::string& value) {
   if (!known_key(key))
@@ -51,9 +142,13 @@ void Session::upload(const std::string& name, std::string text) {
                                  name);
   if (name.size() > 128)
     throw QuotaError("name", "upload name longer than 128 bytes");
+  // Hashed before the lock: a 4 MiB blob must not stall the session's
+  // result delivery.
+  const ReplayKey digest = upload_digest(text);
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = uploads_.find(name);
-  const std::size_t replaced = it == uploads_.end() ? 0 : it->second.size();
+  const std::size_t replaced =
+      it == uploads_.end() ? 0 : it->second.text.size();
   if (it == uploads_.end() && uploads_.size() >= limits_.max_uploads)
     throw QuotaError("uploads", "upload limit reached (" +
                                     std::to_string(limits_.max_uploads) +
@@ -63,10 +158,12 @@ void Session::upload(const std::string& name, std::string text) {
                      "upload budget exceeded (" +
                          std::to_string(limits_.max_upload_bytes) + " bytes)");
   upload_bytes_ = upload_bytes_ - replaced + text.size();
-  uploads_[name] = std::move(text);
+  uploads_[name] = Upload{std::move(text), digest};
 }
 
-QueryParams Session::make_params(QueryKind kind, const std::string& arg) const {
+QueryParams Session::make_params(QueryKind kind, const std::string& arg,
+                                 std::uint64_t deadline_ms,
+                                 std::optional<ReplayKey>& replay) const {
   std::map<std::string, std::string> snapshot;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -78,6 +175,7 @@ QueryParams Session::make_params(QueryKind kind, const std::string& arg) const {
         if (it == snapshot.end()) return std::nullopt;
         return it->second;
       });
+  ReplayKey upload;  // digests of the upload `arg` names, if any
   if (kind == QueryKind::kLint) {
     if (arg.empty())
       throw ParseError("lint query needs an upload name: QUERY lint <name>");
@@ -86,7 +184,8 @@ QueryParams Session::make_params(QueryKind kind, const std::string& arg) const {
     if (it == uploads_.end())
       throw ParseError("no upload named '" + arg + "' in this session");
     params.lint_name = arg;
-    params.lint_text = it->second;
+    params.lint_text = it->second.text;
+    upload = it->second.digest;
   } else if (kind == QueryKind::kSta && !arg.empty()) {
     // `QUERY sta [<upload>]`: the upload is optional — without one the
     // query falls back to the `bench` config path or the bundled
@@ -96,11 +195,15 @@ QueryParams Session::make_params(QueryKind kind, const std::string& arg) const {
     if (it == uploads_.end())
       throw ParseError("no upload named '" + arg + "' in this session");
     params.bench_name = arg;
-    params.bench_text = it->second;
+    params.bench_text = it->second.text;
+    upload = it->second.digest;
   } else if (!arg.empty()) {
     throw ParseError(std::string("query ") + query_kind_name(kind) +
                      " takes no argument");
   }
+  replay.reset();
+  if (replayable(kind, params, deadline_ms))
+    replay = replay_key(kind, snapshot, arg, upload);
   return params;
 }
 

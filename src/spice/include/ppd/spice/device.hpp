@@ -250,6 +250,11 @@ class Mosfet final : public Device {
   [[nodiscard]] Eval square_law(double vgs, double vds) const;
 
   MosParams params_;
+  /// Fixed by params_, computed once: kp * w / l, |vt0| and the PMOS/NMOS
+  /// mirror sign (+1 NMOS, -1 PMOS).
+  double beta_;
+  double vt_;
+  double sign_;
   /// Channel stamp (d, g) (d, s) (d, d) (s, g) (s, s) (s, d).
   std::array<MnaSlot, 6> m_{};
   MnaSlot rhs_d_ = kSinkSlot, rhs_s_ = kSinkSlot;

@@ -143,7 +143,11 @@ void CurrentSource::stamp(MnaSystem& mna, const StampContext& ctx) const {
 
 Mosfet::Mosfet(std::string name, NodeId drain, NodeId gate, NodeId source,
                const MosParams& params)
-    : Device(std::move(name), {drain, gate, source}), params_(params) {
+    : Device(std::move(name), {drain, gate, source}),
+      params_(params),
+      beta_(params.kp * params.w / params.l),
+      vt_(std::abs(params.vt0)),
+      sign_(params.type == MosType::kNmos ? 1.0 : -1.0) {
   PPD_REQUIRE(params.w > 0.0 && params.l > 0.0, "W and L must be positive");
   PPD_REQUIRE(params.kp > 0.0, "KP must be positive");
   if (params.type == MosType::kNmos)
@@ -154,9 +158,7 @@ Mosfet::Mosfet(std::string name, NodeId drain, NodeId gate, NodeId source,
 
 Mosfet::Eval Mosfet::square_law(double vgs, double vds) const {
   // NMOS-normalized: expects vds >= 0 and a positive threshold.
-  const double vt = std::abs(params_.vt0);
-  const double beta = params_.kp * params_.w / params_.l;
-  const double vov = vgs - vt;
+  const double vov = vgs - vt_;
   Eval e{0.0, 0.0, 0.0};
   if (vov <= 0.0) return e;  // cutoff
   const double lam = params_.lambda;
@@ -164,24 +166,23 @@ Mosfet::Eval Mosfet::square_law(double vgs, double vds) const {
   if (vds < vov) {
     // Triode.
     const double q = vov * vds - 0.5 * vds * vds;
-    e.ids = beta * q * clm;
-    e.gm = beta * vds * clm;
-    e.gds = beta * ((vov - vds) * clm + q * lam);
+    e.ids = beta_ * q * clm;
+    e.gm = beta_ * vds * clm;
+    e.gds = beta_ * ((vov - vds) * clm + q * lam);
   } else {
     // Saturation.
     const double q = 0.5 * vov * vov;
-    e.ids = beta * q * clm;
-    e.gm = beta * vov * clm;
-    e.gds = beta * q * lam;
+    e.ids = beta_ * q * clm;
+    e.gm = beta_ * vov * clm;
+    e.gds = beta_ * q * lam;
   }
   return e;
 }
 
 Mosfet::Eval Mosfet::evaluate(double vd, double vg, double vs) const {
   // Mirror PMOS into NMOS space: I_p(vgs, vds) = -I_n(-vgs, -vds).
-  const double sign = params_.type == MosType::kNmos ? 1.0 : -1.0;
-  double vgs = sign * (vg - vs);
-  double vds = sign * (vd - vs);
+  double vgs = sign_ * (vg - vs);
+  double vds = sign_ * (vd - vs);
   bool swapped = false;
   if (vds < 0.0) {
     // Channel symmetry: swap drain and source roles.
@@ -192,13 +193,13 @@ Mosfet::Eval Mosfet::evaluate(double vd, double vg, double vs) const {
   const Eval raw = square_law(vgs, vds);
   Eval e{0.0, 0.0, 0.0};
   if (!swapped) {
-    e.ids = sign * raw.ids;
+    e.ids = sign_ * raw.ids;
     e.gm = raw.gm;
     e.gds = raw.gds;
   } else {
     // i(vgs, vds) = -raw(vgs - vds, -vds):
     //   di/dvgs = -gm_raw ; di/dvds = gm_raw + gds_raw.
-    e.ids = -sign * raw.ids;
+    e.ids = -sign_ * raw.ids;
     e.gm = -raw.gm;
     e.gds = raw.gm + raw.gds;
   }

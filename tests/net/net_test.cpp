@@ -9,13 +9,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -28,6 +32,7 @@
 #include "ppd/net/client.hpp"
 #include "ppd/net/protocol.hpp"
 #include "ppd/net/query.hpp"
+#include "ppd/net/session.hpp"
 #include "ppd/net/socket.hpp"
 #include "ppd/util/error.hpp"
 #include "ppd/util/json.hpp"
@@ -169,6 +174,39 @@ TEST(Query, DefaultsMatchDocumentedCliDefaults) {
   EXPECT_DOUBLE_EQ(sta.w_th_floor, 50e-12);
   EXPECT_DOUBLE_EQ(sta.margin, 0.25);
   EXPECT_DOUBLE_EQ(sta.slack_frac, 0.25);
+}
+
+constexpr QueryKind kAllKinds[] = {QueryKind::kTransfer, QueryKind::kCalibrate,
+                                   QueryKind::kCoverage, QueryKind::kRmin,
+                                   QueryKind::kLint,     QueryKind::kSta};
+
+TEST(Query, ReadsExactlyItsKeyTable) {
+  // The replay key digests exactly the keys query_keys(kind) lists, so the
+  // parameters must come from those keys and no others: a key read outside
+  // the table would let two different bodies share one key.
+  for (const QueryKind kind : kAllKinds) {
+    std::set<std::string> read;
+    (void)params_from_lookup(
+        kind, [&read](const std::string& key) -> std::optional<std::string> {
+          read.insert(key);
+          return std::nullopt;
+        });
+    const auto& table = query_keys(kind);
+    EXPECT_EQ(read, std::set<std::string>(table.begin(), table.end()))
+        << query_kind_name(kind);
+  }
+}
+
+TEST(Query, LeftoverKeysOfOtherKindsAreNotRead) {
+  // A malformed seed left by an earlier calibrate SET no longer breaks a
+  // transfer query, which has no seed.
+  const auto lookup = [](const std::string& key) -> std::optional<std::string> {
+    if (key == "seed" || key == "stage") return "not-a-number";
+    return std::nullopt;
+  };
+  EXPECT_NO_THROW((void)params_from_lookup(QueryKind::kTransfer, lookup));
+  EXPECT_THROW((void)params_from_lookup(QueryKind::kCalibrate, lookup),
+               ParseError);
 }
 
 /// sta parameters with one key set, as a session SET or a CLI flag would.
@@ -590,6 +628,339 @@ TEST_F(ServiceTest, ServedResponsesIdenticalWithCacheDisabled) {
 
   EXPECT_EQ(cold, uncached);
   EXPECT_EQ(cold, direct_body(QueryKind::kCoverage, kv));
+  client.quit();
+}
+
+// ---------------------------------------------------------------------------
+// Replay of repeated queries from the solve cache.
+// ---------------------------------------------------------------------------
+
+std::uint64_t replayed(Client& client, const char* kind) {
+  return json::parse(client.stats()).at("kinds").at(kind).at("replayed")
+      .as_uint();
+}
+
+TEST_F(ServiceTest, RepeatedQueryIsReplayedByteIdenticallyAcrossSessions) {
+  const auto counted_before = obs::counter("net.queries.replayed").value();
+  Client a = Client::connect(server_->port());
+  Client b = Client::connect(server_->port());
+  for (Client* c : {&a, &b}) {
+    c->set("samples", "2");
+    c->set("points", "2");
+  }
+  const Client::Result first = a.run("coverage");
+  const Client::Result same_session = a.run("coverage");
+  const Client::Result other_session = b.run("coverage");
+  ASSERT_EQ(first.status, "ok");
+  EXPECT_EQ(same_session.body, first.body);
+  EXPECT_EQ(other_session.body, first.body);
+  EXPECT_EQ(first.body, direct_body(QueryKind::kCoverage,
+                                    {{"samples", "2"}, {"points", "2"}}));
+  EXPECT_EQ(replayed(a, "coverage"), 2u);
+  EXPECT_EQ(obs::counter("net.queries.replayed").value() - counted_before, 2u);
+
+  // A replay is still an ordinary ok result with its own ids and timings.
+  const json::Value stats = json::parse(a.stats());
+  EXPECT_EQ(stats.at("kinds").at("coverage").at("ok").as_uint(), 3u);
+  EXPECT_EQ(stats.at("kinds").at("coverage").at("execute_s").at("count")
+                .as_uint(),
+            3u);
+  EXPECT_NE(same_session.qid, first.qid);
+
+  // Uploaded netlists replay too, and a lint result keeps its exit code.
+  a.upload("t.bench", kBenchText);
+  b.upload("t.bench", kBenchText);
+  const Client::Result lint_a = a.run("lint", "t.bench");
+  const Client::Result lint_b = b.run("lint", "t.bench");
+  EXPECT_EQ(lint_b.body, lint_a.body);
+  EXPECT_EQ(lint_b.exit_code, lint_a.exit_code);
+  EXPECT_EQ(replayed(a, "lint"), 1u);
+  a.quit();
+  b.quit();
+}
+
+TEST_F(ServiceTest, LeftoverKeysOfOtherKindsDoNotSplitTheKey) {
+  Client client = Client::connect(server_->port());
+  client.set("points", "3");
+  const std::string body = client.run("transfer").body;
+  client.set("seed", "11");  // a calibrate/coverage key: not in transfer's
+  EXPECT_EQ(client.run("transfer").body, body);
+  EXPECT_EQ(replayed(client, "transfer"), 1u);
+  client.quit();
+}
+
+TEST_F(ServiceTest, ChangedKeyOrUploadIsAMiss) {
+  Client client = Client::connect(server_->port());
+  client.upload("t.bench", kBenchText);
+  (void)client.run("sta", "t.bench");
+
+  // Other bytes under the same name, then the same bytes under another name.
+  const std::string other_text = std::string(kBenchText) + "z = NOT(y)\n";
+  client.upload("t.bench", other_text);
+  const Client::Result changed_bytes = client.run("sta", "t.bench");
+  client.upload("u.bench", other_text);
+  const Client::Result changed_name = client.run("sta", "u.bench");
+  client.set("clock", "2e-9");
+  const Client::Result changed_key = client.run("sta", "u.bench");
+  EXPECT_EQ(replayed(client, "sta"), 0u);
+  EXPECT_EQ(changed_bytes.status, "ok");
+  EXPECT_NE(changed_name.body, changed_bytes.body);  // names the netlist
+  EXPECT_NE(changed_key.body, changed_name.body);
+  client.quit();
+}
+
+/// Two valid values, each different from the default and from the other,
+/// for every key of every table.
+const std::map<std::string, std::pair<std::string, std::string>>&
+key_values() {
+  static const std::map<std::string, std::pair<std::string, std::string>>
+      values{{"gates", {"inv,inv", "nand2"}},
+             {"fault", {"branch", "internal-up"}},
+             {"stage", {"2", "3"}},
+             {"method", {"delay", "pulse"}},
+             {"samples", {"3", "4"}},
+             {"sigma", {"0.04", "0.03"}},
+             {"seed", {"7", "8"}},
+             {"r-lo", {"2000", "3000"}},
+             {"r-hi", {"30000", "40000"}},
+             {"points", {"3", "4"}},
+             {"csv", {"1", "0"}},
+             {"strict", {"1", "0"}},
+             {"solve-budget", {"60", "30"}},
+             {"sweep-budget", {"60", "30"}},
+             {"checkpoint", {"ck.json", "ck2.json"}},
+             {"resume", {"ck.json", "ck2.json"}},
+             {"fault-plan", {"seed=3", "seed=4"}},
+             {"quarantine-json", {"q.json", "q2.json"}},
+             {"threads", {"2", "3"}},
+             {"w-lo", {"1e-10", "2e-10"}},
+             {"w-hi", {"5e-10", "6e-10"}},
+             {"steps", {"4", "5"}},
+             {"target-coverage", {"0.9", "0.8"}},
+             {"json", {"1", "0"}},
+             {"min-severity", {"warning", "error"}},
+             {"suppress", {"PPD302", "PPD301"}},
+             {"bench", {"x.bench", "y.bench"}},
+             {"clock", {"2e-9", "3e-9"}},
+             {"k", {"3", "4"}},
+             {"w-in-max", {"1e-9", "9e-10"}},
+             {"w-th-floor", {"4e-11", "3e-11"}},
+             {"margin", {"0.3", "0.2"}},
+             {"slack-frac", {"0.3", "0.2"}}};
+  return values;
+}
+
+std::optional<ReplayKey> key_of(const Session& session, QueryKind kind,
+                                const std::string& arg,
+                                std::uint64_t deadline_ms = 0) {
+  std::optional<ReplayKey> key;
+  (void)session.make_params(kind, arg, deadline_ms, key);
+  return key;
+}
+
+TEST(ServiceReplayKey, EveryTableKeyAndTheUploadChangeTheKey) {
+  const std::set<std::string> bypass{"solve-budget", "sweep-budget",
+                                     "checkpoint",   "resume",
+                                     "fault-plan",   "quarantine-json"};
+  for (const QueryKind kind : kAllKinds) {
+    const bool uploads = kind == QueryKind::kLint || kind == QueryKind::kSta;
+    const std::string arg = uploads ? "t.bench" : "";
+    Session base("s", SessionLimits{});
+    if (uploads) base.upload(arg, kBenchText);
+    const auto base_key = key_of(base, kind, arg);
+    ASSERT_TRUE(base_key.has_value()) << query_kind_name(kind);
+    // A second session with the same config and upload shares the key.
+    Session twin("t", SessionLimits{});
+    if (uploads) twin.upload(arg, kBenchText);
+    const auto twin_key = key_of(twin, kind, arg);
+    ASSERT_TRUE(twin_key.has_value());
+    EXPECT_EQ(twin_key->key, base_key->key);
+    EXPECT_EQ(twin_key->check, base_key->check);
+    // No key at all for a deadline or with the solve cache off.
+    EXPECT_FALSE(key_of(base, kind, arg, 60000).has_value());
+    const bool was_enabled = cache::cache_enabled();
+    cache::set_cache_enabled(false);
+    EXPECT_FALSE(key_of(base, kind, arg).has_value());
+    cache::set_cache_enabled(was_enabled);
+
+    const auto& table = query_keys(kind);
+    for (const auto& [key, values] : key_values()) {
+      const auto key_with = [&](const std::string& value) {
+        Session changed("c", SessionLimits{});
+        if (uploads) changed.upload(arg, kBenchText);
+        changed.set(key, value);
+        return key_of(changed, kind, arg);
+      };
+      const auto first = key_with(values.first);
+      const auto second = key_with(values.second);
+      const std::string what = std::string(query_kind_name(kind)) + ' ' + key;
+      const bool listed =
+          std::find(table.begin(), table.end(), key) != table.end();
+      if (listed && bypass.count(key) != 0) {
+        EXPECT_FALSE(first.has_value()) << what;
+        continue;
+      }
+      ASSERT_TRUE(first.has_value() && second.has_value()) << what;
+      if (listed) {
+        // Absent, one value and another value: three different keys, and
+        // three different check digests.
+        EXPECT_NE(first->key, base_key->key) << what;
+        EXPECT_NE(first->key, second->key) << what;
+        EXPECT_NE(second->key, base_key->key) << what;
+        EXPECT_NE(first->check, base_key->check) << what;
+        EXPECT_NE(first->check, second->check) << what;
+      } else {
+        EXPECT_EQ(first->key, base_key->key) << what;
+        EXPECT_EQ(second->key, base_key->key) << what;
+      }
+    }
+    if (!uploads) continue;
+    Session other_bytes("b", SessionLimits{});
+    other_bytes.upload(arg, std::string(kBenchText) + "\n");
+    EXPECT_NE(key_of(other_bytes, kind, arg)->key, base_key->key);
+    Session other_name("n", SessionLimits{});
+    other_name.upload("u.bench", kBenchText);
+    EXPECT_NE(key_of(other_name, kind, "u.bench")->key, base_key->key);
+  }
+  // sta without an upload: the bundled netlist is replayable, a local path
+  // is not (the file can change under the key).
+  Session synthetic("y", SessionLimits{});
+  EXPECT_TRUE(key_of(synthetic, QueryKind::kSta, "").has_value());
+  synthetic.set("bench", "x.bench");
+  EXPECT_FALSE(key_of(synthetic, QueryKind::kSta, "").has_value());
+}
+
+/// Sets an environment variable (unless `value` is null) for one scope, so
+/// an assertion that returns early cannot leave it set for later tests.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value)
+      : name_(name), set_(value != nullptr) {
+    if (set_) setenv(name_, value, 1);
+  }
+  ~ScopedEnv() {
+    if (set_) unsetenv(name_);
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  bool set_;
+};
+
+TEST_F(ServiceTest, BypassConditionsNeverReplay) {
+  const std::string dir = testing::TempDir();
+  const std::string bench_path = dir + "replay_bypass.bench";
+  {
+    std::ofstream os(bench_path);
+    os << kBenchText;
+  }
+  const std::string checkpoint = dir + "replay_bypass_ck.json";
+  struct Case {
+    const char* name;
+    QueryKind kind;
+    std::vector<std::pair<std::string, std::string>> keys;
+    std::uint64_t deadline_ms = 0;
+    bool env_fault_plan = false;
+  };
+  const std::vector<std::pair<std::string, std::string>> small = {
+      {"samples", "2"}, {"points", "2"}};
+  const auto with = [&small](std::string key, std::string value) {
+    auto kv = small;
+    kv.emplace_back(std::move(key), std::move(value));
+    return kv;
+  };
+  const std::vector<Case> cases = {
+      {"deadline", QueryKind::kTransfer, {{"points", "3"}}, 60000},
+      {"solve-budget", QueryKind::kCoverage, with("solve-budget", "60")},
+      {"sweep-budget", QueryKind::kCoverage, with("sweep-budget", "60")},
+      {"rmin solve-budget", QueryKind::kRmin,
+       {{"samples", "2"}, {"steps", "2"}, {"solve-budget", "60"}}},
+      {"checkpoint", QueryKind::kCoverage, with("checkpoint", checkpoint)},
+      {"resume", QueryKind::kCoverage, with("resume", checkpoint)},
+      {"quarantine-json", QueryKind::kCoverage,
+       with("quarantine-json", dir + "replay_bypass_q.json")},
+      {"fault-plan", QueryKind::kCoverage, with("fault-plan", "seed=3")},
+      {"PPD_FAULT_PLAN", QueryKind::kCoverage, small, 0, true},
+      {"sta local path", QueryKind::kSta, {{"bench", bench_path}}},
+  };
+  for (const Case& c : cases) {
+    cache::SolveCache::global().clear();
+    const ScopedEnv env("PPD_FAULT_PLAN",
+                        c.env_fault_plan ? "seed=3" : nullptr);
+    Client client = Client::connect(server_->port());
+    for (const auto& [k, v] : c.keys) client.set(k, v);
+    const char* kind = query_kind_name(c.kind);
+    const std::uint64_t before = replayed(client, kind);
+    for (int run = 0; run < 2; ++run) {
+      const Client::Submitted sub =
+          client.submit(kind, "", Client::SubmitOptions{c.deadline_ms});
+      ASSERT_FALSE(sub.busy) << c.name;
+      EXPECT_EQ(client.wait(sub.id).status, "ok") << c.name;
+    }
+    EXPECT_EQ(replayed(client, kind), before) << c.name;
+    client.quit();
+  }
+  std::remove(bench_path.c_str());
+  std::remove(checkpoint.c_str());
+  std::remove((dir + "replay_bypass_q.json").c_str());
+}
+
+TEST_F(ServiceTest, DisabledOrClearedCacheRunsAfresh) {
+  Client client = Client::connect(server_->port());
+  client.set("points", "3");
+  const std::string body = client.run("transfer").body;
+
+  const bool was_enabled = cache::cache_enabled();
+  cache::set_cache_enabled(false);
+  EXPECT_EQ(client.run("transfer").body, body);
+  EXPECT_EQ(client.run("transfer").body, body);
+  cache::set_cache_enabled(was_enabled);
+  EXPECT_EQ(replayed(client, "transfer"), 0u);
+
+  cache::SolveCache::global().clear();
+  EXPECT_EQ(client.run("transfer").body, body);
+  EXPECT_EQ(replayed(client, "transfer"), 0u);
+  EXPECT_EQ(client.run("transfer").body, body);
+  EXPECT_EQ(replayed(client, "transfer"), 1u);
+  client.quit();
+}
+
+TEST_F(ServiceTest, ErrorResultsAreNotStored) {
+  Client client = Client::connect(server_->port());
+  client.upload("t.bench", kBenchText);
+  client.set("suppress", "PPD999");  // rejected when the query runs
+  for (int run = 0; run < 2; ++run)
+    EXPECT_EQ(client.run("sta", "t.bench").status, "error");
+  EXPECT_EQ(replayed(client, "sta"), 0u);
+
+  Session mirror("m", SessionLimits{});
+  mirror.upload("t.bench", kBenchText);
+  mirror.set("suppress", "PPD999");
+  const auto key = key_of(mirror, QueryKind::kSta, "t.bench");
+  ASSERT_TRUE(key.has_value());
+  EXPECT_FALSE(find_replay(*key).has_value());
+  client.quit();
+}
+
+TEST_F(ServiceTest, SecondDigestMismatchIsAMiss) {
+  // Plant a body under the query's cache key with another check digest:
+  // what a 64-bit collision with a different query would leave there.
+  Session mirror("m", SessionLimits{});
+  mirror.set("points", "3");
+  const auto key = key_of(mirror, QueryKind::kTransfer, "");
+  ASSERT_TRUE(key.has_value());
+  const ReplayKey other{key->key, key->check ^ 1u};
+  store_replay(other, QueryResult{"forged\n", 0});
+  ASSERT_TRUE(find_replay(other).has_value());
+  EXPECT_FALSE(find_replay(*key).has_value());
+
+  Client client = Client::connect(server_->port());
+  client.set("points", "3");
+  const Client::Result res = client.run("transfer");
+  EXPECT_EQ(res.body, direct_body(QueryKind::kTransfer, {{"points", "3"}}));
+  EXPECT_EQ(replayed(client, "transfer"), 0u);
   client.quit();
 }
 

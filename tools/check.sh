@@ -165,7 +165,9 @@ fi
 echo "== service smoke (ppdd + ppdctl over loopback) =="
 # The persistent service's contract: responses byte-identical to single-shot
 # ppdtool, a scripted session streams well-formed JSON result events, and
-# SIGTERM drains gracefully (exit 0, all in-flight queries finished).
+# SIGTERM drains gracefully (exit 0, all in-flight queries finished). A
+# repeated query is replayed from the solve cache: the second connection's
+# body is the first one's bytes, and STATS counts the replay.
 "$build/tools/ppdd" --port=0 --port-file="$obs_dir/ppdd.port" \
   --drain-grace=10 --metrics="$obs_dir/ppdd-metrics.json" \
   > "$obs_dir/ppdd.log" 2>&1 &
@@ -179,6 +181,9 @@ port="$(cat "$obs_dir/ppdd.port")"
 "$build/tools/ppdctl" --port="$port" query coverage \
   --method=pulse --samples=4 --points=3 --csv > "$obs_dir/cov-served.csv"
 cmp "$obs_dir/cov-served.csv" "$obs_dir/cov-cached.csv"
+"$build/tools/ppdctl" --port="$port" query coverage \
+  --method=pulse --samples=4 --points=3 --csv > "$obs_dir/cov-replayed.csv"
+cmp "$obs_dir/cov-replayed.csv" "$obs_dir/cov-served.csv"
 "$build/tools/ppdctl" --port="$port" batch > "$obs_dir/batch.out" <<'BATCH'
 set points 5
 query transfer
@@ -200,7 +205,8 @@ if command -v jq >/dev/null 2>&1; then
   "$build/tools/ppdctl" --port="$port" stats |
     jq -e '.server.queries_ok >= 3 and .server.queries_error == 0 and
            .cache.entries >= 0 and
-           .kinds.coverage.ok >= 1 and
+           .kinds.coverage.ok >= 2 and
+           .kinds.coverage.replayed >= 1 and
            .kinds.transfer.execute_s.count >= 1' >/dev/null
   # SUBSCRIBE streams consecutive metrics frames with increasing seq and an
   # embedded stats document.
@@ -225,6 +231,25 @@ grep -q "ppdd stopped" "$obs_dir/ppdd.log"
 if command -v jq >/dev/null 2>&1; then
   jq -e '.counters["net.queries.ok"] >= 3' \
     "$obs_dir/ppdd-metrics.json" >/dev/null
+  # With the cache killed (PPD_CACHE=0) the same repeat runs in full.
+  PPD_CACHE=0 "$build/tools/ppdd" --port=0 --port-file="$obs_dir/nocache.port" \
+    --drain-grace=10 > "$obs_dir/nocache-ppdd.log" 2>&1 &
+  nocache_pid=$!
+  for _ in $(seq 1 50); do
+    [ -s "$obs_dir/nocache.port" ] && break
+    sleep 0.1
+  done
+  nocache_port="$(cat "$obs_dir/nocache.port")"
+  for _ in 1 2; do
+    "$build/tools/ppdctl" --port="$nocache_port" query coverage \
+      --method=pulse --samples=4 --points=3 --csv |
+      cmp - "$obs_dir/cov-served.csv"
+  done
+  "$build/tools/ppdctl" --port="$nocache_port" stats |
+    jq -e '.kinds.coverage.ok == 2 and .kinds.coverage.replayed == 0' \
+    >/dev/null
+  kill -TERM "$nocache_pid"
+  wait "$nocache_pid"
 fi
 
 echo "== service chaos stage (fault-injecting proxy over the wire) =="
