@@ -105,6 +105,12 @@ struct TransferCurve {
   std::size_t n_failed = 0;    ///< number of failed points
 };
 
+/// One point of the transfer function: w_out for `w_in`, 0 when the pulse is
+/// dampened, NaN when the solve failed (a NumericalError, counted in
+/// `core.transfer.failures`).
+[[nodiscard]] double transfer_point(cells::Path& path, PulseKind kind,
+                                    double w_in, const SimSettings& sim);
+
 [[nodiscard]] TransferCurve transfer_function(cells::Path& path, PulseKind kind,
                                               const std::vector<double>& w_in_grid,
                                               const SimSettings& sim);

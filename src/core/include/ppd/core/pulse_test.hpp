@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -27,8 +28,6 @@ struct PulseTestCalibration {
   PulseKind kind = PulseKind::kH;
   /// Worst-case (smallest) fault-free output width at w_in over the MC set.
   double min_fault_free_w_out = 0.0;
-  /// Nominal transfer curve used during calibration (Fig. 10 raw data).
-  TransferCurve nominal_curve;
 };
 
 struct PulseCalibrationOptions {
@@ -58,6 +57,7 @@ struct PulseCalibrationOptions {
 };
 
 /// Monte-Carlo calibration for `factory`'s path (built fault-free).
+/// Every option is validated (PreconditionError) before the first transient.
 /// Throws NumericalError when no grid point satisfies the constraints.
 [[nodiscard]] PulseTestCalibration calibrate_pulse_test(
     const PathFactory& factory, const PulseCalibrationOptions& options);
@@ -71,6 +71,17 @@ struct PulseCalibrationOptions {
 /// the first grid point from which every local slope stays within
 /// `slope_tolerance` of the ideal slope 1 (the attenuation region has
 /// slopes > 1), or nullopt when the curve never straightens.
+/// `w_out_at(i)` yields w_out at grid index i (0 dampened, NaN failed). The
+/// rule walks down from the top of the grid and calls it once per index,
+/// from n-1 to the lower point of the first segment outside the band, so a
+/// caller can measure lazily. The tolerance and the grid's order are
+/// checked before the first call.
+[[nodiscard]] std::optional<std::size_t> asymptotic_onset(
+    const std::vector<double>& w_in_grid,
+    const std::function<double(std::size_t)>& w_out_at,
+    double slope_tolerance);
+
+/// The same rule over an already measured curve.
 [[nodiscard]] std::optional<std::size_t> asymptotic_onset(
     const TransferCurve& curve, double slope_tolerance);
 

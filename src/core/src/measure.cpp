@@ -212,6 +212,19 @@ std::optional<double> output_pulse_width(cells::Path& path, PulseKind kind,
   return width;
 }
 
+double transfer_point(cells::Path& path, PulseKind kind, double w_in,
+                      const SimSettings& sim) {
+  // A dampened pulse (nullopt -> 0) is a physical result; a solver failure
+  // is not. Conflating them used to record a diverged solve as w_out = 0 —
+  // indistinguishable from perfect attenuation — so a failure reads as NaN.
+  try {
+    return output_pulse_width(path, kind, w_in, sim).value_or(0.0);
+  } catch (const NumericalError&) {
+    obs::counter("core.transfer.failures").add();
+    return std::numeric_limits<double>::quiet_NaN();
+  }
+}
+
 TransferCurve transfer_function(cells::Path& path, PulseKind kind,
                                 const std::vector<double>& w_in_grid,
                                 const SimSettings& sim) {
@@ -220,21 +233,11 @@ TransferCurve transfer_function(cells::Path& path, PulseKind kind,
   curve.w_out.reserve(w_in_grid.size());
   curve.failed.reserve(w_in_grid.size());
   for (double w : w_in_grid) {
-    // A dampened pulse (nullopt -> 0) is a physical result; a solver
-    // failure is not. Conflating them used to record a diverged solve as
-    // w_out = 0 — indistinguishable from perfect attenuation — so failures
-    // now carry NaN plus an explicit flag and the curve stays usable for
-    // the surviving points.
-    try {
-      const auto out = output_pulse_width(path, kind, w, sim);
-      curve.w_out.push_back(out.value_or(0.0));
-      curve.failed.push_back(0);
-    } catch (const NumericalError&) {
-      curve.w_out.push_back(std::numeric_limits<double>::quiet_NaN());
-      curve.failed.push_back(1);
-      ++curve.n_failed;
-      obs::counter("core.transfer.failures").add();
-    }
+    const double out = transfer_point(path, kind, w, sim);
+    const bool failed = std::isnan(out);
+    curve.w_out.push_back(out);
+    curve.failed.push_back(failed ? 1 : 0);
+    if (failed) ++curve.n_failed;
   }
   return curve;
 }

@@ -387,6 +387,12 @@ cmp "$obs_dir/coverage_bridge_pulse.csv" "$golden/coverage_bridge_pulse.csv"
 cmp "$obs_dir/coverage_bridge_delay.csv" "$golden/coverage_bridge_delay.csv"
 "$build/tools/ppdtool" calibrate --samples=4 > "$obs_dir/calibrate.txt"
 cmp "$obs_dir/calibrate.txt" "$golden/calibrate.txt"
+# A long mixed path: calibration's top-down walk of the nominal curve stops
+# at grid point 7 of 15 here, where the default path reads all but 2.
+"$build/tools/ppdtool" calibrate --samples=4 \
+  --gates=nand2,nor3,nand3,nand3,nor2,nor2,nand2,nand2 \
+  > "$obs_dir/calibrate_long.txt"
+cmp "$obs_dir/calibrate_long.txt" "$golden/calibrate_long.txt"
 # The .bench front end's contract: lint findings, the netlist's net ids
 # (which order STA paths and ATPG tests) and everything built on them stay
 # byte-identical. Run from the repo root: the outputs name the input path.
