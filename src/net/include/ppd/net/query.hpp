@@ -19,7 +19,9 @@
 #include <string>
 #include <vector>
 
+#include "ppd/cells/netlist.hpp"
 #include "ppd/exec/cancel.hpp"
+#include "ppd/faults/fault.hpp"
 #include "ppd/util/cli.hpp"
 
 namespace ppd::net {
@@ -32,6 +34,14 @@ inline constexpr std::size_t kQueryKindCount = 6;
 /// (case-insensitive); throws ppd::ParseError otherwise.
 [[nodiscard]] QueryKind query_kind_from_string(const std::string& s);
 [[nodiscard]] const char* query_kind_name(QueryKind kind);
+
+/// Parse a comma-separated gate list ("inv,nand2,..."; case-insensitive);
+/// "" is the seven-gate path. Throws ppd::ParseError on an unknown gate.
+[[nodiscard]] std::vector<cells::GateKind> gates_from_spec(const std::string& spec);
+
+/// Parse "external" / "branch" / "internal-up" / "internal-down" / "bridge"
+/// (case-insensitive); throws ppd::ParseError otherwise.
+[[nodiscard]] faults::FaultKind fault_kind_from_string(const std::string& s);
 
 struct QueryParams {
   // Path / fault selection (transfer, calibrate, coverage, rmin).

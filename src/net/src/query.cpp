@@ -33,26 +33,6 @@ cells::GateKind gate_kind_from_string(const std::string& s) {
                    " (use inv|nand2|nand3|nor2|nor3|aoi21|oai21)");
 }
 
-faults::FaultKind fault_kind_from_string(const std::string& s) {
-  using util::iequals;
-  if (iequals(s, "external")) return faults::FaultKind::kExternalRopOutput;
-  if (iequals(s, "branch")) return faults::FaultKind::kExternalRopBranch;
-  if (iequals(s, "internal-up")) return faults::FaultKind::kInternalRopPullUp;
-  if (iequals(s, "internal-down"))
-    return faults::FaultKind::kInternalRopPullDown;
-  if (iequals(s, "bridge")) return faults::FaultKind::kBridge;
-  throw ParseError("unknown fault kind: " + s +
-                   " (use external|branch|internal-up|internal-down|bridge)");
-}
-
-std::vector<cells::GateKind> gates_from_spec(const std::string& spec) {
-  if (spec.empty()) return cells::seven_gate_path().kinds;
-  std::vector<cells::GateKind> kinds;
-  for (const auto& tok : util::split(spec, ','))
-    kinds.push_back(gate_kind_from_string(std::string(util::trim(tok))));
-  return kinds;
-}
-
 core::PathFactory factory_from(const QueryParams& p, bool with_fault) {
   core::PathFactory f;
   f.options.kinds = gates_from_spec(p.gates);
@@ -111,6 +91,26 @@ struct Lookup {
 };
 
 }  // namespace
+
+faults::FaultKind fault_kind_from_string(const std::string& s) {
+  using util::iequals;
+  if (iequals(s, "external")) return faults::FaultKind::kExternalRopOutput;
+  if (iequals(s, "branch")) return faults::FaultKind::kExternalRopBranch;
+  if (iequals(s, "internal-up")) return faults::FaultKind::kInternalRopPullUp;
+  if (iequals(s, "internal-down"))
+    return faults::FaultKind::kInternalRopPullDown;
+  if (iequals(s, "bridge")) return faults::FaultKind::kBridge;
+  throw ParseError("unknown fault kind: " + s +
+                   " (use external|branch|internal-up|internal-down|bridge)");
+}
+
+std::vector<cells::GateKind> gates_from_spec(const std::string& spec) {
+  if (spec.empty()) return cells::seven_gate_path().kinds;
+  std::vector<cells::GateKind> kinds;
+  for (const auto& tok : util::split(spec, ','))
+    kinds.push_back(gate_kind_from_string(std::string(util::trim(tok))));
+  return kinds;
+}
 
 QueryKind query_kind_from_string(const std::string& s) {
   using util::iequals;

@@ -22,18 +22,16 @@
 // so a device whose values cannot have changed need not restamp (see
 // analysis.cpp).
 //
-// Change tracking is two flags: set() / set_rhs() store unconditionally
-// and, without a branch, note whether the stored bits differ. That is all
-// the solve shortcuts need. An unchanged matrix means
-// the live factorization is still THE factorization of these values, so
-// only the rhs is re-solved; unchanged matrix and rhs mean the previous
-// solution is this solve's result (same bits in, same bits out of a
-// deterministic solver). Which cell changed never matters, because every
-// solve re-sums every cell: at the paper's sizes nearly all of them change
-// on every Newton iteration anyway.
+// A stamp is one store, and every solve does the same work: re-sum, refactor,
+// substitute. There is no change tracking and no solve shortcut: on the
+// paper's circuits every MOSFET moves on every Newton iteration, so a
+// shortcut that reuses the factorization of an unchanged matrix never fires
+// there, while tracking changes puts a load and compare on every stamp.
+// Refactoring bitwise-equal values is deterministic, so the result is the
+// same bits either way. Linear circuits (only tests build them) pay for
+// this: they too factor on every Newton iteration.
 #pragma once
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -70,45 +68,26 @@ class MnaSystem {
   void freeze();
 
   /// Set the value of a bound matrix slot (its contribution to the cell it
-  /// was bound to). Frozen systems only. Small enough to inline into every
-  /// stamp; the sink's writes never count as a change.
-  void set(MnaSlot s, double value) {
-    matrix_changed_ |= (s != kSinkSlot) & !bits_equal(val_[s], value);
-    val_[s] = value;
-  }
+  /// was bound to). Frozen systems only. One store, inlined into every
+  /// stamp; the sink's value is never read.
+  void set(MnaSlot s, double value) { val_[s] = value; }
 
   /// Set the value of a bound rhs slot. Frozen systems only.
-  void set_rhs(MnaSlot s, double value) {
-    rhs_changed_ |= (s != kSinkSlot) & !bits_equal(rhs_val_[s], value);
-    rhs_val_[s] = value;
-  }
+  void set_rhs(MnaSlot s, double value) { rhs_val_[s] = value; }
 
-  /// Factorize and solve into `x` (resized). Throws NumericalError on
-  /// singularity. Allocation-free after the first call; a changed matrix
-  /// is summed into the factor buffer and factorized there in place.
+  /// Sum every cell into the factor buffer, factorize it in place and solve
+  /// into `x` (resized). Throws NumericalError on singularity.
+  /// Allocation-free after the first call.
   void solve_into(std::vector<double>& x);
 
   [[nodiscard]] std::size_t unknowns() const { return n_; }
 
-  /// Solve disposition counters: how many solve_into() calls refactorized,
-  /// rebuilt only the rhs against the previous factorization, or returned
-  /// the cached solution outright.
-  struct SolveStats {
-    std::uint64_t refactored = 0;
-    std::uint64_t rhs_only = 0;
-    std::uint64_t cached = 0;
-  };
-  [[nodiscard]] const SolveStats& solve_stats() const { return stats_; }
-  /// Learned-pattern vs full-loop factors.
+  /// Learned-pattern vs full-loop factors: one per solve_into() call.
   [[nodiscard]] const linalg::DenseLuWorkspace::Stats& lu_stats() const {
     return dlw_.stats();
   }
 
  private:
-  [[nodiscard]] static bool bits_equal(double a, double b) {
-    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-  }
-
   std::size_t n_;
   bool frozen_ = false;
   // Bound matrix sequence: slot s >= 1 is entry (trip_row_[s], trip_col_[s])
@@ -119,18 +98,11 @@ class MnaSystem {
   std::vector<double> rhs_val_;
 
   std::vector<std::size_t> cell_offset_;  // cell -> column-major offset
-  linalg::DenseMatrix dense_;      // factor buffer, re-summed every refactor
+  linalg::DenseMatrix dense_;      // factor buffer, re-summed every solve
   std::vector<double> rhs_;
   std::vector<std::size_t> cell_ptr_, cell_src_;  // cell -> slots, in order
   std::vector<std::size_t> rhs_ptr_, rhs_src_;    // row -> rhs slots, in order
-  // A non-sink slot's bits changed since the last solve.
-  bool matrix_changed_ = false;
-  bool rhs_changed_ = false;
-  bool factor_ok_ = false;        // dense_ holds a live factorization
-  bool solve_cached_ = false;     // cached_x_ matches current values
-  std::vector<double> cached_x_;
   linalg::DenseLuWorkspace dlw_;
-  SolveStats stats_;
 };
 
 }  // namespace ppd::spice

@@ -663,10 +663,6 @@ TransientResult run_transient(
     obs::counter("spice.transient.steps").add(result.steps);
     if (stopped) obs::counter("spice.transient.decided").add();
     obs::counter("spice.transient.rejected_steps").add(result.rejected_steps);
-    const MnaSystem::SolveStats& solves = sys.mna.solve_stats();
-    obs::counter("spice.mna.refactored").add(solves.refactored);
-    obs::counter("spice.mna.rhs_only").add(solves.rhs_only);
-    obs::counter("spice.mna.cached").add(solves.cached);
     const auto& lu = sys.mna.lu_stats();
     obs::counter("spice.lu.pattern_factors").add(lu.pattern);
     obs::counter("spice.lu.full_factors").add(lu.full);

@@ -87,13 +87,6 @@ void MnaSystem::freeze() {
 
 void MnaSystem::solve_into(std::vector<double>& x) {
   PPD_REQUIRE(frozen_, "solve_into() before freeze()");
-  // No slot changed bits since the last solve: this is bitwise the same
-  // system, so the last solution IS this solve's result.
-  if (!matrix_changed_ && !rhs_changed_ && solve_cached_) {
-    ++stats_.cached;
-    x = cached_x_;
-    return;
-  }
   // A from-scratch += assemble sums each row and cell from +0.0.
   for (std::size_t r = 0; r < n_; ++r) {
     double acc = 0.0;
@@ -101,32 +94,18 @@ void MnaSystem::solve_into(std::vector<double>& x) {
       acc += rhs_val_[rhs_src_[k]];
     rhs_[r] = acc;
   }
-  rhs_changed_ = false;
-  // An unchanged matrix re-solves against the factorization already in
-  // dense_ — the factors of bitwise these values.
-  if (matrix_changed_ || !factor_ok_) {
-    ++stats_.refactored;
-    matrix_changed_ = false;
-    factor_ok_ = false;
-    solve_cached_ = false;
-    // The in-place factorization consumed the last sums: clear its
-    // positions and sum every cell again.
-    dlw_.clear(dense_);
-    double* d = dense_.data();
-    for (std::size_t c = 0; c < cell_offset_.size(); ++c) {
-      double acc = 0.0;
-      for (std::size_t k = cell_ptr_[c]; k < cell_ptr_[c + 1]; ++k)
-        acc += val_[cell_src_[k]];
-      d[cell_offset_[c]] = acc;
-    }
-    dlw_.factor(dense_);
-    factor_ok_ = true;
-  } else {
-    ++stats_.rhs_only;
+  // The in-place factorization consumed the last sums: clear its positions
+  // and sum every cell again.
+  dlw_.clear(dense_);
+  double* d = dense_.data();
+  for (std::size_t c = 0; c < cell_offset_.size(); ++c) {
+    double acc = 0.0;
+    for (std::size_t k = cell_ptr_[c]; k < cell_ptr_[c + 1]; ++k)
+      acc += val_[cell_src_[k]];
+    d[cell_offset_[c]] = acc;
   }
+  dlw_.factor(dense_);
   dlw_.solve_into(rhs_, x);
-  cached_x_ = x;
-  solve_cached_ = true;
 }
 
 }  // namespace ppd::spice

@@ -4,7 +4,8 @@
 // must reproduce exactly the step counts and every recorded (t, v) sample
 // bit for bit. The hash is FNV-1a over the samples' bit patterns, so any
 // change to assembly order, factorization, bypass or step control that
-// moves one ulp fails here.
+// moves one ulp fails here. A transient on the paper's 7-gate path also
+// factors exactly once per Newton iteration.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,6 +13,7 @@
 
 #include "ppd/cache/hash.hpp"
 #include "ppd/core/measure.hpp"
+#include "ppd/obs/metrics.hpp"
 #include "ppd/spice/analysis.hpp"
 
 namespace ppd::spice {
@@ -89,6 +91,26 @@ TEST(EnginePin, AdaptiveLte) {
   opt.adaptive = true;
   opt.step_control = StepControl::kLte;
   expect_pinned(opt, {408, 1168, 48, 0xa80e1169490b1183ull});
+}
+
+TEST(EnginePin, SevenGatePathFactorsOncePerNewtonIteration) {
+  core::PathFactory f;
+  f.options = cells::seven_gate_path();
+  core::PathInstance inst = core::make_instance(f, 0.0, nullptr);
+  inst.path.drive_pulse(/*positive=*/true, /*width=*/0.3e-9,
+                        /*t_launch=*/0.2e-9);
+  TransientOptions opt = base_options();
+  opt.adaptive = true;
+
+  const auto factors = [] {
+    return obs::counter("spice.lu.pattern_factors").value() +
+           obs::counter("spice.lu.full_factors").value();
+  };
+  ASSERT_TRUE(obs::metrics_enabled());
+  const std::uint64_t factors0 = factors();
+  const TransientResult r = run_transient(inst.path.netlist().circuit(), opt);
+  EXPECT_GT(r.newton_iterations, r.steps);
+  EXPECT_EQ(factors() - factors0, r.newton_iterations);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Linear-circuit validation against closed-form solutions: voltage divider,
 // RC step response, RC discharge, and a 302-unknown RC ladder against
-// reference samples; plus the linear-circuit solve shortcuts inside a
+// reference samples; plus one factorization per Newton iteration inside a
 // transient.
 #include <gtest/gtest.h>
 
@@ -178,12 +178,11 @@ TEST(Transient, LargeRcLadderMatchesReferenceSamples) {
     EXPECT_NEAR(r.wave(s.node).at(s.t), s.v, 1e-9) << s.node << " t=" << s.t;
 }
 
-TEST(Transient, LinearLadderRefactorsOncePerStepSize) {
-  // A linear circuit's matrix depends on the step size alone. A fixed-step
-  // transient must factor once per distinct h — here dt, then the half step
-  // that lands on t_stop (both exact in binary, so no rounding sliver) — and
-  // answer every other solve against the live factorization (new companion
-  // rhs) or with the cached solution (an unchanged system).
+TEST(Transient, LinearLadderFactorsOncePerNewtonIteration) {
+  // Every solve refactors, linear circuits included: the LU's pattern and
+  // full-loop factors add up to the transient's Newton iterations. A fixed
+  // step of dt then the half step that lands on t_stop (both exact in
+  // binary, so no rounding sliver) pins the step and iteration counts.
   Circuit c;
   const NodeId vin = c.node("vin");
   Pulse p;
@@ -205,25 +204,18 @@ TEST(Transient, LinearLadderRefactorsOncePerStepSize) {
 
   const auto count = [](const char* name) { return obs::counter(name).value(); };
   ASSERT_TRUE(obs::metrics_enabled());
-  const std::uint64_t refactored0 = count("spice.mna.refactored");
-  const std::uint64_t rhs_only0 = count("spice.mna.rhs_only");
-  const std::uint64_t cached0 = count("spice.mna.cached");
+  const auto factors = [&] {
+    return count("spice.lu.pattern_factors") + count("spice.lu.full_factors");
+  };
+  const std::uint64_t factors0 = factors();
   const TransientResult r = run_transient(c, opt);
-  const std::uint64_t refactored = count("spice.mna.refactored") - refactored0;
-  const std::uint64_t rhs_only = count("spice.mna.rhs_only") - rhs_only0;
-  const std::uint64_t cached = count("spice.mna.cached") - cached0;
 
   EXPECT_EQ(r.steps, 129u);
   EXPECT_EQ(r.rejected_steps, 0u);
-  EXPECT_EQ(refactored, 2u);
-  EXPECT_EQ(refactored + rhs_only + cached, r.newton_iterations);
-  // A moving step solves its new companion rhs, then sees the same system
-  // once more and confirms convergence from the cached solution. Until the
-  // pulse arrives the ladder rests at its operating point: the first step
-  // (a fresh factor) converges at once, and the next 12 see an unchanged
-  // system on their only solve.
-  EXPECT_EQ(rhs_only, 115u);
-  EXPECT_EQ(cached, 128u);
+  // The 13 steps before the pulse arrives take one Newton iteration each,
+  // every later step two.
+  EXPECT_EQ(r.newton_iterations, 245u);
+  EXPECT_EQ(factors() - factors0, r.newton_iterations);
 }
 
 TEST(Transient, RejectsBadOptions) {

@@ -293,11 +293,14 @@ echo "== crash recovery stage (kill -9, --recover, RESUME re-issue) =="
 # from its journal with --recover, and re-joined by the same ppdctl batch
 # (RESUME + idempotent re-issue by qid) yields a result set byte-identical
 # to an uninterrupted run — with no query executed twice.
-# transfer answers fast (the kill trigger); the heavier coverage sweep
-# behind it is where the SIGKILL lands mid-execution.
+# transfer answers fast (the kill trigger). The coverage sweep behind it
+# runs under a delay-only fault plan: each of its 20 items sleeps 50 ms
+# first (same bytes, ~1 s), so the SIGKILL lands mid-execution by
+# construction, never after the whole batch has answered.
 cat > "$obs_dir/recover.batch" <<'BATCH'
 set points 5
 set samples 4
+set fault-plan seed=1,delay=1:0.05
 query transfer
 query coverage
 query calibrate
@@ -327,18 +330,30 @@ for _ in $(seq 1 100); do
 done
 kill -KILL "$rec_pid"
 wait "$rec_pid" 2>/dev/null || true
+# A dead server sends nothing more, so fewer than 3 results now means the
+# kill landed mid-batch.
+arrived="$(grep -c '"event":"result"' "$obs_dir/rec-results.out" || true)"
+if [ "$arrived" -lt 1 ] || [ "$arrived" -ge 3 ]; then
+  echo "crash recovery stage: the kill landed after $arrived of 3 results," \
+    "not mid-batch" >&2
+  kill -KILL "$batch_pid" 2>/dev/null || true
+  exit 1
+fi
 # Restart on the same port from the journal; the ppdctl batch (still
 # retrying in the background) RESUMEs its session and re-issues whatever
-# was never acknowledged.
+# was never acknowledged. A failing check below must not leave the
+# restarted server or the client behind.
 "$build/tools/ppdd" --port="$rec_port" \
   --journal="$obs_dir/ppdd.journal" --recover --drain-grace=10 \
   > "$obs_dir/rec-ppdd2.log" 2>&1 &
 rec2_pid=$!
+trap 'kill -KILL "$rec2_pid" "$batch_pid" 2>/dev/null || true; rm -rf "$obs_dir"' EXIT
 wait "$batch_pid"
 # Byte-identity of the two result sets, and at-most-once execution of the
 # pre-crash query on the recovered instance (its per-kind accepted counter
 # must not move — an acked qid is redelivered, never re-run).
-"$build/tools/ppdctl" --port="$rec_port" stats > "$obs_dir/rec-stats.json"
+"$build/tools/ppdctl" --port="$rec_port" --retries=15 --retry-backoff=0.3 \
+  stats > "$obs_dir/rec-stats.json"
 python3 - "$obs_dir/ref-results.out" "$obs_dir/rec-results.out" \
   "$obs_dir/rec-stats.json" <<'PYEOF'
 import json, sys
@@ -362,6 +377,7 @@ print("recovery OK: %d results byte-identical, no duplicate execution" % len(rec
 PYEOF
 kill -TERM "$rec2_pid"
 wait "$rec2_pid"
+trap 'rm -rf "$obs_dir"' EXIT
 
 echo "== golden stage (ppdtool output byte-identical to tests/golden) =="
 # The transient engine's end-to-end contract: restructuring the engine
@@ -393,6 +409,11 @@ cmp "$obs_dir/calibrate.txt" "$golden/calibrate.txt"
   --gates=nand2,nor3,nand3,nand3,nor2,nor2,nand2,nand2 \
   > "$obs_dir/calibrate_long.txt"
 cmp "$obs_dir/calibrate_long.txt" "$golden/calibrate_long.txt"
+# The SPICE deck of the default path and of a short faulty one (branch ROP
+# at stage 1, 5 kOhm): gate and fault names parse through ppd::net's tables.
+"$build/tools/ppdtool" export | cmp - "$golden/export_default.sp"
+"$build/tools/ppdtool" export --gates=nand2,nor2,inv --fault=branch \
+  --stage=1 --r=5e3 | cmp - "$golden/export_branch.sp"
 # The .bench front end's contract: lint findings, the netlist's net ids
 # (which order STA paths and ATPG tests) and everything built on them stay
 # byte-identical. Run from the repo root: the outputs name the input path.
@@ -462,8 +483,8 @@ for san in thread undefined; do
     done
   fi
   # The frozen transient engine driven across exec lanes — one circuit and
-  # MnaSystem per sample, nothing shared — under the race detector (and
-  # UBSan for the bit-punning change flags).
+  # MnaSystem per sample, nothing shared — under the race detector and
+  # UBSan.
   echo "-- $san: test_core (transient engine across lanes)"
   "$sbuild/tests/test_core" \
     --gtest_filter='PulseCoverageThreads.*:DelayCoverageThreads.*:RminThreads.*' \

@@ -387,9 +387,8 @@ int cmd_batch(net::Client& client, const Endpoint& ep) {
         // The value is everything after the key, verbatim.
         const auto key_pos = line.find(words[1], line.find(words[0]) +
                                                      words[0].size());
-        const auto value =
-            util::trim(line.substr(key_pos + words[1].size()));
-        client.set(words[1], std::string(value));
+        const std::string rest = line.substr(key_pos + words[1].size());
+        client.set(words[1], std::string(util::trim(rest)));
       } else if (util::iequals(cmd, "upload") && words.size() == 3) {
         client.upload(words[1], slurp_file(words[2]));
       } else if (util::iequals(cmd, "query") && words.size() >= 2) {

@@ -86,40 +86,6 @@ namespace {
 
 using namespace ppd;
 
-cells::GateKind kind_from_string(const std::string& s) {
-  using util::iequals;
-  if (iequals(s, "inv")) return cells::GateKind::kInv;
-  if (iequals(s, "nand2")) return cells::GateKind::kNand2;
-  if (iequals(s, "nand3")) return cells::GateKind::kNand3;
-  if (iequals(s, "nor2")) return cells::GateKind::kNor2;
-  if (iequals(s, "nor3")) return cells::GateKind::kNor3;
-  if (iequals(s, "aoi21")) return cells::GateKind::kAoi21;
-  if (iequals(s, "oai21")) return cells::GateKind::kOai21;
-  throw ppd::ParseError("unknown gate kind: " + s +
-                   " (use inv|nand2|nand3|nor2|nor3|aoi21|oai21)");
-}
-
-faults::FaultKind fault_from_string(const std::string& s) {
-  using util::iequals;
-  if (iequals(s, "external")) return faults::FaultKind::kExternalRopOutput;
-  if (iequals(s, "branch")) return faults::FaultKind::kExternalRopBranch;
-  if (iequals(s, "internal-up")) return faults::FaultKind::kInternalRopPullUp;
-  if (iequals(s, "internal-down"))
-    return faults::FaultKind::kInternalRopPullDown;
-  if (iequals(s, "bridge")) return faults::FaultKind::kBridge;
-  throw ppd::ParseError("unknown fault kind: " + s +
-                   " (use external|branch|internal-up|internal-down|bridge)");
-}
-
-std::vector<cells::GateKind> gates_from_cli(const util::Cli& cli) {
-  const std::string spec = cli.get("gates", std::string());
-  if (spec.empty()) return cells::seven_gate_path().kinds;
-  std::vector<cells::GateKind> kinds;
-  for (const auto& tok : util::split(spec, ','))
-    kinds.push_back(kind_from_string(std::string(util::trim(tok))));
-  return kinds;
-}
-
 logic::Netlist netlist_from_cli(const util::Cli& cli) {
   const std::string file = cli.get("bench", std::string());
   if (file.empty()) return logic::synthetic_benchmark(logic::SyntheticOptions{});
@@ -254,11 +220,12 @@ int cmd_atpg(int argc, char** argv) {
 int cmd_export(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"gates", "fault", "stage", "r", "width"});
   core::PathFactory f;
-  f.options.kinds = gates_from_cli(cli);
+  f.options.kinds = net::gates_from_spec(cli.get("gates", std::string()));
   const double r = cli.get("r", 0.0);
   if (r > 0.0) {
     faults::PathFaultSpec spec;
-    spec.kind = fault_from_string(cli.get("fault", std::string("external")));
+    spec.kind =
+        net::fault_kind_from_string(cli.get("fault", std::string("external")));
     spec.stage = static_cast<std::size_t>(cli.get("stage", 1));
     f.fault = spec;
   }
