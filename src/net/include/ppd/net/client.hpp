@@ -1,6 +1,8 @@
 // Client side of the ppdd protocol, shared by ppdctl, the service load
 // bench and the tests: one CONTROL connection for commands plus one DATA
 // connection streaming result events, wrapped behind submit/wait calls.
+// A Client is one server session: after a lost connection, connect() again
+// and re-send the SETs and UPLOADs before re-issuing queries.
 #pragma once
 
 #include <cstdint>
@@ -8,7 +10,6 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "ppd/net/socket.hpp"
 
@@ -27,20 +28,6 @@ class Client {
   /// data channel. Throws NetError / ServiceError.
   [[nodiscard]] static Client connect(std::uint16_t port);
 
-  /// Reconnect to a detached session on a journal-backed server: RESUME
-  /// <token> on a fresh control connection, then attach the data channel
-  /// under the old token. acked_ids() reports which qids the server already
-  /// delivered — re-issue the rest with SubmitOptions::id for idempotent
-  /// recovery. Throws ServiceError when the token is not resumable.
-  [[nodiscard]] static Client resume(std::uint16_t port,
-                                     const std::string& token);
-
-  /// Qids the server reported as already delivered in the RESUME reply
-  /// (empty for a fresh connect()).
-  [[nodiscard]] const std::vector<std::uint64_t>& acked_ids() const {
-    return acked_ids_;
-  }
-
   Client(Client&&) = default;
   Client& operator=(Client&&) = default;
 
@@ -54,8 +41,6 @@ class Client {
 
   struct Submitted {
     bool busy = false;    ///< true = backpressure/shed, nothing queued
-    bool cached = false;  ///< re-issued acked id: result redelivered, no run
-    bool duplicate = false;  ///< re-issued id already in flight
     std::uint64_t id = 0;
     std::string reply;  ///< raw reply line ("BUSY shed ..." vs plain BUSY)
   };
@@ -63,11 +48,8 @@ class Client {
     /// Deadline for the whole query, counted from admission; expired
     /// queries report status "expired" instead of executing. 0 = none.
     std::uint64_t deadline_ms = 0;
-    /// Re-issue this qid idempotently (recovery): an acked id is answered
-    /// from the journal, an in-flight one is deduped. 0 = fresh query.
-    std::uint64_t id = 0;
   };
-  /// QUERY <kind> [<arg>] [deadline_ms=N] [id=N]. BUSY is a value
+  /// QUERY <kind> [<arg>] [deadline_ms=N]. BUSY is a value
   /// (backpressure is a protocol outcome, not a failure); ERR throws
   /// ServiceError.
   [[nodiscard]] Submitted submit(const std::string& kind,
@@ -125,8 +107,6 @@ class Client {
 
  private:
   Client() = default;
-  static Client connect_impl(std::uint16_t port,
-                             const std::string& resume_token);
   /// One control round trip; throws ServiceError on ERR or closed stream.
   std::string command(const std::string& line);
 
@@ -135,7 +115,6 @@ class Client {
   std::string session_;
   bool drained_ = false;
   std::map<std::uint64_t, Result> pending_;
-  std::vector<std::uint64_t> acked_ids_;
 };
 
 }  // namespace ppd::net

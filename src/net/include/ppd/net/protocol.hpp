@@ -11,34 +11,24 @@
 //   SET <key> <value>           -> OK | ERR <msg>
 //   UPLOAD <name> <nbytes>\n<raw bytes>
 //                               -> OK upload <name> <nbytes> | ERR <msg>
-//   QUERY <kind> [<arg>] [deadline_ms=<N>] [id=<N>]
-//                               -> OK <id> | OK <id> cached | OK <id> dup
-//                                | BUSY[ <reason>] | ERR <msg>
+//   QUERY <kind> [<arg>] [deadline_ms=<N>]
+//                               -> OK <id> | BUSY[ <reason>] | ERR <msg>
 //                                  kind: transfer|calibrate|coverage|rmin|lint
 //                                  deadline_ms: if the query is still queued
 //                                  when the deadline (measured from admission)
 //                                  elapses, it is never executed and its
 //                                  result event carries status "expired".
-//                                  id: client-chosen re-issue id for crash
-//                                  recovery — an id the server has already
-//                                  acknowledged answers "OK <id> cached"
-//                                  without re-executing; an id still in
-//                                  flight answers "OK <id> dup".
-//   RESUME <token>              -> OK resume <token> next <N> acked <ids|->
-//                                  re-binds this control connection to a
-//                                  journaled session after a disconnect or a
-//                                  server restart with --recover; must come
-//                                  before any QUERY on the connection. <N> is
-//                                  the resumed session's accepted-query count
-//                                  (the next re-issue id to use) and <ids> the
-//                                  comma-separated acked ids a client must not
-//                                  re-execute.
+//                                  <id> is session-local: 1, 2, ... in
+//                                  admission order, restarting in every
+//                                  new session.
 //   STATS                       -> one nested JSON object:
 //                                  {"server":{...},"cache":{...},
 //                                   "kinds":{"<kind>":{accepted,ok,error,
-//                                    cancelled,busy,"queue_s":{hist},
-//                                    "execute_s":{hist}},...},
-//                                   "sessions":[{...},...]}
+//                                    cancelled,busy,expired,shed,replayed,
+//                                    "queue_s":{hist},"execute_s":{hist}},
+//                                    ...},
+//                                   "sessions":[{token,in_flight,window,
+//                                    accepted,undelivered,subscribed},...]}
 //                                  hist = {"count","sum","mean","min","max",
 //                                   "p50","p99","underflow","overflow",
 //                                   "bins":[[lo,hi,count],...]}
@@ -51,6 +41,11 @@
 //                                  stream (recent served-query spans)
 //   PING                        -> OK pong
 //   QUIT                        -> OK bye (server closes the session)
+//
+// A session lives exactly as long as its control connection; a dropped
+// connection (or a server restart) ends it. To recover, a client opens a
+// new session, re-sends its SETs and UPLOADs and re-issues every query it
+// has no result event for: the bodies are the same bytes (see below).
 //
 // Overload and quota replies (typed, never a silent drop or a crash):
 //   BUSY                        window full (per-session in-flight cap)
@@ -107,5 +102,13 @@ inline constexpr std::uint16_t kDefaultPort = 7207;
 [[nodiscard]] std::string ok_reply(const std::string& detail = {});
 [[nodiscard]] std::string err_reply(const std::string& message);
 [[nodiscard]] bool is_ok(std::string_view reply);
+
+/// Flag parsers shared by the service tools (ppdd, ppdctl, chaosproxy).
+/// Both throw ppd::ParseError naming --key. A port is an integer in
+/// [0, 65535] (0 = ephemeral); seconds are a finite number >= 0.
+[[nodiscard]] std::uint16_t parse_port(const std::string& key,
+                                       const std::string& value);
+[[nodiscard]] double parse_seconds(const std::string& key,
+                                   const std::string& value);
 
 }  // namespace ppd::net

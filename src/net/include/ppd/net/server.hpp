@@ -30,11 +30,11 @@
 // length, result backlog) is capped; violations answer "ERR quota.<leaf>"
 // and bump net.quota.<leaf> — never a crash or an unbounded allocation.
 //
-// Crash recovery: with a journal attached, session state (SET / UPLOAD /
-// accepted qids / delivered result events) is persisted append-only; a
-// restarted server with recover=true rebuilds the sessions detached, and a
-// reconnecting client RESUMEs its token, learns which qids were already
-// acked, and re-issues the rest idempotently ("QUERY <kind> id=<qid>").
+// Recovery: the server keeps no state across a restart, and a session
+// dies with its control connection. Every answer is a pure function of
+// the query (its session config and uploads), so a client that lost its
+// connection reconnects, re-sends its SETs and UPLOADs, and re-issues the
+// queries it has no result for; it gets the same bytes.
 //
 // Graceful drain: stop accepting, notify data channels, let in-flight
 // queries finish, then — past the grace budget — fire their CancelTokens
@@ -54,7 +54,6 @@
 #include <string>
 #include <thread>
 
-#include "ppd/net/journal.hpp"
 #include "ppd/net/session.hpp"
 #include "ppd/net/socket.hpp"
 #include "ppd/obs/metrics.hpp"
@@ -75,15 +74,6 @@ struct ServerOptions {
   /// In-flight jobs at or above this enter load-shedding (low-priority
   /// kinds refused first). 0 = half the ceiling.
   std::size_t shed_watermark = 0;
-  /// Crash-safe session journal ("" = off) and its compaction threshold.
-  std::string journal_path;
-  std::size_t journal_rotate_bytes = 4u << 20;
-  /// Replay journal_path on start() and rebuild its sessions (detached,
-  /// RESUMEable) instead of starting empty.
-  bool recover = false;
-  /// Journal-backed sessions that outlive their control connection; the
-  /// oldest detached session is evicted beyond this.
-  std::size_t max_detached_sessions = 16;
   /// Test hook: sleep this long at worker pickup before the deadline
   /// check, simulating queue delay deterministically. 0 in production.
   double debug_pickup_delay_seconds = 0.0;
@@ -96,8 +86,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind the loopback listener and start the accept thread. With
-  /// options.recover, replay the journal first and rebuild its sessions.
+  /// Bind the loopback listener and start the accept thread.
   void start();
 
   /// The bound control port (valid after start()).
@@ -149,7 +138,6 @@ class Server {
   struct QuerySpec {
     std::string arg;
     std::uint64_t deadline_ms = 0;  ///< 0 = no deadline
-    std::uint64_t reissue_id = 0;   ///< 0 = fresh admission
   };
 
   void accept_loop();
@@ -162,14 +150,6 @@ class Server {
   std::string submit_query(const std::shared_ptr<Session>& session,
                            const std::string& kind_word,
                            const QuerySpec& spec);
-  /// RESUME <token>: rebind this control connection to a detached session.
-  std::string resume_session(std::shared_ptr<Session>& session,
-                             std::string& token,
-                             const std::string& want_token);
-  /// Loop-exit bookkeeping: keep a journal-backed session detached (up to
-  /// max_detached_sessions) or erase it.
-  void release_session(const std::shared_ptr<Session>& session,
-                       const std::string& token, bool clean_quit);
   void drain_with_grace(double grace_seconds);
   void reap_finished_connections_locked();
   /// Dedicated thread pushing "metrics" events to subscribed sessions.
@@ -194,7 +174,6 @@ class Server {
 
   ServerOptions options_;
   std::unique_ptr<TcpListener> listener_;
-  std::unique_ptr<SessionJournal> journal_;
   std::thread accept_thread_;
   std::atomic<bool> started_{false};
   std::atomic<bool> draining_{false};
@@ -207,7 +186,6 @@ class Server {
   mutable std::mutex sessions_mutex_;
   std::map<std::string, std::shared_ptr<Session>> sessions_;
   std::uint64_t next_session_ = 0;
-  std::uint64_t next_detach_seq_ = 0;
 
   // In-flight jobs: counted for drain and the admission ceiling, tokens
   // registered for cancellation.

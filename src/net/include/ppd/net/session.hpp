@@ -10,23 +10,19 @@
 // a data channel attaches are buffered (inside the same window) and
 // flushed on attach, so CONTROL-then-DATA connection order is not racy.
 //
-// Hardening (PR 9): every per-session resource is capped (SessionLimits),
-// violations throw the typed QuotaError (rendered as "ERR quota.<leaf>"
-// on the wire, counted as net.quota.<leaf>), and the session carries the
-// crash-recovery state — delivered ("acked") result events kept for
-// idempotent re-issue, an in-flight id set for duplicate suppression, and
-// attach/detach bookkeeping so a journal-backed session survives its
-// control connection and can be RESUMEd.
+// Every per-session resource is capped (SessionLimits); violations throw
+// the typed QuotaError (rendered as "ERR quota.<leaf>" on the wire,
+// counted as net.quota.<leaf>). A session lives exactly as long as its
+// control connection: a client that reconnects opens a new session and
+// re-sends its SETs and UPLOADs.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 
 #include "ppd/net/query.hpp"
@@ -111,37 +107,11 @@ class Session {
   /// (reply BUSY). `backlog_full` (optional) distinguishes the two.
   [[nodiscard]] std::uint64_t admit(bool* backlog_full = nullptr);
 
-  /// Re-issue admission for an explicit id (RESUME recovery path): admits
-  /// the id unless it is already running or the window is full. Advances
-  /// next_id_ past `id` so fresh admissions never collide.
-  enum class Admit { kAdmitted, kDuplicate, kBusy };
-  [[nodiscard]] Admit admit_with_id(std::uint64_t id);
-
-  /// Deliver query `id`'s event line: writes it to the data channel when
-  /// one is attached (releasing its admission slot and recording the ack),
-  /// otherwise buffers it until attach. Never throws — a dead data channel
-  /// detaches (counted as net.data.write_failed).
-  void deliver(std::uint64_t id, std::string event_line);
-
-  /// Push an already-acked event again (idempotent re-issue of an acked
-  /// id). Consumes no admission slot. False when the backlog is full.
-  [[nodiscard]] bool redeliver(std::uint64_t id);
-
-  /// The journaled/delivered event for `id`, or nullptr when never acked
-  /// (or already aged out of the bounded ack window).
-  [[nodiscard]] const std::string* acked_event(std::uint64_t id) const;
-  /// Ids with retained acked events, ascending (the RESUME reply).
-  [[nodiscard]] std::vector<std::uint64_t> acked_ids() const;
-
-  /// Restore journal-recovered state (server --recover). Bypasses quota
-  /// re-checks for acks; config/uploads go through set()/upload() instead.
-  void restore(std::uint64_t next_id,
-               std::map<std::uint64_t, std::string> acked);
-
-  /// Invoked (under the session lock) each time a result event is actually
-  /// written to the data channel — the journal's ack hook.
-  void set_ack_hook(
-      std::function<void(std::uint64_t id, const std::string& event)> hook);
+  /// Deliver one query's result event line: writes it to the data channel
+  /// when one is attached (releasing its admission slot), otherwise buffers
+  /// it until attach. Never throws — a dead data channel detaches (counted
+  /// as net.data.write_failed).
+  void deliver(std::string event_line);
 
   /// Attach the data channel and flush everything buffered. The session
   /// keeps a shared handle so delivery can outlive the reader thread.
@@ -151,13 +121,6 @@ class Session {
   void attach_data(std::shared_ptr<TcpStream> stream,
                    const std::string& preamble = {});
   void detach_data();
-
-  /// Control-connection bookkeeping: a journal-backed session outlives its
-  /// control connection (detached => RESUMEable). `seq` orders detachments
-  /// so the server can evict the oldest when too many linger.
-  void set_control_attached(bool attached, std::uint64_t seq = 0);
-  [[nodiscard]] bool control_attached() const;
-  [[nodiscard]] std::uint64_t detached_seq() const;
 
   /// Push a non-result event (hello / drain) to an attached data channel.
   void notify(const std::string& event_line);
@@ -177,15 +140,8 @@ class Session {
   [[nodiscard]] double subscribe_period() const;
 
  private:
-  struct Ready {
-    std::uint64_t id = 0;
-    std::string line;
-    bool holds_slot = true;  ///< false for redelivered (already-acked) events
-  };
-
   /// False when no channel is attached or the write failed (channel dropped).
   bool write_event_locked(const std::string& line);
-  void record_ack_locked(std::uint64_t id, const std::string& line);
 
   const std::string token_;
   const SessionLimits limits_;
@@ -201,13 +157,8 @@ class Session {
   std::uint64_t next_id_ = 0;
   std::size_t in_flight_ = 0;          ///< admitted, result not yet delivered
   double subscribe_period_s_ = 0.0;    ///< 0 = no metrics subscription
-  std::deque<Ready> ready_;            ///< completed events awaiting a channel
+  std::deque<std::string> ready_;      ///< completed events awaiting a channel
   std::shared_ptr<TcpStream> data_;
-  std::set<std::uint64_t> inflight_ids_;
-  std::map<std::uint64_t, std::string> acked_;  ///< bounded (kMaxAckedKept)
-  std::function<void(std::uint64_t, const std::string&)> ack_hook_;
-  bool control_attached_ = true;
-  std::uint64_t detached_seq_ = 0;
 };
 
 }  // namespace ppd::net

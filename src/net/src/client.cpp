@@ -22,14 +22,7 @@ std::string word_at(const std::string& line, std::size_t index) {
 
 }  // namespace
 
-Client Client::connect(std::uint16_t port) { return connect_impl(port, {}); }
-
-Client Client::resume(std::uint16_t port, const std::string& token) {
-  return connect_impl(port, token);
-}
-
-Client Client::connect_impl(std::uint16_t port,
-                            const std::string& resume_token) {
+Client Client::connect(std::uint16_t port) {
   Client client;
   client.control_ = TcpStream::connect_loopback(port);
   client.control_.write_all("CONTROL\n");
@@ -38,19 +31,6 @@ Client Client::connect_impl(std::uint16_t port,
   if (!is_ok(*hello)) throw ServiceError(*hello);
   // "OK ppdd <ver> session <token>"
   client.session_ = word_at(*hello, 4);
-
-  if (!resume_token.empty()) {
-    // "OK resume <token> next <N> acked <id,...|->"
-    const std::string reply = client.command("RESUME " + resume_token);
-    client.session_ = word_at(reply, 2);
-    if (util::split_ws(reply).size() >= 7) {
-      const std::string acked = word_at(reply, 6);
-      if (acked != "-")
-        for (const auto& id : util::split(acked, ','))
-          client.acked_ids_.push_back(
-              std::strtoull(id.c_str(), nullptr, 10));
-    }
-  }
 
   client.data_ = TcpStream::connect_loopback(port);
   client.data_.write_all("DATA " + client.session_ + "\n");
@@ -97,7 +77,6 @@ Client::Submitted Client::submit(const std::string& kind,
   if (!arg.empty()) line += " " + arg;
   if (opts.deadline_ms != 0)
     line += " deadline_ms=" + std::to_string(opts.deadline_ms);
-  if (opts.id != 0) line += " id=" + std::to_string(opts.id);
   const std::string reply = command(line);
   Submitted out;
   out.reply = reply;
@@ -105,14 +84,8 @@ Client::Submitted Client::submit(const std::string& kind,
     out.busy = true;
     return out;
   }
-  // "OK <id>" | "OK <id> cached" (acked re-issue, event redelivered) |
-  // "OK <id> dup" (already in flight, one result will arrive).
+  // "OK <id>"
   out.id = std::strtoull(word_at(reply, 1).c_str(), nullptr, 10);
-  const auto words = util::split_ws(reply);
-  if (words.size() >= 3) {
-    out.cached = words[2] == "cached";
-    out.duplicate = words[2] == "dup";
-  }
   return out;
 }
 

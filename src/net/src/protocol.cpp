@@ -2,6 +2,8 @@
 
 #include <string>
 
+#include "ppd/util/cli.hpp"
+#include "ppd/util/error.hpp"
 #include "ppd/util/strings.hpp"
 
 namespace ppd::net {
@@ -22,6 +24,23 @@ std::string err_reply(const std::string& message) {
 
 bool is_ok(std::string_view reply) {
   return reply == "OK" || util::starts_with(reply, "OK ");
+}
+
+std::uint16_t parse_port(const std::string& key, const std::string& value) {
+  const std::size_t port = util::parse_count(key, value);
+  if (port > 65535)
+    throw ParseError("option --" + key +
+                     " expects a port in [0, 65535], got: " + value);
+  return static_cast<std::uint16_t>(port);
+}
+
+double parse_seconds(const std::string& key, const std::string& value) {
+  const double seconds = util::parse_finite(key, value);
+  if (seconds < 0.0)
+    throw ParseError("option --" + key +
+                     " expects a non-negative number of seconds, got: " +
+                     value);
+  return seconds;
 }
 
 }  // namespace ppd::net

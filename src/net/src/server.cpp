@@ -148,53 +148,6 @@ Server::~Server() { stop(); }
 void Server::start() {
   PPD_REQUIRE(!started_.load(), "Server::start called twice");
 
-  if (!options_.journal_path.empty()) {
-    SessionJournal::State recovered;
-    if (options_.recover)
-      recovered = SessionJournal::replay(options_.journal_path);
-    journal_ = std::make_unique<SessionJournal>(
-        options_.journal_path, options_.journal_rotate_bytes, recovered);
-    // Rebuild each journaled session as a detached, RESUMEable session.
-    std::lock_guard<std::mutex> lock(sessions_mutex_);
-    for (auto& [token, rec] : recovered) {
-      auto session = std::make_shared<Session>(token, options_.limits);
-      for (const auto& [key, value] : rec.config) {
-        try {
-          session->set(key, value);
-        } catch (const std::exception& e) {
-          obs::log_warn("net", "journal: dropping config key on recovery",
-                        {{"token", token}, {"key", key}, {"error", e.what()}});
-        }
-      }
-      for (const auto& [name, text] : rec.uploads) {
-        try {
-          session->upload(name, text);
-        } catch (const std::exception& e) {
-          obs::log_warn("net", "journal: dropping upload on recovery",
-                        {{"token", token}, {"name", name}, {"error", e.what()}});
-        }
-      }
-      session->restore(rec.next_id, rec.acked);
-      session->set_control_attached(false, ++next_detach_seq_);
-      SessionJournal* journal = journal_.get();
-      const std::string tok = token;
-      session->set_ack_hook(
-          [journal, tok](std::uint64_t id, const std::string& event) {
-            journal->record_ack(tok, id, event);
-          });
-      sessions_[token] = session;
-      // Keep fresh tokens ("s<N>") clear of recovered ones.
-      if (token.size() > 1 && token[0] == 's') {
-        const std::uint64_t n = std::strtoull(token.c_str() + 1, nullptr, 10);
-        next_session_ = std::max(next_session_, n);
-      }
-      obs::log_info("net", "recovered session",
-                    {{"token", token},
-                     {"acked", std::to_string(rec.acked.size())},
-                     {"unacked", std::to_string(rec.accepted.size())}});
-    }
-  }
-
   listener_ = std::make_unique<TcpListener>(options_.port);
   started_at_ = std::chrono::steady_clock::now();
   started_.store(true);
@@ -282,29 +235,33 @@ void Server::handle_connection(const std::shared_ptr<TcpStream>& stream) {
 
 void Server::handle_control(const std::shared_ptr<TcpStream>& stream) {
   std::shared_ptr<Session> session;
-  std::string token;
   {
     std::lock_guard<std::mutex> lock(sessions_mutex_);
-    token = "s" + std::to_string(++next_session_);
+    const std::string token = "s" + std::to_string(++next_session_);
     session = std::make_shared<Session>(token, options_.limits);
     sessions_[token] = session;
   }
+  // The session dies with its control connection, however the loop below
+  // ends: QUIT, EOF, or a socket error thrown by a reply write to a peer
+  // that vanished. Forget it and wake its data reader; in-flight jobs keep
+  // their shared_ptr and finish into the orphaned session.
+  struct EndSession {
+    Server& server;
+    const std::shared_ptr<Session>& session;
+    ~EndSession() {
+      {
+        std::lock_guard<std::mutex> lock(server.sessions_mutex_);
+        server.sessions_.erase(session->token());
+      }
+      session->shutdown();
+    }
+  } end_session{*this, session};
   sessions_opened_.fetch_add(1, std::memory_order_relaxed);
   obs::counter("net.sessions.opened").add();
-  if (journal_) {
-    journal_->record_open(token);
-    SessionJournal* journal = journal_.get();
-    const std::string tok = token;
-    session->set_ack_hook(
-        [journal, tok](std::uint64_t id, const std::string& event) {
-          journal->record_ack(tok, id, event);
-        });
-  }
   stream->write_all(ok_reply("ppdd " + std::to_string(kProtocolVersion) +
-                             " session " + token) +
+                             " session " + session->token()) +
                     "\n");
 
-  bool clean_quit = false;
   for (;;) {
     const auto line = stream->read_line();
     if (!line) break;
@@ -337,7 +294,6 @@ void Server::handle_control(const std::shared_ptr<TcpStream>& stream) {
         const std::string value(
             util::trim(line->substr(key_pos + words[1].size())));
         session->set(words[1], value);
-        if (journal_) journal_->record_set(session->token(), words[1], value);
         reply = ok_reply();
       } else if (util::iequals(cmd, "UPLOAD")) {
         if (words.size() != 3)
@@ -371,18 +327,12 @@ void Server::handle_control(const std::shared_ptr<TcpStream>& stream) {
           std::string payload;
           if (!stream->read_exact(payload, static_cast<std::size_t>(n)))
             break;  // EOF mid-upload: drop the connection
-          if (journal_) {
-            session->upload(words[1], payload);
-            journal_->record_upload(session->token(), words[1], payload);
-          } else {
-            session->upload(words[1], std::move(payload));
-          }
+          session->upload(words[1], std::move(payload));
           reply = ok_reply("upload " + words[1] + " " + words[2]);
         }
       } else if (util::iequals(cmd, "QUERY")) {
         if (words.size() < 2)
-          throw ParseError(
-              "usage: QUERY <kind> [<arg>] [deadline_ms=<N>] [id=<N>]");
+          throw ParseError("usage: QUERY <kind> [<arg>] [deadline_ms=<N>]");
         QuerySpec spec;
         for (std::size_t w = 2; w < words.size(); ++w) {
           const std::string& word = words[w];
@@ -391,21 +341,13 @@ void Server::handle_control(const std::shared_ptr<TcpStream>& stream) {
             if (!parse_wire_u64(v, &spec.deadline_ms) || spec.deadline_ms == 0)
               throw ParseError("deadline_ms needs a positive integer, got '" +
                                v + "'");
-          } else if (util::starts_with(word, "id=")) {
-            const std::string v = word.substr(3);
-            if (!parse_wire_u64(v, &spec.reissue_id) || spec.reissue_id == 0)
-              throw ParseError("id needs a positive integer, got '" + v + "'");
           } else if (spec.arg.empty() && word.find('=') == std::string::npos) {
             spec.arg = word;
           } else {
-            throw ParseError(
-                "usage: QUERY <kind> [<arg>] [deadline_ms=<N>] [id=<N>]");
+            throw ParseError("usage: QUERY <kind> [<arg>] [deadline_ms=<N>]");
           }
         }
         reply = submit_query(session, words[1], spec);
-      } else if (util::iequals(cmd, "RESUME")) {
-        if (words.size() != 2) throw ParseError("usage: RESUME <token>");
-        reply = resume_session(session, token, words[1]);
       } else if (util::iequals(cmd, "STATS")) {
         reply = stats_json();
       } else if (util::iequals(cmd, "SUBSCRIBE")) {
@@ -439,7 +381,6 @@ void Server::handle_control(const std::shared_ptr<TcpStream>& stream) {
         continue;  // reply already written (header + raw payload)
       } else if (util::iequals(cmd, "QUIT")) {
         stream->write_all(ok_reply("bye") + "\n");
-        clean_quit = true;
         break;
       } else {
         throw ParseError("unknown command: " + cmd);
@@ -457,94 +398,6 @@ void Server::handle_control(const std::shared_ptr<TcpStream>& stream) {
     }
     stream->write_all(reply + "\n");
   }
-
-  release_session(session, token, clean_quit);
-}
-
-void Server::release_session(const std::shared_ptr<Session>& session,
-                             const std::string& token, bool clean_quit) {
-  // A journal-backed session with history survives its control connection
-  // (detached, RESUMEable) unless the client said QUIT; everything else is
-  // erased as before. Detached sessions are bounded: beyond the cap the
-  // oldest one is evicted, so hostile connect-and-vanish clients cannot
-  // accumulate state.
-  const bool keep = journal_ != nullptr && !clean_quit &&
-                    !draining_.load() &&
-                    (session->queries_accepted() > 0 ||
-                     session->undelivered() > 0);
-  std::shared_ptr<Session> evicted;
-  std::string evicted_token;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mutex_);
-    if (!keep) {
-      sessions_.erase(token);
-    } else {
-      session->set_control_attached(false, ++next_detach_seq_);
-      std::size_t detached = 0;
-      std::uint64_t oldest_seq = 0;
-      std::string oldest_token;
-      for (const auto& [tok, s] : sessions_) {
-        if (s->control_attached()) continue;
-        ++detached;
-        if (oldest_token.empty() || s->detached_seq() < oldest_seq) {
-          oldest_seq = s->detached_seq();
-          oldest_token = tok;
-        }
-      }
-      if (detached > options_.max_detached_sessions && !oldest_token.empty()) {
-        evicted = sessions_[oldest_token];
-        evicted_token = oldest_token;
-        sessions_.erase(oldest_token);
-      }
-    }
-  }
-  if (!keep && journal_) journal_->record_close(token);
-  if (evicted) {
-    if (journal_) journal_->record_close(evicted_token);
-    evicted->shutdown();
-    obs::log_warn("net", "evicted oldest detached session",
-                  {{"token", evicted_token}});
-  }
-  if (!keep) {
-    // Wake the session's data reader (if any); in-flight jobs keep their
-    // shared_ptr and finish into the detached session.
-    session->shutdown();
-  }
-}
-
-std::string Server::resume_session(std::shared_ptr<Session>& session,
-                                   std::string& token,
-                                   const std::string& want_token) {
-  if (journal_ == nullptr)
-    throw ParseError("RESUME needs a journal-backed server (--journal)");
-  if (session->queries_accepted() > 0)
-    throw ParseError("RESUME must precede any QUERY on this connection");
-  if (want_token == token) return ok_reply("resume " + token + " noop");
-  std::shared_ptr<Session> target;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mutex_);
-    const auto it = sessions_.find(want_token);
-    if (it != sessions_.end() && !it->second->control_attached()) {
-      target = it->second;
-      target->set_control_attached(true);
-      sessions_.erase(token);  // abandon the fresh, unused session
-    }
-  }
-  if (!target)
-    return err_reply("no resumable session '" + want_token +
-                     "' (unknown, still attached, or evicted)");
-  journal_->record_close(token);  // the abandoned fresh session
-  session = target;
-  token = want_token;
-  std::string acked;
-  for (const std::uint64_t id : session->acked_ids()) {
-    if (!acked.empty()) acked += ',';
-    acked += std::to_string(id);
-  }
-  obs::counter("net.sessions.resumed").add();
-  return ok_reply("resume " + token + " next " +
-                  std::to_string(session->queries_accepted()) + " acked " +
-                  (acked.empty() ? "-" : acked));
 }
 
 void Server::handle_data(const std::shared_ptr<TcpStream>& stream,
@@ -579,16 +432,6 @@ std::string Server::submit_query(const std::shared_ptr<Session>& session,
   if (draining_.load()) return err_reply("draining");
   const QueryKind kind = query_kind_from_string(kind_word);
   KindMetrics& km = kind_metrics_[static_cast<std::size_t>(kind)];
-
-  // Idempotent re-issue of an already-acknowledged qid: answer from the
-  // session's ack record (the journaled event bytes), never re-execute.
-  if (spec.reissue_id != 0 &&
-      session->acked_event(spec.reissue_id) != nullptr) {
-    if (!session->redeliver(spec.reissue_id))
-      return "BUSY backlog (redelivery buffered events at cap)";
-    obs::counter("net.queries.deduped").add();
-    return ok_reply(std::to_string(spec.reissue_id) + " cached");
-  }
 
   std::optional<ReplayKey> replay;
   QueryParams params =
@@ -641,36 +484,17 @@ std::string Server::submit_query(const std::shared_ptr<Session>& session,
   };
 
   // Per-session admission (window + backlog quota).
-  std::uint64_t id = 0;
-  if (spec.reissue_id != 0) {
-    switch (session->admit_with_id(spec.reissue_id)) {
-      case Session::Admit::kDuplicate:
-        // Already running: the original admission will deliver exactly one
-        // result event for this id.
-        release_job();
-        obs::counter("net.queries.deduped").add();
-        return ok_reply(std::to_string(spec.reissue_id) + " dup");
-      case Session::Admit::kBusy:
-        id = 0;
-        break;
-      case Session::Admit::kAdmitted:
-        id = spec.reissue_id;
-        break;
-    }
-  } else {
-    bool backlog_full = false;
-    id = session->admit(&backlog_full);
-    if (id == 0 && backlog_full) {
-      release_job();
-      quota_counter("backlog").add();
-      quota_violations_.fetch_add(1, std::memory_order_relaxed);
-      queries_busy_.fetch_add(1, std::memory_order_relaxed);
-      queries_counter("busy").add();
-      km.busy->add();
-      return "BUSY backlog (" +
-             std::to_string(session->limits().max_backlog) +
-             " undelivered results; attach/drain the data channel)";
-    }
+  bool backlog_full = false;
+  const std::uint64_t id = session->admit(&backlog_full);
+  if (id == 0 && backlog_full) {
+    release_job();
+    quota_counter("backlog").add();
+    quota_violations_.fetch_add(1, std::memory_order_relaxed);
+    queries_busy_.fetch_add(1, std::memory_order_relaxed);
+    queries_counter("busy").add();
+    km.busy->add();
+    return "BUSY backlog (" + std::to_string(session->limits().max_backlog) +
+           " undelivered results; attach/drain the data channel)";
   }
   if (id == 0) {
     release_job();
@@ -682,9 +506,6 @@ std::string Server::submit_query(const std::shared_ptr<Session>& session,
   queries_accepted_.fetch_add(1, std::memory_order_relaxed);
   queries_counter("accepted").add();
   km.accepted->add();
-  if (journal_)
-    journal_->record_accept(session->token(), id, query_kind_name(kind),
-                            spec.arg);
 
   // job_key doubles as the query id (qid): process-unique, echoed in the
   // result event, bound as the obs query context so every span/metric the
@@ -801,7 +622,7 @@ std::string Server::submit_query(const std::shared_ptr<Session>& session,
                                      queue_s, execute_s, body, error,
                                      &serialize_s);
     serialize_hist_->record(serialize_s);
-    session->deliver(id, std::move(event));
+    session->deliver(std::move(event));
     {
       // Notify while holding the mutex: the drain waiter cannot return (and
       // the Server cannot be destroyed under this cv) until this worker has
@@ -1032,10 +853,6 @@ std::string Server::stats_json() const {
      << (ceiling > 0 && s.jobs_in_flight >= watermark ? "true" : "false")
      << ",\"draining\":" << (draining_.load() ? "true" : "false")
      << ",\"uptime_s\":" << json::number(uptime_s);
-  if (journal_)
-    os << ",\"journal\":{\"path\":" << json::quote(journal_->path())
-       << ",\"bytes\":" << journal_->bytes()
-       << ",\"rotations\":" << journal_->rotations() << "}";
   os << ",\"serialize_s\":";
   {
     const obs::HistogramSnapshot* ser = find_histogram(snap, "serialize_s");
@@ -1087,8 +904,6 @@ std::string Server::stats_json() const {
          << ",\"window\":" << session->limits().max_queue
          << ",\"accepted\":" << session->queries_accepted()
          << ",\"undelivered\":" << session->undelivered()
-         << ",\"attached\":"
-         << (session->control_attached() ? "true" : "false")
          << ",\"subscribed\":"
          << (session->subscribe_period() > 0.0 ? "true" : "false") << '}';
     }

@@ -13,11 +13,6 @@ namespace ppd::net {
 
 namespace {
 
-/// Acked result events retained per session for idempotent re-issue after
-/// a crash. Older acks age out (a re-issue of one simply re-executes) so a
-/// long-lived session cannot grow without bound.
-constexpr std::size_t kMaxAckedKept = 256;
-
 bool known_key(const std::string& key) {
   static const std::vector<std::string> all = [] {
     std::vector<std::string> keys;
@@ -216,21 +211,7 @@ std::uint64_t Session::admit(bool* backlog_full) {
   }
   if (in_flight_ >= limits_.max_queue) return 0;
   ++in_flight_;
-  const std::uint64_t id = ++next_id_;
-  inflight_ids_.insert(id);
-  return id;
-}
-
-Session::Admit Session::admit_with_id(std::uint64_t id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (inflight_ids_.count(id) != 0) return Admit::kDuplicate;
-  if (in_flight_ >= limits_.max_queue ||
-      ready_.size() >= limits_.max_backlog)
-    return Admit::kBusy;
-  ++in_flight_;
-  next_id_ = std::max(next_id_, id);
-  inflight_ids_.insert(id);
-  return Admit::kAdmitted;
+  return ++next_id_;
 }
 
 bool Session::write_event_locked(const std::string& line) {
@@ -250,59 +231,13 @@ bool Session::write_event_locked(const std::string& line) {
   }
 }
 
-void Session::record_ack_locked(std::uint64_t id, const std::string& line) {
-  inflight_ids_.erase(id);
-  acked_[id] = line;
-  while (acked_.size() > kMaxAckedKept) acked_.erase(acked_.begin());
-  if (ack_hook_) ack_hook_(id, line);
-}
-
-void Session::deliver(std::uint64_t id, std::string event_line) {
+void Session::deliver(std::string event_line) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (write_event_locked(event_line)) {
     if (in_flight_ > 0) --in_flight_;
-    record_ack_locked(id, event_line);
     return;
   }
-  ready_.push_back(Ready{id, std::move(event_line), true});
-}
-
-bool Session::redeliver(std::uint64_t id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = acked_.find(id);
-  if (it == acked_.end()) return false;
-  if (write_event_locked(it->second)) return true;
-  if (ready_.size() >= limits_.max_backlog) return false;
-  ready_.push_back(Ready{id, it->second, false});
-  return true;
-}
-
-const std::string* Session::acked_event(std::uint64_t id) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = acked_.find(id);
-  return it == acked_.end() ? nullptr : &it->second;
-}
-
-std::vector<std::uint64_t> Session::acked_ids() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::uint64_t> ids;
-  ids.reserve(acked_.size());
-  for (const auto& [id, line] : acked_) ids.push_back(id);
-  return ids;
-}
-
-void Session::restore(std::uint64_t next_id,
-                      std::map<std::uint64_t, std::string> acked) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  next_id_ = std::max(next_id_, next_id);
-  acked_ = std::move(acked);
-  while (acked_.size() > kMaxAckedKept) acked_.erase(acked_.begin());
-}
-
-void Session::set_ack_hook(
-    std::function<void(std::uint64_t, const std::string&)> hook) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ack_hook_ = std::move(hook);
+  ready_.push_back(std::move(event_line));
 }
 
 void Session::attach_data(std::shared_ptr<TcpStream> stream,
@@ -311,35 +246,15 @@ void Session::attach_data(std::shared_ptr<TcpStream> stream,
   data_ = std::move(stream);
   if (!preamble.empty() && !write_event_locked(preamble)) return;
   while (!ready_.empty()) {
-    if (!write_event_locked(ready_.front().line)) break;
-    const Ready done = std::move(ready_.front());
+    if (!write_event_locked(ready_.front())) break;
     ready_.pop_front();
-    if (done.holds_slot) {
-      if (in_flight_ > 0) --in_flight_;
-      record_ack_locked(done.id, done.line);
-    }
+    if (in_flight_ > 0) --in_flight_;
   }
 }
 
 void Session::detach_data() {
   std::lock_guard<std::mutex> lock(mutex_);
   data_.reset();
-}
-
-void Session::set_control_attached(bool attached, std::uint64_t seq) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  control_attached_ = attached;
-  if (!attached) detached_seq_ = seq;
-}
-
-bool Session::control_attached() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return control_attached_;
-}
-
-std::uint64_t Session::detached_seq() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return detached_seq_;
 }
 
 void Session::notify(const std::string& event_line) {

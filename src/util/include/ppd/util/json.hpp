@@ -1,7 +1,6 @@
 // The one JSON codec behind every JSON file, event and reply the repository
 // writes or reads: checkpoints and quarantine reports, metrics snapshots,
-// traces, logs, lint reports, and the service's events, STATS replies and
-// session journal.
+// traces, logs, lint reports, and the service's events and STATS replies.
 //
 // The writer escapes `"`, `\`, \n, \r and \t by name and every other byte
 // below 0x20 as lowercase \u00xx; all other bytes (UTF-8 included) pass

@@ -1222,8 +1222,8 @@ TEST(ServiceResilience, DataWriteFailureIsCountedAndParksTheEvent) {
   for (int i = 0; i < 200 && !parked; ++i) {
     const std::uint64_t id = session.admit();
     ASSERT_NE(id, 0u);
-    session.deliver(id, "{\"event\":\"result\",\"id\":" + std::to_string(id) +
-                            "}");
+    session.deliver("{\"event\":\"result\",\"id\":" + std::to_string(id) +
+                    "}");
     parked = session.undelivered() > 0;
     if (!parked) std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
@@ -1316,6 +1316,131 @@ TEST(ServiceFraming, CoalescedControlFramesAnswerInOrder) {
   EXPECT_EQ(control.read_line().value(), "OK pong");
   control.shutdown_both();
   server.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Session lifetime: a session ends with its control connection, and a
+// reconnecting client rebuilds its state in a fresh one.
+// ---------------------------------------------------------------------------
+
+TEST(ServiceLifecycle, DroppedClientsEndTheirSessionsAndInFlightJobsFinish) {
+  // Clients that vanish without QUIT take their sessions with them, even
+  // with a query still queued; the orphaned job runs to completion into a
+  // session nobody can reach (the sanitizer builds check it touches no
+  // freed state).
+  ServerOptions options;
+  options.debug_pickup_delay_seconds = 0.2;  // keeps the query in flight
+  Server server(options);
+  server.start();
+  {
+    std::vector<Client> clients;
+    for (int c = 0; c < 3; ++c) {
+      clients.push_back(Client::connect(server.port()));
+      clients.back().set("points", "3");
+    }
+    ASSERT_FALSE(clients[0].submit("transfer").busy);
+    EXPECT_EQ(server.stats().sessions_active, 3u);
+    EXPECT_EQ(server.stats().jobs_in_flight, 1u);
+  }  // every client dropped without QUIT
+  EXPECT_TRUE(poll_until([&server] {
+    return server.stats().sessions_active == 0;
+  }));
+  EXPECT_TRUE(poll_until([&server] {
+    const Server::Stats s = server.stats();
+    return s.jobs_in_flight == 0 && s.queries_ok == 1;
+  }));
+  EXPECT_EQ(json::parse(server.stats_json()).at("sessions").items.size(), 0u);
+  server.stop();
+}
+
+TEST(ServiceLifecycle, ControlConnectionDyingMidReplyEndsItsSession) {
+  // Clients that flood PINGs and close without reading reset their
+  // connections while the server is still writing replies; the failed
+  // write must end the session like an EOF does, not leak it.
+  ServerOptions options;
+  Server server(options);
+  server.start();
+  std::string flood;
+  for (int i = 0; i < 5000; ++i) flood += "PING\n";
+  for (int c = 0; c < 8; ++c) {
+    TcpStream control = TcpStream::connect_loopback(server.port());
+    (void)raw_control_handshake(control);
+    control.write_all(flood);
+    control.close();  // unread replies pending: the close sends a reset
+  }
+  EXPECT_TRUE(poll_until([&server] {
+    return server.stats().sessions_active == 0;
+  })) << "sessions_active=" << server.stats().sessions_active;
+  server.stop();
+}
+
+TEST(ServiceLifecycle, ResumeAndReissueIdsAreNotPartOfTheProtocol) {
+  ServerOptions options;
+  Server server(options);
+  server.start();
+  TcpStream control = TcpStream::connect_loopback(server.port());
+  const std::string token = raw_control_handshake(control);
+  ASSERT_EQ(token, "s1");
+  control.write_all("RESUME s1\n");
+  const std::string resume = control.read_line().value();
+  EXPECT_EQ(resume.rfind("ERR unknown command", 0), 0u) << resume;
+  control.write_all("QUERY transfer id=3\n");
+  const std::string reissue = control.read_line().value();
+  EXPECT_EQ(reissue.rfind("ERR usage: QUERY", 0), 0u) << reissue;
+  // The session survives both refusals.
+  control.write_all("PING\n");
+  EXPECT_EQ(control.read_line().value(), "OK pong");
+  control.write_all("SET points 3\n");
+  EXPECT_EQ(control.read_line().value(), "OK");
+  control.write_all("QUERY transfer\n");
+  EXPECT_EQ(control.read_line().value(), "OK 1");
+  control.write_all("QUIT\n");
+  EXPECT_EQ(control.read_line().value(), "OK bye");
+  server.stop();
+}
+
+TEST(ServiceLifecycle, RestartedServerGivesReSentSessionTheSameBytes) {
+  // The recovery story: a server restarted on the same port knows nothing
+  // of its former sessions, and a client that re-SETs and re-UPLOADs gets
+  // the bytes the first instance served.
+  const auto serve = [](Client& client) {
+    client.set("points", "4");
+    client.upload("t.bench", kBenchText);
+    const Client::Result transfer = client.run("transfer");
+    const Client::Result sta = client.run("sta", "t.bench");
+    EXPECT_EQ(transfer.status, "ok");
+    EXPECT_EQ(sta.status, "ok");
+    return std::make_pair(transfer.body, sta.body);
+  };
+  cache::SolveCache::global().clear();
+  std::optional<Server> server(std::in_place, ServerOptions{});
+  server->start();
+  const std::uint16_t port = server->port();
+  Client first = Client::connect(port);
+  const auto before = serve(first);
+  server->stop();
+  server.reset();
+  // A restart empties the replay cache too.
+  cache::SolveCache::global().clear();
+
+  ServerOptions same_port;
+  same_port.port = port;
+  server.emplace(same_port);
+  server->start();
+  ASSERT_EQ(server->port(), port);
+  // The old session is gone: its token names no session on the new server.
+  TcpStream data = TcpStream::connect_loopback(port);
+  data.write_all("DATA " + first.session() + "\n");
+  EXPECT_EQ(data.read_line().value().rfind("ERR", 0), 0u);
+  Client second = Client::connect(port);
+  const auto after = serve(second);
+  EXPECT_EQ(after.first, before.first);
+  EXPECT_EQ(after.second, before.second);
+  EXPECT_EQ(after.first, direct_body(QueryKind::kTransfer, {{"points", "4"}}));
+  EXPECT_EQ(after.second, direct_body(QueryKind::kSta, {{"points", "4"}}));
+  second.quit();
+  server->stop();
+  cache::SolveCache::global().clear();
 }
 
 }  // namespace

@@ -144,8 +144,9 @@ TEST(Json, ParseKeepsMemberOrderAndAccessorsCheckKindAndRange) {
 /// Every document under tests/corpus/json (a .json file is one document,
 /// a .jsonl file one per line), with its file name. `seed-*` files were
 /// captured from the repository's writers: checkpoint, quarantine report,
-/// metrics snapshot, STATS reply, hello/result/drain events and session
-/// journal. Any other file is a fuzzer finding kept as a regression input.
+/// metrics snapshot, STATS reply, hello/result/drain events and the
+/// retired session journal (kept as fuzz input). Any other file is a fuzzer
+/// finding kept as a regression input.
 std::vector<std::pair<std::string, std::string>> load_corpus() {
   std::vector<std::filesystem::path> files;
   for (const auto& e : std::filesystem::directory_iterator(PPD_JSON_CORPUS_DIR))

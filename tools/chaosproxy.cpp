@@ -15,6 +15,9 @@
 //   --stats-every=s  print injection totals every s seconds (0 = only at
 //                    exit)
 //
+// Ports must be integers in [0, 65535] and --stats-every finite and >= 0;
+// a malformed flag exits 2 before binding.
+//
 // Every injection decision is a pure hash of (seed, connection, direction,
 // seam, chunk) — re-running a failing seed injects the same faults at the
 // same byte offsets. SIGINT/SIGTERM stop the proxy and print final totals.
@@ -25,6 +28,7 @@
 #include <thread>
 
 #include "ppd/net/chaos.hpp"
+#include "ppd/net/protocol.hpp"
 #include "ppd/resil/faultplan.hpp"
 #include "ppd/util/cli.hpp"
 #include "ppd/util/error.hpp"
@@ -55,14 +59,16 @@ int main(int argc, char** argv) {
 
     ppd::net::ChaosProxyOptions options;
     options.upstream_port =
-        static_cast<std::uint16_t>(cli.get("upstream", 0));
+        ppd::net::parse_port("upstream", cli.get("upstream", std::string("0")));
     if (options.upstream_port == 0)
       throw ppd::ParseError("chaosproxy needs --upstream=PORT");
-    options.listen_port = static_cast<std::uint16_t>(cli.get("port", 0));
+    options.listen_port =
+        ppd::net::parse_port("port", cli.get("port", std::string("0")));
     const std::string faults = cli.get("faults", std::string());
     if (!faults.empty())
       options.plan = ppd::resil::FaultPlan::parse(faults);
-    const double stats_every = cli.get("stats-every", 0.0);
+    const double stats_every = ppd::net::parse_seconds(
+        "stats-every", cli.get("stats-every", std::string("0")));
 
     ppd::net::ChaosProxy proxy(options);
     proxy.start();
@@ -95,6 +101,9 @@ int main(int argc, char** argv) {
     proxy.stop();
     print_stats(proxy.stats());
     return 0;
+  } catch (const ppd::ParseError& e) {
+    std::cerr << "chaosproxy: " << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "chaosproxy: " << e.what() << "\n";
     return 1;

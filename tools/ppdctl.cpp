@@ -50,22 +50,29 @@
 //                      (default 0 = fail fast)
 //   --retry-backoff=s  base backoff before a retry, doubling per attempt
 //                      (default 0.2)
-//   --resume=TOKEN     RESUME this session token instead of opening a
-//                      fresh session (journal-backed servers only); batch
-//                      mode re-issues unacknowledged queries idempotently
-//                      by qid after a reconnect, so a killed-and-recovered
-//                      ppdd yields the same result set as an uninterrupted
-//                      run.
+//
+// --port must be an integer in [0, 65535], --retries a non-negative
+// integer and --retry-backoff finite and >= 0; a malformed flag exits 2.
+//
+// Reconnect and re-issue: batch mode remembers the last value of each
+// `set` key and the last bytes of each `upload` name it has sent. When the
+// connection drops (a killed or restarted ppdd), it opens a fresh session,
+// re-sends that state and re-issues the command it was running. Every
+// answer is a pure function of its query, so the batch prints the same
+// bytes as an undisturbed run; a query whose result was already printed is
+// never sent again, while one in flight at the drop runs again.
 #include <unistd.h>
 
 #include <chrono>
-#include <thread>
-
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <limits>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
-#include <vector>
+#include <thread>
 
 #include "ppd/net/client.hpp"
 #include "ppd/net/protocol.hpp"
@@ -93,30 +100,27 @@ void backoff_sleep(const Endpoint& ep, int attempt) {
       ep.backoff_s * static_cast<double>(1 << std::min(attempt - 1, 8))));
 }
 
-/// A ServiceError that means "the connection is gone" (retry/resume-able),
+/// A ServiceError that means "the connection is gone" (reconnect and retry),
 /// as opposed to a definitive ERR reply from the server.
 bool is_disconnect(const net::ServiceError& e) {
   const std::string what = e.what();
   return what.find("closed") != std::string::npos;
 }
 
-/// Connect (or RESUME) with the --retries/--retry-backoff ladder. A
-/// definitive server refusal (ERR, e.g. an unresumable token) is not
-/// retried — only socket-level failures and closed streams are.
-net::Client connect_with_retry(const Endpoint& ep,
-                               const std::string& resume_token) {
+/// Connect with the --retries/--retry-backoff ladder. A definitive server
+/// refusal (ERR) is not retried — only socket-level failures and closed
+/// streams are; running out of attempts throws NetError.
+net::Client connect_with_retry(const Endpoint& ep) {
   std::optional<net::Client> client;
   std::string last_error;
   const resil::RetryPolicy policy{
-      "ppdctl.connect", {{"connect", 1 + std::max(ep.retries, 0)}}};
+      "ppdctl.connect", {{"connect", 1 + ep.retries}}};
   const auto outcome = resil::run_ladder(
       policy,
       [&](const resil::RetryRung&, int attempt) {
         backoff_sleep(ep, attempt);
         try {
-          client = resume_token.empty()
-                       ? net::Client::connect(ep.port)
-                       : net::Client::resume(ep.port, resume_token);
+          client = net::Client::connect(ep.port);
           return true;
         } catch (const net::NetError& e) {
           last_error = e.what();
@@ -129,10 +133,9 @@ net::Client connect_with_retry(const Endpoint& ep,
       },
       resil::Deadline::never(), "ppdctl connect");
   if (!outcome.success)
-    throw net::ServiceError("cannot reach ppdd on port " +
-                            std::to_string(ep.port) + " after " +
-                            std::to_string(outcome.total_attempts) +
-                            " attempts: " + last_error);
+    throw net::NetError("cannot reach ppdd on port " + std::to_string(ep.port) +
+                        " after " + std::to_string(outcome.total_attempts) +
+                        " attempts: " + last_error);
   return std::move(*client);
 }
 
@@ -314,61 +317,57 @@ int cmd_trace(net::Client& client, int argc, char** argv) {
   return 0;
 }
 
-/// One batch query with the full recovery ladder: BUSY backs off and
-/// retries; a dropped connection reconnects, RESUMEs the same session and
-/// re-issues the query by qid — the server dedups ids it already ran (or
-/// redelivers the journaled result for acked ones), so a crash/restart
-/// cycle cannot double-execute or lose a query.
-net::Client::Result run_batch_query(net::Client& client, const Endpoint& ep,
-                                    const std::string& kind,
-                                    const std::string& arg) {
-  std::uint64_t issued_id = 0;
-  net::Client::Result res;
-  bool got = false;
-  std::string last_error = "BUSY";
-  const resil::RetryPolicy policy{
-      "ppdctl.query", {{"submit", 1 + std::max(ep.retries, 0)}}};
+/// A batch's connection plus the session state it has built: the last
+/// value of each `set` key and the last bytes of each `upload` name.
+struct BatchLink {
+  net::Client client;
+  std::map<std::string, std::string> config;
+  std::map<std::string, std::string> uploads;
+  bool lost = false;  ///< the connection dropped; reconnect before use
+};
+
+/// Run one batch command `op` on the batch's client under the --retries
+/// ladder. `op` returns false (with a reason) to back off and retry, as on
+/// BUSY. A dropped connection opens a fresh session, re-sends the batch's
+/// SETs and UPLOADs to it and retries `op` there. A definitive ERR reply is
+/// not retried.
+void run_with_recovery(
+    BatchLink& link, const Endpoint& ep, const std::string& what,
+    const std::function<bool(net::Client&, std::string& why)>& op) {
+  std::string last_error;
+  const resil::RetryPolicy policy{"ppdctl.batch",
+                                  {{"command", 1 + ep.retries}}};
   const auto outcome = resil::run_ladder(
       policy,
       [&](const resil::RetryRung&, int attempt) {
         backoff_sleep(ep, attempt);
         try {
-          net::Client::SubmitOptions opts;
-          opts.id = issued_id;  // 0 on the first attempt = fresh admission
-          const auto sub = client.submit(kind, arg, opts);
-          if (sub.busy) {
-            last_error = sub.reply;
-            return false;
+          if (link.lost) {
+            link.client = connect_with_retry(ep);
+            for (const auto& [key, value] : link.config)
+              link.client.set(key, value);
+            for (const auto& [name, text] : link.uploads)
+              link.client.upload(name, text);
+            link.lost = false;
           }
-          issued_id = sub.id;
-          res = client.wait(sub.id);
-          got = true;
-          return true;
+          return op(link.client, last_error);
         } catch (const net::NetError& e) {
           last_error = e.what();
         } catch (const net::ServiceError& e) {
           if (!is_disconnect(e)) throw;
           last_error = e.what();
         }
-        // Connection lost mid-query: reconnect and RESUME this session.
-        // The next attempt re-issues `issued_id` idempotently.
-        const std::string token = client.session();
-        try {
-          client = connect_with_retry(ep, token);
-        } catch (const net::ServiceError& e) {
-          last_error = e.what();  // not resumable (no journal / evicted)
-        }
+        link.lost = true;
         return false;
       },
-      resil::Deadline::never(), "ppdctl query");
-  if (!got)
-    throw net::ServiceError("query " + kind + " failed after " +
+      resil::Deadline::never(), "ppdctl " + what);
+  if (!outcome.success)
+    throw net::ServiceError(what + " failed after " +
                             std::to_string(outcome.total_attempts) +
                             " attempts: " + last_error);
-  return res;
 }
 
-int cmd_batch(net::Client& client, const Endpoint& ep) {
+int cmd_batch(BatchLink& link, const Endpoint& ep) {
   int worst = 0;
   std::string line;
   while (std::getline(std::cin, line)) {
@@ -379,22 +378,49 @@ int cmd_batch(net::Client& client, const Endpoint& ep) {
     try {
       if (util::iequals(cmd, "quit")) {
         break;
-      } else if (util::iequals(cmd, "ping")) {
-        std::cout << client.ping() << "\n";
-      } else if (util::iequals(cmd, "stats")) {
-        std::cout << client.stats() << "\n";
+      } else if (util::iequals(cmd, "ping") || util::iequals(cmd, "stats")) {
+        std::string reply;
+        run_with_recovery(link, ep, cmd,
+                          [&](net::Client& client, std::string&) {
+                            reply = util::iequals(cmd, "ping")
+                                        ? client.ping()
+                                        : client.stats();
+                            return true;
+                          });
+        std::cout << reply << "\n";
       } else if (util::iequals(cmd, "set") && words.size() >= 3) {
         // The value is everything after the key, verbatim.
         const auto key_pos = line.find(words[1], line.find(words[0]) +
                                                      words[0].size());
-        const std::string rest = line.substr(key_pos + words[1].size());
-        client.set(words[1], std::string(util::trim(rest)));
+        const std::string value(
+            util::trim(line.substr(key_pos + words[1].size())));
+        run_with_recovery(link, ep, "set " + words[1],
+                          [&](net::Client& client, std::string&) {
+                            client.set(words[1], value);
+                            return true;
+                          });
+        link.config[words[1]] = value;
       } else if (util::iequals(cmd, "upload") && words.size() == 3) {
-        client.upload(words[1], slurp_file(words[2]));
+        const std::string text = slurp_file(words[2]);
+        run_with_recovery(link, ep, "upload " + words[1],
+                          [&](net::Client& client, std::string&) {
+                            client.upload(words[1], text);
+                            return true;
+                          });
+        link.uploads[words[1]] = text;
       } else if (util::iequals(cmd, "query") && words.size() >= 2) {
         const std::string arg = words.size() > 2 ? words[2] : std::string();
-        const net::Client::Result res =
-            run_batch_query(client, ep, words[1], arg);
+        net::Client::Result res;
+        run_with_recovery(link, ep, "query " + words[1],
+                          [&](net::Client& client, std::string& why) {
+                            const auto sub = client.submit(words[1], arg);
+                            if (sub.busy) {
+                              why = sub.reply;
+                              return false;
+                            }
+                            res = client.wait(sub.id);
+                            return true;
+                          });
         std::cout << res.raw << "\n";
         if (res.status != "ok" || res.exit_code != 0) worst = 1;
       } else {
@@ -416,19 +442,23 @@ int main(int argc, char** argv) {
     // Strip the global flags; everything after the mode word belongs to
     // the mode (query flags are session keys, not ppdctl flags).
     Endpoint ep;
-    std::string resume_token;
-    util::strip_args(argc, argv, [&ep, &resume_token](std::string_view arg) {
+    util::strip_args(argc, argv, [&ep](std::string_view arg) {
       const auto value = [&arg](const char* prefix) {
         return std::string(arg.substr(std::string(prefix).size()));
       };
       if (util::starts_with(arg, "--port=")) {
-        ep.port = static_cast<std::uint16_t>(std::stoi(value("--port=")));
+        ep.port = net::parse_port("port", value("--port="));
       } else if (util::starts_with(arg, "--retries=")) {
-        ep.retries = std::stoi(value("--retries="));
+        const std::size_t retries =
+            util::parse_count("retries", value("--retries="));
+        if (retries >= static_cast<std::size_t>(
+                           std::numeric_limits<int>::max()))
+          throw ParseError("option --retries is too large: " +
+                           value("--retries="));
+        ep.retries = static_cast<int>(retries);
       } else if (util::starts_with(arg, "--retry-backoff=")) {
-        ep.backoff_s = std::stod(value("--retry-backoff="));
-      } else if (util::starts_with(arg, "--resume=")) {
-        resume_token = value("--resume=");
+        ep.backoff_s =
+            net::parse_seconds("retry-backoff", value("--retry-backoff="));
       } else {
         return false;
       }
@@ -436,14 +466,15 @@ int main(int argc, char** argv) {
     });
     if (argc < 2) {
       std::cerr << "usage: ppdctl [--port=N] [--retries=N] "
-                   "[--retry-backoff=s] [--resume=TOKEN] "
+                   "[--retry-backoff=s] "
                    "<ping|stats|query|batch|subscribe|top|trace> ...\n"
                    "(see the header of tools/ppdctl.cpp)\n";
       return 2;
     }
     const std::string mode = argv[1];
 
-    net::Client client = connect_with_retry(ep, resume_token);
+    BatchLink link{connect_with_retry(ep), {}, {}, false};
+    net::Client& client = link.client;
     int code = 2;
     if (mode == "ping") {
       std::cout << client.ping() << " (session " << client.session() << ")\n";
@@ -454,7 +485,7 @@ int main(int argc, char** argv) {
     } else if (mode == "query") {
       code = cmd_query(client, argc - 2, argv + 2);
     } else if (mode == "batch") {
-      code = cmd_batch(client, ep);
+      code = cmd_batch(link, ep);
     } else if (mode == "subscribe") {
       code = cmd_subscribe(client, argc - 2, argv + 2);
     } else if (mode == "top") {
@@ -466,6 +497,9 @@ int main(int argc, char** argv) {
     }
     client.quit();
     return code;
+  } catch (const ParseError& e) {
+    std::cerr << "ppdctl: " << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "ppdctl: " << e.what() << "\n";
     return 1;

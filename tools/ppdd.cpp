@@ -4,7 +4,6 @@
 //        [--slow-query=s] [--trace-ring=N]
 //        [--max-upload-bytes=N] [--max-uploads=N] [--max-line=N]
 //        [--max-backlog=N] [--max-inflight=N] [--shed-watermark=N]
-//        [--journal=FILE] [--recover]
 //        [--metrics=F] [--metrics-format=json|text] [--trace=F]
 //        [--log-level=L] [--log-json=F]
 //
@@ -26,8 +25,8 @@
 //                   `ppdctl trace` can dump recent served-query spans from
 //                   a long-running daemon (default 8192, 0 disables)
 //
-// Hardening knobs (PR 9) — every per-session resource is capped, overload
-// is shed deterministically, and sessions are crash-recoverable:
+// Hardening knobs — every per-session resource is capped and overload is
+// shed deterministically:
 //
 //   --max-upload-bytes=N  per-session upload budget (default 4 MiB);
 //                         over-budget uploads answer ERR quota.upload_bytes
@@ -41,10 +40,14 @@
 //   --shed-watermark=N    in-flight jobs at which load shedding starts
 //                         refusing low-priority kinds (coverage/rmin first,
 //                         then calibrate); 0 = half the ceiling
-//   --journal=FILE        append-only session journal: SET/UPLOAD/accepted
-//                         qids/delivered results survive a crash
-//   --recover             replay --journal on start and rebuild its
-//                         sessions (detached; clients reconnect via RESUME)
+//
+// Counts must be non-negative integers, the port at most 65535 and
+// durations finite and >= 0; a malformed flag exits 2 before binding.
+//
+// ppdd keeps no state across a restart: a session ends with its control
+// connection. A client that lost its connection (ppdctl batch --retries)
+// reconnects, re-sends its SETs and UPLOADs and re-issues the queries it
+// has no result for; every answer is a pure function of its query.
 //
 // The standard obs flags (--metrics= etc., shared with every other binary)
 // are honoured too; the metrics snapshot and Chrome trace are flushed when
@@ -87,32 +90,22 @@ int main(int argc, char** argv) {
         argc, argv,
         {"port", "port-file", "max-queue", "drain-grace", "slow-query",
          "trace-ring", "max-upload-bytes", "max-uploads", "max-line",
-         "max-backlog", "max-inflight", "shed-watermark", "journal",
-         "recover"});
+         "max-backlog", "max-inflight", "shed-watermark"});
 
     ppd::net::ServerOptions options;
-    options.port = static_cast<std::uint16_t>(
-        cli.get("port", static_cast<int>(ppd::net::kDefaultPort)));
-    options.limits.max_queue =
-        static_cast<std::size_t>(cli.get("max-queue", 8));
-    options.drain_grace_seconds = cli.get("drain-grace", 30.0);
-    options.slow_query_seconds = cli.get("slow-query", 1.0);
-    options.limits.max_upload_bytes = static_cast<std::size_t>(
-        cli.get("max-upload-bytes", static_cast<int>(4 << 20)));
-    options.limits.max_uploads =
-        static_cast<std::size_t>(cli.get("max-uploads", 64));
-    options.limits.max_line_bytes = static_cast<std::size_t>(
-        cli.get("max-line", static_cast<int>(64 << 10)));
-    options.limits.max_backlog =
-        static_cast<std::size_t>(cli.get("max-backlog", 8));
-    options.max_inflight_total =
-        static_cast<std::size_t>(cli.get("max-inflight", 64));
-    options.shed_watermark =
-        static_cast<std::size_t>(cli.get("shed-watermark", 0));
-    options.journal_path = cli.get("journal", std::string());
-    options.recover = cli.has("recover");
-    if (options.recover && options.journal_path.empty())
-      throw ppd::ParseError("--recover needs --journal=FILE");
+    options.port = ppd::net::parse_port(
+        "port", cli.get("port", std::to_string(ppd::net::kDefaultPort)));
+    options.limits.max_queue = cli.count("max-queue", 8);
+    options.drain_grace_seconds =
+        ppd::net::parse_seconds("drain-grace", cli.get("drain-grace", "30"));
+    options.slow_query_seconds =
+        ppd::net::parse_seconds("slow-query", cli.get("slow-query", "1"));
+    options.limits.max_upload_bytes = cli.count("max-upload-bytes", 4u << 20);
+    options.limits.max_uploads = cli.count("max-uploads", 64);
+    options.limits.max_line_bytes = cli.count("max-line", 64u << 10);
+    options.limits.max_backlog = cli.count("max-backlog", 8);
+    options.max_inflight_total = cli.count("max-inflight", 64);
+    options.shed_watermark = cli.count("shed-watermark", 0);
 
     run.set_meta(0, ppd::exec::ThreadPool::global().size());
 
@@ -120,10 +113,10 @@ int main(int argc, char** argv) {
     // trace` works against a long-running daemon, but each thread keeps
     // only the most recent window of events. --trace=FILE still gets the
     // shutdown dump via ScopedRun.
-    const int trace_ring = cli.get("trace-ring", 8192);
+    const std::size_t trace_ring = cli.count("trace-ring", 8192);
     if (trace_ring > 0) {
       ppd::obs::TraceSession& trace = ppd::obs::TraceSession::global();
-      trace.set_ring_limit(static_cast<std::size_t>(trace_ring));
+      trace.set_ring_limit(trace_ring);
       if (!trace.active()) trace.start();
     }
 
@@ -154,6 +147,9 @@ int main(int argc, char** argv) {
     run.finish();
     std::cout << "ppdd stopped" << std::endl;
     return 0;
+  } catch (const ppd::ParseError& e) {
+    std::cerr << "ppdd: " << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "ppdd: " << e.what() << "\n";
     return 1;
