@@ -1,9 +1,9 @@
 #include "ppd/core/coverage.hpp"
 
-#include "ppd/exec/parallel.hpp"
-#include "ppd/obs/metrics.hpp"
+#include <functional>
+#include <string>
+
 #include "ppd/obs/trace.hpp"
-#include "ppd/resil/faultplan.hpp"
 #include "ppd/util/error.hpp"
 
 namespace ppd::core {
@@ -25,18 +25,7 @@ CoverageResult make_result(const CoverageOptions& options) {
   return res;
 }
 
-exec::ParallelOptions parallel_options(const CoverageOptions& options,
-                                       const char* what) {
-  exec::ParallelOptions par;
-  par.threads = options.threads;
-  par.cancel = options.cancel;
-  // Item i = (resistance r, MC sample s); name the sweep so an electrical
-  // failure deep inside one sample still says which experiment it broke.
-  par.context = what;
-  return par;
-}
-
-/// Fold per-item detection verdicts into the coverage matrix and normalize.
+/// Fold per-item verdict rows into the coverage matrix and normalize.
 /// Detections are 0/1 counts, so the sum is exact in double arithmetic and
 /// the parallel result matches the historical serial accumulation bit for
 /// bit; the reduction still runs in item order for good measure.
@@ -45,19 +34,25 @@ exec::ParallelOptions parallel_options(const CoverageOptions& options,
 /// coverage 0). With an empty report this is exactly the historical
 /// divide-by-samples.
 CoverageResult reduce_verdicts(const CoverageOptions& options,
-                               const std::vector<std::vector<char>>& verdicts,
-                               resil::QuarantineReport quarantine) {
+                               resil::SweepOutcome sweep) {
   CoverageResult res = make_result(options);
   const auto samples = static_cast<std::size_t>(options.samples);
   std::vector<std::size_t> valid(options.resistances.size(), 0);
-  for (std::size_t item = 0; item < verdicts.size(); ++item) {
+  for (std::size_t item = 0; item < sweep.payloads.size(); ++item) {
     const std::size_t r = item / samples;
-    if (quarantine.contains(item)) continue;
+    if (sweep.quarantine.contains(item)) continue;
+    const std::string& row = sweep.payloads[item];
+    // A resumed row comes from the checkpoint file.
+    if (row.size() != options.multipliers.size())
+      throw ParseError("checkpoint item " + std::to_string(item) + " holds " +
+                       std::to_string(row.size()) + " verdicts, the sweep has " +
+                       std::to_string(options.multipliers.size()) +
+                       " multipliers");
     ++valid[r];
-    for (std::size_t m = 0; m < options.multipliers.size(); ++m)
-      if (verdicts[item][m]) res.coverage[m][r] += 1.0;
+    for (std::size_t m = 0; m < row.size(); ++m)
+      if (row[m] == '1') res.coverage[m][r] += 1.0;
   }
-  // Sum the per-resistance valid counts instead of verdicts.size() -
+  // Sum the per-resistance valid counts instead of payloads.size() -
   // quarantine.size(): the size_t difference wraps to ~2^64 whenever the
   // report outnumbers the collected verdicts, and the per-column counts are
   // what the coverage rows were actually normalized by.
@@ -66,25 +61,63 @@ CoverageResult reduce_verdicts(const CoverageOptions& options,
   for (auto& row : res.coverage)
     for (std::size_t r = 0; r < row.size(); ++r)
       row[r] = valid[r] == 0 ? 0.0 : row[r] / static_cast<double>(valid[r]);
-  res.quarantine = std::move(quarantine);
+  res.quarantine = std::move(sweep.quarantine);
   return res;
 }
 
-/// Verdict row <-> checkpoint payload ('0'/'1' per multiplier). The payload
-/// IS the item's full result, which is what makes a resumed sweep
-/// bit-identical to an uninterrupted one.
-std::string encode_verdicts(const std::vector<char>& hit) {
-  std::string s(hit.size(), '0');
-  for (std::size_t i = 0; i < hit.size(); ++i)
-    if (hit[i]) s[i] = '1';
-  return s;
+/// One item's verdicts as its checkpoint payload: '1' at multiplier m when
+/// `detects(multipliers[m])`, '0' elsewhere. The payload IS the item's full
+/// result, which is what makes a resumed sweep bit-identical to an
+/// uninterrupted one.
+template <typename Detects>
+std::string verdict_row(const std::vector<double>& multipliers,
+                        Detects detects) {
+  std::string row(multipliers.size(), '0');
+  for (std::size_t m = 0; m < multipliers.size(); ++m)
+    if (detects(multipliers[m])) row[m] = '1';
+  return row;
 }
 
-std::vector<char> decode_verdicts(const std::string& payload) {
-  std::vector<char> hit(payload.size(), 0);
-  for (std::size_t i = 0; i < payload.size(); ++i)
-    hit[i] = payload[i] == '1' ? 1 : 0;
-  return hit;
+/// Measures one built path instance of MC sample s and returns its
+/// verdict_row.
+using MeasureRow =
+    std::function<std::string(cells::Path&, std::size_t, const SimSettings&)>;
+
+/// The coverage sweep both test methods share. One item = one electrical
+/// transient = (resistance r, MC sample s).
+CoverageResult run_coverage(const PathFactory& factory,
+                            const CoverageOptions& options,
+                            const char* context, const MeasureRow& measure) {
+  validate(options);
+  PPD_REQUIRE(factory.fault.has_value(), "coverage needs a fault site");
+  const auto samples = static_cast<std::size_t>(options.samples);
+  SimSettings sim = options.sim;
+  if (options.resil.solve_budget_seconds > 0.0)
+    sim.budget_seconds = options.resil.solve_budget_seconds;
+  exec::ParallelOptions par;
+  par.threads = options.threads;
+  par.cancel = options.cancel;
+  // The context names the sweep, so an electrical failure deep inside one
+  // sample still says which experiment it broke.
+  resil::SweepOutcome sweep = resil::guarded_map(
+      options.resil,
+      {.items = options.resistances.size() * samples,
+       .seed = options.seed,
+       .context = context,
+       .domain = "core.coverage",
+       .item_seed =
+           [samples](std::size_t item) {
+             return static_cast<std::uint64_t>(item % samples);
+           }},
+      par, [&](std::size_t item) {
+        const std::size_t r = item / samples;
+        const std::size_t s = item % samples;
+        mc::Rng rng = sample_rng(options.seed, s);
+        mc::GaussianVariationSource var(options.variation, rng);
+        PathInstance inst = make_instance(factory, options.resistances[r], &var);
+        return measure(inst.path, s, sim);
+      });
+  return reduce_verdicts(options, std::move(sweep));
 }
 
 }  // namespace
@@ -93,114 +126,34 @@ CoverageResult run_delay_coverage(const PathFactory& factory,
                                   const DelayTestCalibration& cal,
                                   const CoverageOptions& options) {
   const obs::Span span("core.delay_coverage");
-  validate(options);
-  PPD_REQUIRE(factory.fault.has_value(), "coverage needs a fault site");
-  const auto samples = static_cast<std::size_t>(options.samples);
-  const std::size_t items = options.resistances.size() * samples;
-  exec::SweepStats stats;
-
-  resil::SweepGuard guard(
-      options.resil, items, options.seed, "delay-test coverage MC sweep",
-      [samples](std::size_t item) { return static_cast<std::uint64_t>(item % samples); });
-  exec::ParallelOptions par =
-      parallel_options(options, "delay-test coverage MC sweep");
-  guard.arm(par);
-  SimSettings sim = options.sim;
-  if (guard.solve_budget_seconds() > 0.0)
-    sim.budget_seconds = guard.solve_budget_seconds();
-
-  // One item = one electrical transient = (resistance r, MC sample s); its
-  // verdict row holds the detection flag per clock multiplier.
-  std::vector<std::vector<char>> verdicts;
-  try {
-    verdicts = exec::parallel_map(
-        items,
-        [&](std::size_t item) -> std::vector<char> {
-          if (const auto saved = guard.cached(item)) return decode_verdicts(*saved);
-          const resil::FaultScope inject(guard.plan(), item);
-          resil::inject_item_delay();
-          resil::inject_item_failure();
-          const std::size_t r = item / samples;
-          const std::size_t s = item % samples;
-          mc::Rng rng = sample_rng(options.seed, s);
-          mc::GaussianVariationSource var(options.variation, rng);
-          PathInstance inst =
-              make_instance(factory, options.resistances[r], &var);
-          const std::optional<double> d =
-              path_delay(inst.path, cal.input_rising, sim);
-          std::vector<char> hit(options.multipliers.size(), 0);
-          for (std::size_t m = 0; m < options.multipliers.size(); ++m) {
-            const double t_applied = options.multipliers[m] * cal.t_nominal;
-            hit[m] = delay_detects(d, t_applied, cal.flip_flops) ? 1 : 0;
-          }
-          guard.complete(item, encode_verdicts(hit));
-          return hit;
-        },
-        par, &stats);
-  } catch (const exec::CancelledError& e) {
-    guard.cancelled(e);
-  }
-  exec::record_sweep("core.coverage", stats);
-  return reduce_verdicts(options, verdicts, guard.finish());
+  return run_coverage(
+      factory, options, "delay-test coverage MC sweep",
+      [&](cells::Path& path, std::size_t, const SimSettings& sim) {
+        const std::optional<double> d =
+            path_delay(path, cal.input_rising, sim);
+        return verdict_row(options.multipliers, [&](double multiplier) {
+          return delay_detects(d, multiplier * cal.t_nominal, cal.flip_flops);
+        });
+      });
 }
 
 CoverageResult run_pulse_coverage(const PathFactory& factory,
                                   const PulseTestCalibration& cal,
                                   const CoverageOptions& options) {
   const obs::Span span("core.pulse_coverage");
-  validate(options);
-  PPD_REQUIRE(factory.fault.has_value(), "coverage needs a fault site");
-  const auto samples = static_cast<std::size_t>(options.samples);
-  const std::size_t items = options.resistances.size() * samples;
-  exec::SweepStats stats;
-
-  resil::SweepGuard guard(
-      options.resil, items, options.seed, "pulse-test coverage MC sweep",
-      [samples](std::size_t item) { return static_cast<std::uint64_t>(item % samples); });
-  exec::ParallelOptions par =
-      parallel_options(options, "pulse-test coverage MC sweep");
-  guard.arm(par);
-  SimSettings sim = options.sim;
-  if (guard.solve_budget_seconds() > 0.0)
-    sim.budget_seconds = guard.solve_budget_seconds();
-
-  // This die's generator produces its own width (uncertainty (a)).
-  const auto applied_width = [&](std::size_t s) {
-    mc::Rng gen_rng = sample_rng(options.seed ^ 0xABCDull, s);
-    return cal.w_in *
-           gen_rng.normal_clipped(1.0, options.generator_sigma, 4.0);
-  };
-  std::vector<std::vector<char>> verdicts;
-  try {
-    verdicts = exec::parallel_map(
-        items,
-        [&](std::size_t item) -> std::vector<char> {
-          if (const auto saved = guard.cached(item)) return decode_verdicts(*saved);
-          const resil::FaultScope inject(guard.plan(), item);
-          resil::inject_item_delay();
-          resil::inject_item_failure();
-          const std::size_t r = item / samples;
-          const std::size_t s = item % samples;
-          mc::Rng rng = sample_rng(options.seed, s);
-          mc::GaussianVariationSource var(options.variation, rng);
-          PathInstance inst =
-              make_instance(factory, options.resistances[r], &var);
-          const std::optional<double> w_out =
-              output_pulse_width(inst.path, cal.kind, applied_width(s), sim);
-          std::vector<char> hit(options.multipliers.size(), 0);
-          for (std::size_t m = 0; m < options.multipliers.size(); ++m) {
-            const double w_th_applied = options.multipliers[m] * cal.w_th;
-            hit[m] = pulse_detects(w_out, w_th_applied) ? 1 : 0;
-          }
-          guard.complete(item, encode_verdicts(hit));
-          return hit;
-        },
-        par, &stats);
-  } catch (const exec::CancelledError& e) {
-    guard.cancelled(e);
-  }
-  exec::record_sweep("core.coverage", stats);
-  return reduce_verdicts(options, verdicts, guard.finish());
+  return run_coverage(
+      factory, options, "pulse-test coverage MC sweep",
+      [&](cells::Path& path, std::size_t s, const SimSettings& sim) {
+        // This die's generator produces its own width (uncertainty (a)).
+        mc::Rng gen_rng = sample_rng(options.seed ^ 0xABCDull, s);
+        const double applied_width =
+            cal.w_in * gen_rng.normal_clipped(1.0, options.generator_sigma, 4.0);
+        const std::optional<double> w_out =
+            output_pulse_width(path, cal.kind, applied_width, sim);
+        return verdict_row(options.multipliers, [&](double multiplier) {
+          return pulse_detects(w_out, multiplier * cal.w_th);
+        });
+      });
 }
 
 }  // namespace ppd::core

@@ -1,9 +1,8 @@
 #include "ppd/core/rmin.hpp"
 
-#include "ppd/exec/parallel.hpp"
-#include "ppd/obs/metrics.hpp"
+#include <string>
+
 #include "ppd/obs/trace.hpp"
-#include "ppd/resil/faultplan.hpp"
 #include "ppd/util/error.hpp"
 
 namespace ppd::core {
@@ -24,52 +23,38 @@ double detected_fraction(const PathFactory& factory,
   resil::SweepPolicy policy = options.resil;
   policy.checkpoint_path.clear();
   policy.resume = false;
-  resil::SweepGuard guard(policy, static_cast<std::size_t>(options.samples),
-                          options.seed,
-                          "r_min MC sweep at R = " + std::to_string(r) + " ohm");
+  SimSettings sim = options.sim;
+  if (policy.solve_budget_seconds > 0.0)
+    sim.budget_seconds = policy.solve_budget_seconds;
   exec::ParallelOptions par;
   par.threads = options.threads;
   par.cancel = options.cancel;
-  par.context = "r_min MC sweep at R = " + std::to_string(r) + " ohm";
-  guard.arm(par);
-  SimSettings sim = options.sim;
-  if (guard.solve_budget_seconds() > 0.0)
-    sim.budget_seconds = guard.solve_budget_seconds();
-  exec::SweepStats stats;
-  std::vector<char> hits;
-  try {
-    hits = exec::parallel_map(
-        static_cast<std::size_t>(options.samples),
-        [&](std::size_t s) {
-          const resil::FaultScope inject(guard.plan(), s);
-          resil::inject_item_delay();
-          resil::inject_item_failure();
-          mc::Rng rng = sample_rng(options.seed, s);
-          mc::GaussianVariationSource var(options.variation, rng);
-          PathInstance inst = make_instance(factory, r, &var);
-          const std::optional<double> w_out =
-              output_pulse_width(inst.path, cal.kind, cal.w_in, sim);
-          const auto hit = static_cast<char>(pulse_detects(w_out, cal.w_th) ? 1 : 0);
-          guard.complete(s, std::string(1, hit ? '1' : '0'));
-          return hit;
-        },
-        par, &stats);
-  } catch (const exec::CancelledError& e) {
-    guard.cancelled(e);
-  }
-  exec::record_sweep("core.rmin", stats);
-  const resil::QuarantineReport report = guard.finish();
-  quarantined += report.size();
-  // Count valid samples by walking the results, never as hits.size() -
-  // report.size(): size_t subtraction wraps when the report outnumbers the
-  // collected hits (e.g. a cancelled sweep that returned early), turning an
-  // empty population into ~2^64 "valid" samples.
+  const auto samples = static_cast<std::size_t>(options.samples);
+  const resil::SweepOutcome sweep = resil::guarded_map(
+      policy,
+      {.items = samples,
+       .seed = options.seed,
+       .context = "r_min MC sweep at R = " + std::to_string(r) + " ohm",
+       .domain = "core.rmin"},
+      par, [&](std::size_t s) {
+        mc::Rng rng = sample_rng(options.seed, s);
+        mc::GaussianVariationSource var(options.variation, rng);
+        PathInstance inst = make_instance(factory, r, &var);
+        const std::optional<double> w_out =
+            output_pulse_width(inst.path, cal.kind, cal.w_in, sim);
+        return std::string(1, pulse_detects(w_out, cal.w_th) ? '1' : '0');
+      });
+  quarantined += sweep.quarantine.size();
+  // Count valid samples by walking the results, never as samples -
+  // quarantine.size(): size_t subtraction wraps when the report outnumbers
+  // the collected results, turning an empty population into ~2^64 "valid"
+  // samples.
   std::size_t valid = 0;
   int detected = 0;
-  for (std::size_t s = 0; s < hits.size(); ++s) {
-    if (report.contains(s)) continue;
+  for (std::size_t s = 0; s < sweep.payloads.size(); ++s) {
+    if (sweep.quarantine.contains(s)) continue;
     ++valid;
-    detected += hits[s];
+    if (sweep.payloads[s] == "1") ++detected;
   }
   simulations += valid;
   return valid == 0 ? 0.0

@@ -51,7 +51,7 @@ struct ParallelOptions {
   /// throws anything but CancelledError. Return true to quarantine the item
   /// — the sweep continues as if it had succeeded — or false to fail fast
   /// (the default when unset). Called from worker threads, so it must be
-  /// thread-safe; ppd::resil::SweepGuard is the standard installer.
+  /// thread-safe; ppd::resil::guarded_map installs it from a SweepPolicy.
   std::function<bool(std::size_t, const std::exception_ptr&)> on_item_error;
 };
 

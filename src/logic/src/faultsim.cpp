@@ -5,7 +5,6 @@
 #include "ppd/exec/parallel.hpp"
 #include "ppd/obs/metrics.hpp"
 #include "ppd/obs/trace.hpp"
-#include "ppd/resil/faultplan.hpp"
 #include "ppd/util/error.hpp"
 
 namespace ppd::logic {
@@ -143,40 +142,24 @@ FaultCoverage FaultSimulator::run(const std::vector<LogicFault>& faults,
                                   const std::vector<PulseTest>& tests,
                                   const FaultSimOptions& exec_opt) const {
   const obs::Span span("logic.faultsim");
+  const exec::ParallelOptions par =
+      parallel_options(exec_opt, netlist_, "pulse faultsim");
+  // No RNG here (seed 0), so the checkpoint identity key is just (items,
+  // context).
+  resil::SweepOutcome sweep = resil::guarded_map(
+      exec_opt.resil,
+      {.items = faults.size(), .context = par.context,
+       .domain = "logic.faultsim"},
+      par, [&](std::size_t f) {
+        for (const PulseTest& t : tests)
+          if (detects(t, faults[f])) return std::string("1");
+        return std::string("0");
+      });
   FaultCoverage cov;
   cov.detected.assign(faults.size(), 0);
-  exec::SweepStats stats;
-  exec::ParallelOptions par =
-      parallel_options(exec_opt, netlist_, "pulse faultsim");
-  // No RNG here, so the checkpoint identity key is just (items, context).
-  resil::SweepGuard guard(exec_opt.resil, faults.size(), /*seed=*/0,
-                          par.context);
-  guard.arm(par);
-  try {
-    exec::parallel_for(
-        faults.size(),
-        [&](std::size_t f) {
-          if (const auto saved = guard.cached(f)) {
-            cov.detected[f] = (*saved) == "1" ? 1 : 0;
-            return;
-          }
-          const resil::FaultScope inject(guard.plan(), f);
-          resil::inject_item_delay();
-          resil::inject_item_failure();
-          for (const PulseTest& t : tests) {
-            if (detects(t, faults[f])) {
-              cov.detected[f] = 1;
-              break;
-            }
-          }
-          guard.complete(f, cov.detected[f] ? "1" : "0");
-        },
-        par, &stats);
-  } catch (const exec::CancelledError& e) {
-    guard.cancelled(e);
-  }
-  exec::record_sweep("logic.faultsim", stats);
-  cov.quarantine = guard.finish();
+  for (std::size_t f = 0; f < faults.size(); ++f)
+    cov.detected[f] = sweep.payloads[f] == "1" ? 1 : 0;
+  cov.quarantine = std::move(sweep.quarantine);
   for (char d : cov.detected)
     if (d) ++cov.detected_count;
   return cov;

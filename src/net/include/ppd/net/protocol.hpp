@@ -34,8 +34,10 @@
 //                                   "bins":[[lo,hi,count],...]}
 //   SUBSCRIBE [<period_s>]      -> OK subscribe <period> | OK subscribe off
 //                                  periodic "metrics" events on the session's
-//                                  data channel; period <= 0 (or omitted arg
-//                                  defaults to 1.0) unsubscribes
+//                                  data channel; period <= 0 unsubscribes,
+//                                  an omitted period means 1.0; a period
+//                                  that is not finite or exceeds 86400 s
+//                                  gets ERR (the subscription is unchanged)
 //   TRACE                       -> OK trace <nbytes> followed by <nbytes> of
 //                                  Chrome trace-event JSON on the control
 //                                  stream (recent served-query spans)

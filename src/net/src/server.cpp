@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <thread>
 
@@ -13,6 +12,7 @@
 #include "ppd/obs/log.hpp"
 #include "ppd/obs/metrics.hpp"
 #include "ppd/obs/trace.hpp"
+#include "ppd/util/cli.hpp"
 #include "ppd/util/error.hpp"
 #include "ppd/util/json.hpp"
 #include "ppd/util/strings.hpp"
@@ -43,6 +43,10 @@ constexpr obs::HistogramSpec kLatencySpec{1e-6, 1e3, 36};
 /// SUBSCRIBE periods are clamped up to this so a client cannot turn the
 /// pusher into a busy loop.
 constexpr double kMinSubscribePeriod = 0.05;
+/// SUBSCRIBE periods above this (one day) are refused: the pusher turns
+/// the period into a steady_clock duration, which a far larger value
+/// overflows.
+constexpr double kMaxSubscribePeriod = 86400.0;
 
 /// Shed priority: the cheapest interactive kinds are refused last, the
 /// heavy sweep kinds first. Deterministic per kind, so the shed decision
@@ -355,10 +359,10 @@ void Server::handle_control(const std::shared_ptr<TcpStream>& stream) {
           throw ParseError("usage: SUBSCRIBE [<period_s>]");
         double period = 1.0;
         if (words.size() == 2) {
-          char* end = nullptr;
-          period = std::strtod(words[1].c_str(), &end);
-          if (end == words[1].c_str() || *end != '\0')
-            throw ParseError("SUBSCRIBE period must be a number (seconds)");
+          period = util::parse_finite("period", words[1]);
+          if (period > kMaxSubscribePeriod)
+            throw ParseError("SUBSCRIBE period must be at most 86400 s, got: " +
+                             words[1]);
         }
         if (period > 0.0) {
           period = std::max(period, kMinSubscribePeriod);
@@ -672,7 +676,7 @@ void Server::drain_with_grace(double grace_seconds) {
         lock, std::chrono::duration<double>(grace_seconds),
         [this] { return jobs_in_flight_ == 0; });
     // 4. ...then cancel the stragglers. A cancelled coverage sweep with a
-    // session-configured checkpoint persists it (resil::SweepGuard) before
+    // session-configured checkpoint persists it (resil::guarded_map) before
     // the CancelledError escapes, so the work is resumable.
     for (auto& [key, token] : job_tokens_) token.cancel();
     jobs_cv_.wait(lock, [this] { return jobs_in_flight_ == 0; });

@@ -18,7 +18,7 @@
 //               quarantine without the electrical layer, e.g. in logic);
 //   * delay   — a sweep item sleeps, exercising deadlines and watchdogs;
 //   * cancel-after — the sweep's CancelToken fires after N completed items,
-//               exercising checkpoint/resume (handled by SweepGuard);
+//               exercising checkpoint/resume (counted by guarded_map);
 //   * sock-*  — socket chaos for the ppdd service: the fault-injecting
 //               loopback proxy (ppd::net::ChaosProxy) draws partial writes,
 //               mid-frame resets, slow-loris stalls and delayed forwards

@@ -1,42 +1,36 @@
-// SweepGuard ties the resilience pillars together for one parallel sweep:
-// policy-driven quarantine (exec's on_item_error hook), wall-clock budgets
-// (a Watchdog on the sweep's CancelToken plus a per-item solve budget the
-// domain forwards into the solver), periodic checkpointing and resume, and
-// the deterministic fault-injection counters (cancel-after-items).
+// guarded_map runs one parallel sweep under a SweepPolicy. It is the one
+// place that knows the sweep-item protocol, so the sweeps built on it
+// (coverage, R_min, fault simulation) carry only their item body:
+// policy-driven quarantine (exec's on_item_error hook), the sweep's
+// wall-clock watchdog, periodic checkpointing and resume, the deterministic
+// fault-injection seams of each item and the cancel-after-items count.
 //
-// Call pattern (see core/src/coverage.cpp for the canonical use):
+// Call pattern (see core/src/coverage.cpp):
 //
-//   resil::SweepGuard guard(options.resil, items, seed, context, item_seed);
-//   exec::ParallelOptions par = ...;
-//   guard.arm(par);
-//   try {
-//     out = exec::parallel_map(items, [&](std::size_t i) -> T {
-//       if (const auto saved = guard.cached(i)) return decode(*saved);
-//       const resil::FaultScope inject(guard.plan(), i);
-//       resil::inject_item_delay();
-//       T result = <expensive work>;
-//       guard.complete(i, encode(result));
-//       return result;
-//     }, par, &stats);
-//   } catch (const exec::CancelledError& e) { guard.cancelled(e); }
-//   res.quarantine = guard.finish();
+//   const resil::SweepOutcome out = resil::guarded_map(
+//       options.resil, {items, seed, "what the sweep is", "metrics.domain"},
+//       par, [&](std::size_t i) { return encode(<expensive work>); });
+//   for (std::size_t i = 0; i < items; ++i)
+//     if (!out.quarantine.contains(i)) use(decode(out.payloads[i]));
+//
+// An item body returns its checkpoint payload, which must be the item's
+// full result: resumed and freshly computed items then reach the caller
+// through the same decode, and a resumed sweep is bit-identical to an
+// uninterrupted one. The per-item solve budget is the caller's to forward
+// (SweepPolicy::solve_budget_seconds into its simulator settings).
 //
 // Determinism: with quarantine on and no wall-clock budget expiring, the
-// quarantine report and the merged results are bit-identical at any thread
+// quarantine report and the payloads are bit-identical at any thread
 // count, because item failure is a pure function of the item index (the
 // per-item RNG contract plus FaultPlan's hashed draws).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <optional>
 #include <string>
+#include <vector>
 
-#include "ppd/exec/cancel.hpp"
 #include "ppd/exec/parallel.hpp"
-#include "ppd/resil/checkpoint.hpp"
-#include "ppd/resil/deadline.hpp"
 #include "ppd/resil/faultplan.hpp"
 #include "ppd/resil/quarantine.hpp"
 
@@ -55,15 +49,14 @@ struct SweepPolicy {
   /// which quarantines like any other failure.
   double solve_budget_seconds = 0.0;
   /// Wall budget for the whole sweep (0 = unlimited). Expiry cancels the
-  /// sweep; the guard converts the cancellation into TimeoutError after
+  /// sweep; guarded_map converts the cancellation into TimeoutError after
   /// saving a checkpoint.
   double sweep_budget_seconds = 0.0;
-  /// Checkpoint file ("" = no checkpointing); written every
-  /// checkpoint_interval_seconds and on cancellation/finish.
+  /// Checkpoint file ("" = no checkpointing); written at most every 5 s
+  /// while items complete, and on cancellation/finish.
   std::string checkpoint_path;
   /// Load checkpoint_path before sweeping and skip its completed items.
   bool resume = false;
-  double checkpoint_interval_seconds = 5.0;
   /// Deterministic fault injection (off by default).
   FaultPlan faults;
 
@@ -74,57 +67,36 @@ struct SweepPolicy {
   }
 };
 
-class SweepGuard {
- public:
-  /// `item_seed(i)` maps an item index to the RNG derivation index recorded
-  /// in quarantine entries (identity when null).
-  SweepGuard(const SweepPolicy& policy, std::size_t items, std::uint64_t seed,
-             std::string context,
-             std::function<std::uint64_t(std::size_t)> item_seed = {});
-  ~SweepGuard();
-  SweepGuard(const SweepGuard&) = delete;
-  SweepGuard& operator=(const SweepGuard&) = delete;
-
-  /// Wire the policy into the sweep's options: quarantine handler, sweep
-  /// watchdog (fires par.cancel) and the cancel-after-items injection.
-  void arm(exec::ParallelOptions& par);
-
-  /// Payload of an item completed by a resumed checkpoint (nullopt = run
-  /// the item). Thread-safe; immediately nullopt when not resuming.
-  [[nodiscard]] std::optional<std::string> cached(std::size_t item) const;
-
-  /// Record a freshly computed item (checkpointing + cancel-after
-  /// accounting; cheap no-op when neither is configured).
-  void complete(std::size_t item, std::string payload);
-
-  /// Handle a CancelledError escaping the sweep: persist the checkpoint,
-  /// then rethrow — as TimeoutError when the sweep watchdog fired, verbatim
-  /// otherwise.
-  [[noreturn]] void cancelled(const exec::CancelledError& error);
-
-  /// Final checkpoint save + the sorted quarantine report.
-  [[nodiscard]] QuarantineReport finish();
-
-  [[nodiscard]] const FaultPlan& plan() const { return policy_.faults; }
-  /// The per-item solve deadline budget (forward into SimSettings).
-  [[nodiscard]] double solve_budget_seconds() const {
-    return policy_.solve_budget_seconds;
-  }
-
- private:
-  void maybe_save(bool force);
-
-  SweepPolicy policy_;
-  std::size_t items_;
-  std::uint64_t seed_;
-  std::string context_;
-  std::function<std::uint64_t(std::size_t)> item_seed_;
-
-  struct State;               // quarantine entries + checkpoint + counters
-  std::shared_ptr<State> state_;
-  std::unique_ptr<Watchdog> watchdog_;
-  exec::CancelToken cancel_;  // copy of the armed sweep's token
-  bool armed_ = false;
+/// What a sweep is. (items, seed, context) is the checkpoint identity: a
+/// checkpoint resumes only the sweep that wrote it.
+struct Sweep {
+  std::size_t items = 0;
+  /// The sweep's RNG seed (0 when it draws no random numbers).
+  std::uint64_t seed = 0;
+  /// What the sweep is doing; also the error context of its items
+  /// (exec::ParallelOptions::context).
+  std::string context;
+  /// Metrics prefix of the finished sweep's stats (exec::record_sweep).
+  std::string domain;
+  /// Item index -> the RNG derivation index recorded in quarantine entries
+  /// (the item index itself when null).
+  std::function<std::uint64_t(std::size_t)> item_seed = nullptr;
 };
+
+struct SweepOutcome {
+  /// payloads[i]: item i's payload, fresh or resumed ("" when quarantined).
+  std::vector<std::string> payloads;
+  /// The failed items, sorted by index (empty unless policy.quarantine).
+  QuarantineReport quarantine;
+};
+
+/// Run `item` over [0, sweep.items) on `par`'s lanes under `policy` and
+/// record the sweep's stats under sweep.domain. A cancellation saves the
+/// checkpoint and rethrows: as TimeoutError when the sweep budget fired,
+/// as the exec::CancelledError otherwise. An item failure outside
+/// quarantine escapes as with exec::parallel_for.
+[[nodiscard]] SweepOutcome guarded_map(
+    const SweepPolicy& policy, const Sweep& sweep, exec::ParallelOptions par,
+    const std::function<std::string(std::size_t)>& item);
 
 }  // namespace ppd::resil

@@ -26,20 +26,10 @@ struct NewtonOptions {
   double gmin = 1e-9;
 };
 
-/// Homotopy-ladder shape for operating-point recovery. Both fallbacks are
-/// schedules of progressively easier solves that hand their solution to the
-/// next stage; these knobs size those schedules.
-struct OpRecovery {
-  double gmin_start = 1e-3;   ///< first (heaviest) leak of the gmin rung [S]
-  double gmin_factor = 0.1;   ///< geometric relaxation per stage (< 1)
-  int source_steps = 20;      ///< source-ramp stages (scale k/source_steps)
-};
-
 struct OpOptions {
   NewtonOptions newton;
   bool allow_gmin_stepping = true;
   bool allow_source_stepping = true;
-  OpRecovery recovery;
   /// Wall-clock budget for the whole homotopy ladder [s]; <= 0 = unlimited.
   /// Expiry throws ppd::TimeoutError (see ppd::resil::Deadline).
   double budget_seconds = 0.0;
@@ -68,22 +58,15 @@ struct OpResult {
 /// PPD_CACHE=0 disables the reuse entirely.
 [[nodiscard]] OpResult run_op(Circuit& circuit, const OpOptions& options = {});
 
-/// Adaptive time-step controller (active only when `adaptive` is set):
-/// `kIterationCount` grows/shrinks the step on Newton iteration counts (the
-/// classic SPICE heuristic, and the historical behavior); `kLte` holds a
-/// trapezoidal local-truncation estimate — the distance between the solved
-/// point and a divided-difference predictor — under `lte_tol`, rejecting and
-/// resizing steps that exceed it.
-enum class StepControl { kIterationCount, kLte };
-
 struct TransientOptions {
   double t_stop = 4e-9;
   double dt = 1e-12;            ///< base step
   Integrator integrator = Integrator::kTrapezoidal;
   NewtonOptions newton;
-  bool adaptive = false;        ///< adaptive time-step control
-  StepControl step_control = StepControl::kIterationCount;
-  double lte_tol = 2e-3;        ///< LTE accept threshold [V] (kLte only)
+  /// Adaptive time-step control on Newton iteration counts (the classic
+  /// SPICE heuristic): grow the step when Newton converges quickly, shrink
+  /// it on slow convergence or a failed step.
+  bool adaptive = false;
   double dt_min = 1e-15;
   double dt_max = 2e-11;
   /// Nodes to record (empty = every node). Restricting the probe set saves

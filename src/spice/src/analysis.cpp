@@ -209,9 +209,6 @@ std::uint64_t op_cache_key(const Circuit& circuit, const OpOptions& options) {
   h.f64(options.newton.gmin);
   h.boolean(options.allow_gmin_stepping);
   h.boolean(options.allow_source_stepping);
-  h.f64(options.recovery.gmin_start);
-  h.f64(options.recovery.gmin_factor);
-  h.i64(options.recovery.source_steps);
   h.u64(options.nodesets.size());
   for (const auto& [node, volts] : options.nodesets) {
     h.i64(node);
@@ -246,6 +243,13 @@ bool op_verified_at(Circuit& circuit, CircuitMna& sys, StampContext ctx,
   }
   return true;
 }
+
+/// Homotopy-ladder shape for operating-point recovery: the gmin rung relaxes
+/// a heavy leak geometrically down to NewtonOptions::gmin, the source rung
+/// ramps every source in k / kSourceSteps stages.
+constexpr double kGminStart = 1e-3;   // first (heaviest) leak [S]
+constexpr double kGminFactor = 0.1;   // relaxation per stage
+constexpr int kSourceSteps = 20;
 
 /// run_op with the wall-clock deadline supplied by the caller, so
 /// run_transient can thread ONE shared deadline through both phases instead
@@ -336,8 +340,8 @@ OpResult run_op_with_deadline(Circuit& circuit, const OpOptions& options,
       schedule.push_back(ctx);
     } else if (rung.name == "gmin-step") {
       obs::counter("spice.op.gmin_fallbacks").add();
-      for (double gmin = options.recovery.gmin_start;
-           gmin >= options.newton.gmin; gmin *= options.recovery.gmin_factor) {
+      for (double gmin = kGminStart; gmin >= options.newton.gmin;
+           gmin *= kGminFactor) {
         StampContext step_ctx = ctx;
         step_ctx.gmin = gmin;
         schedule.push_back(step_ctx);
@@ -345,10 +349,9 @@ OpResult run_op_with_deadline(Circuit& circuit, const OpOptions& options,
       schedule.push_back(ctx);  // confirm at the true gmin
     } else {  // source-step
       obs::counter("spice.op.source_fallbacks").add();
-      const int steps = std::max(1, options.recovery.source_steps);
-      for (int k = 1; k <= steps; ++k) {
+      for (int k = 1; k <= kSourceSteps; ++k) {
         StampContext step_ctx = ctx;
-        step_ctx.source_scale = static_cast<double>(k) / steps;
+        step_ctx.source_scale = static_cast<double>(k) / kSourceSteps;
         schedule.push_back(step_ctx);
       }
     }
@@ -401,7 +404,7 @@ OpResult run_op_with_deadline(Circuit& circuit, const OpOptions& options,
 
 /// Transient state machine: one step() call is one attempted time step
 /// (accepted, rejected, or nothing left to do). Owns the step size, the
-/// adaptive controllers (iteration-count and LTE), the end-of-sweep
+/// iteration-count step controller, the end-of-sweep
 /// snapping and the iterate and solve buffers. run_transient owns the
 /// circuit, the bound MnaSystem, the OP phase and waveform recording.
 class TransientStepper {
@@ -430,17 +433,14 @@ class TransientStepper {
   CircuitMna& sys_;
   const TransientOptions& options_;
   resil::Deadline deadline_;
-  std::size_t node_unknowns_;
   double t_stop_;
   double t_end_;  // relative end-of-sweep guard
   double t_ = 0.0;
   double h_;
-  double h_prev_ = 0.0;
-  bool have_history_ = false;
   bool just_rejected_ = false;
   bool snapped_ = false;
   int last_iterations_ = 0;
-  std::vector<double> x_, x_try_, x_prev_, x_new_;
+  std::vector<double> x_, x_try_, x_new_;
 };
 
 TransientStepper::TransientStepper(Circuit& circuit, CircuitMna& sys,
@@ -451,7 +451,6 @@ TransientStepper::TransientStepper(Circuit& circuit, CircuitMna& sys,
       sys_(sys),
       options_(options),
       deadline_(deadline),
-      node_unknowns_(circuit.node_count() - 1),
       t_stop_(options.t_stop),
       // Relative end-of-sweep guard: accumulated t += h carries rounding at
       // the scale of t_stop, so the old absolute 1e-21 epsilon was
@@ -513,56 +512,23 @@ TransientStepper::Outcome TransientStepper::step() {
     return Outcome::kRejected;
   }
 
-  // LTE control: hold the distance between the solved point and a divided-
-  // difference predictor under lte_tol. The linear predictor makes this a
-  // curvature-scale (second-order) estimate; the h/(h + h_prev) factor damps
-  // it toward the local-truncation scale of the trapezoidal rule.
-  double lte = -1.0;
-  if (options_.adaptive && options_.step_control == StepControl::kLte &&
-      have_history_) {
-    const double ratio = h_ / h_prev_;
-    double err = 0.0;
-    for (std::size_t i = 0; i < node_unknowns_; ++i) {
-      const double pred = x_[i] + ratio * (x_[i] - x_prev_[i]);
-      err = std::max(err, std::abs(x_try_[i] - pred));
-    }
-    lte = err * (h_ / (h_ + h_prev_));
-    if (lte > options_.lte_tol && h_ > options_.dt_min * 1.0001) {
-      just_rejected_ = true;
-      h_ = std::max(
-          h_ * std::max(0.25, 0.9 * std::sqrt(options_.lte_tol / lte)),
-          options_.dt_min);
-      return Outcome::kRejected;
-    }
-  }
-
   // Accept the step.
-  if (options_.step_control == StepControl::kLte) x_prev_ = x_;
   std::swap(x_, x_try_);
   commit_step(sys_.lists, ctx, x_);
   t_ += h_;
   if (t_ >= t_end_) t_ = t_stop_;  // record the final point at exactly t_stop
-  h_prev_ = h_;
-  have_history_ = true;
   just_rejected_ = false;
 
   if (options_.adaptive) {
-    if (options_.step_control == StepControl::kIterationCount) {
-      // NR iteration counts steering the step (SPICE's iteration-count
-      // time-step control): grow when Newton converges quickly, shrink on
-      // slow convergence.
-      constexpr int kFastIterations = 3;
-      constexpr int kSlowIterations = 8;
-      if (outcome.iterations <= kFastIterations)
-        h_ = std::min(h_ * 1.5, options_.dt_max);
-      else if (outcome.iterations >= kSlowIterations)
-        h_ = std::max(h_ * 0.5, options_.dt_min);
-    } else if (lte >= 0.0) {
-      const double factor =
-          std::min(2.0, 0.9 * std::sqrt(options_.lte_tol /
-                                        std::max(lte, 1e-30)));
-      h_ = std::clamp(h_ * factor, options_.dt_min, options_.dt_max);
-    }
+    // NR iteration counts steering the step (SPICE's iteration-count
+    // time-step control): grow when Newton converges quickly, shrink on
+    // slow convergence.
+    constexpr int kFastIterations = 3;
+    constexpr int kSlowIterations = 8;
+    if (outcome.iterations <= kFastIterations)
+      h_ = std::min(h_ * 1.5, options_.dt_max);
+    else if (outcome.iterations >= kSlowIterations)
+      h_ = std::max(h_ * 0.5, options_.dt_min);
   }
   return Outcome::kAccepted;
 }

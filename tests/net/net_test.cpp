@@ -1019,6 +1019,33 @@ TEST(ServiceQuota, MalformedUploadSizeAnswersErrAndDropsConnection) {
   server.stop();
 }
 
+TEST(ServiceQuota, SubscribePeriodMustBeFiniteAndAtMostADay) {
+  // An infinite or huge period overflowed the pusher's steady_clock
+  // conversion (a busy loop of metrics frames); nan read as "off".
+  ServerOptions options;
+  Server server(options);
+  server.start();
+  TcpStream control = TcpStream::connect_loopback(server.port());
+  (void)raw_control_handshake(control);
+  for (const char* period : {"inf", "-inf", "nan", "1e300", "86400.5"}) {
+    control.write_all(std::string("SUBSCRIBE ") + period + "\n");
+    const std::string reply = control.read_line().value();
+    EXPECT_EQ(reply.rfind("ERR ", 0), 0u) << period << ": " << reply;
+  }
+  control.write_all("SUBSCRIBE -1\n");
+  EXPECT_EQ(control.read_line().value(), "OK subscribe off");
+  control.write_all("SUBSCRIBE 86400\n");
+  EXPECT_EQ(control.read_line().value(), "OK subscribe 86400");
+  control.write_all("SUBSCRIBE 0\n");
+  EXPECT_EQ(control.read_line().value(), "OK subscribe off");
+  // The session survives every refusal.
+  control.write_all("PING\n");
+  EXPECT_EQ(control.read_line().value(), "OK pong");
+  control.write_all("QUIT\n");
+  EXPECT_EQ(control.read_line().value(), "OK bye");
+  server.stop();
+}
+
 TEST(ServiceQuota, UploadNameWithPathSeparatorsIsRefused) {
   ServerOptions options;
   Server server(options);

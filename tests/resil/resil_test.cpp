@@ -9,6 +9,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <functional>
+#include <memory>
 #include <thread>
 
 #include "ppd/core/coverage.hpp"
@@ -382,42 +384,149 @@ TEST(CoverageResilience, SweepBudgetConvertsToTimeoutError) {
                TimeoutError);
 }
 
+/// One run of a checkpointing sweep, flattened for comparison: its numbers
+/// (coverage matrix + valid count, or the per-fault verdicts) and its
+/// quarantine entries.
+struct SweepRun {
+  std::vector<double> values;
+  std::vector<QuarantineEntry> quarantine;
+};
+
+/// A sweep that checkpoints, with the identity its checkpoint is bound to.
+struct CheckpointedSweep {
+  std::string name;
+  std::uint64_t seed = 0;
+  std::size_t items = 0;
+  std::string context;
+  std::function<SweepRun(const SweepPolicy&, exec::CancelToken)> run;
+};
+
+SweepRun coverage_run(const core::CoverageResult& res) {
+  SweepRun out;
+  for (const auto& row : res.coverage)
+    out.values.insert(out.values.end(), row.begin(), row.end());
+  out.values.push_back(static_cast<double>(res.simulations));
+  out.quarantine = res.quarantine.entries;
+  return out;
+}
+
+std::vector<CheckpointedSweep> checkpointed_sweeps() {
+  const core::CoverageOptions coverage = chaos_coverage_options();
+  const auto coverage_options = [coverage](const SweepPolicy& policy,
+                                           exec::CancelToken cancel) {
+    core::CoverageOptions o = coverage;
+    o.threads = 2;
+    o.resil = policy;
+    o.cancel = std::move(cancel);
+    return o;
+  };
+  const std::size_t coverage_items =
+      coverage.resistances.size() * static_cast<std::size_t>(coverage.samples);
+  core::DelayTestCalibration delay_cal;
+  // A clock at which rows mix verdicts (x0.9 detects at 2 kOhm, x1.0 does
+  // not), so a wrong resumed payload shows.
+  delay_cal.t_nominal = 0.3e-9;
+
+  const auto nl = std::make_shared<logic::Netlist>(logic::c17());
+  const auto sim = std::make_shared<logic::FaultSimulator>(
+      *nl, logic::GateTimingLibrary::generic());
+  const sta::IntervalStaResult sta = sta::run_interval_sta(*nl, sim->library());
+  const auto faults = std::make_shared<std::vector<logic::LogicFault>>(
+      logic::enumerate_rop_faults(sta::slack_sites(*nl, sta, 0.0), 8e3));
+  logic::AtpgOptions aopt;
+  aopt.paths_per_site = 8;
+  const auto tests = std::make_shared<std::vector<logic::PulseTest>>(
+      logic::generate_pulse_tests(*sim, *faults, aopt).tests);
+
+  return {
+      {"pulse coverage", coverage.seed, coverage_items,
+       "pulse-test coverage MC sweep",
+       [=](const SweepPolicy& policy, exec::CancelToken cancel) {
+         return coverage_run(core::run_pulse_coverage(
+             rop_factory(), pinned_calibration(),
+             coverage_options(policy, std::move(cancel))));
+       }},
+      {"delay coverage", coverage.seed, coverage_items,
+       "delay-test coverage MC sweep",
+       [=](const SweepPolicy& policy, exec::CancelToken cancel) {
+         return coverage_run(core::run_delay_coverage(
+             rop_factory(), delay_cal,
+             coverage_options(policy, std::move(cancel))));
+       }},
+      {"fault simulation", 0, faults->size(), "pulse faultsim over <c17>",
+       // nl rides along: the simulator refers to it.
+       [nl, sim, faults, tests](const SweepPolicy& policy,
+                                exec::CancelToken cancel) {
+         logic::FaultSimOptions o;
+         o.threads = 2;
+         o.resil = policy;
+         o.cancel = std::move(cancel);
+         const logic::FaultCoverage cov = sim->run(*faults, *tests, o);
+         SweepRun out;
+         out.values.assign(cov.detected.begin(), cov.detected.end());
+         out.values.push_back(static_cast<double>(cov.detected_count));
+         out.quarantine = cov.quarantine.entries;
+         return out;
+       }},
+  };
+}
+
 TEST(CoverageResilience, CheckpointResumeIsBitIdentical) {
-  const core::PathFactory f = rop_factory();
-  const core::PulseTestCalibration cal = pinned_calibration();
   const std::string path = testing::TempDir() + "ppd_resil_resume.json";
-  std::remove(path.c_str());
+  for (const CheckpointedSweep& sweep : checkpointed_sweeps()) {
+    SCOPED_TRACE(sweep.name);
+    std::remove(path.c_str());
+    SweepPolicy base;
+    base.quarantine = true;
+    base.faults = FaultPlan::parse("seed=5,item=0.3");
+    const SweepRun uninterrupted = sweep.run(base, exec::CancelToken());
+    ASSERT_FALSE(uninterrupted.quarantine.empty());
 
-  core::CoverageOptions base = chaos_coverage_options();
-  base.resil.faults = {};
-  base.threads = 2;
-  const core::CoverageResult uninterrupted =
-      core::run_pulse_coverage(f, cal, base);
+    // Interrupt the sweep after 5 completed items; the checkpoint must be
+    // saved on the way out.
+    SweepPolicy interrupted = base;
+    interrupted.checkpoint_path = path;
+    interrupted.faults = FaultPlan::parse("seed=5,item=0.3,cancel-after=5");
+    EXPECT_THROW(sweep.run(interrupted, exec::CancelToken()),
+                 exec::CancelledError);
+    {
+      Checkpoint ck = Checkpoint::load(path);
+      ck.bind(sweep.seed, sweep.items, sweep.context);
+      EXPECT_GE(ck.completed(), 5u);
+      EXPECT_LT(ck.completed(), sweep.items);
+    }
 
-  // Interrupt the sweep after 5 completed items; the guard must persist the
-  // checkpoint on the way out.
-  core::CoverageOptions interrupted = base;
-  interrupted.resil.checkpoint_path = path;
-  interrupted.resil.faults = FaultPlan::parse("seed=1,cancel-after=5");
-  EXPECT_THROW(core::run_pulse_coverage(f, cal, interrupted),
-               exec::CancelledError);
-  {
-    Checkpoint ck = Checkpoint::load(path);
-    ck.bind(base.seed, uninterrupted.quarantine.items,
-            "pulse-test coverage MC sweep");
-    EXPECT_GE(ck.completed(), 5u);
+    // Resume: cached items merge with fresh ones into the exact same result
+    // and the same quarantine entries (quarantined items run again).
+    SweepPolicy resumed = base;
+    resumed.checkpoint_path = path;
+    resumed.resume = true;
+    const SweepRun merged = sweep.run(resumed, exec::CancelToken());
+    EXPECT_EQ(merged.values, uninterrupted.values);
+    EXPECT_EQ(merged.quarantine, uninterrupted.quarantine);
   }
+  std::remove(path.c_str());
+}
 
-  // Resume: cached items merge with fresh ones into the exact same result.
-  // (Fresh token: the cancel-after injection fired the shared one above.)
-  core::CoverageOptions resumed = base;
-  resumed.cancel = exec::CancelToken();
-  resumed.resil.checkpoint_path = path;
-  resumed.resil.resume = true;
-  const core::CoverageResult merged = core::run_pulse_coverage(f, cal, resumed);
-  EXPECT_EQ(merged.coverage, uninterrupted.coverage);
-  EXPECT_EQ(merged.simulations, uninterrupted.simulations);
-  EXPECT_EQ(merged.quarantine.entries, uninterrupted.quarantine.entries);
+TEST(CoverageResilience, ResumedVerdictRowOfTheWrongLengthIsRefused) {
+  // A checkpoint of the right identity whose item 0 holds one verdict where
+  // the sweep has three multipliers: reading it would run off the row.
+  const std::string path = testing::TempDir() + "ppd_resil_short_row.json";
+  core::CoverageOptions copt = chaos_coverage_options();
+  copt.resil.faults = {};
+  {
+    Checkpoint ck;
+    ck.bind(copt.seed,
+            copt.resistances.size() * static_cast<std::size_t>(copt.samples),
+            "pulse-test coverage MC sweep");
+    ck.record(0, "1");
+    ck.save(path);
+  }
+  copt.resil.checkpoint_path = path;
+  copt.resil.resume = true;
+  EXPECT_THROW(
+      core::run_pulse_coverage(rop_factory(), pinned_calibration(), copt),
+      ParseError);
   std::remove(path.c_str());
 }
 

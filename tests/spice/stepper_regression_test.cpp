@@ -89,17 +89,6 @@ TEST(StepperRegression, AdaptiveSweepEndsExactlyAtTStop) {
   expect_ends_exactly_at(res.wave(f.out), opt.t_stop);
 }
 
-TEST(StepperRegression, AdaptiveLteControlEndsExactlyAtTStop) {
-  InverterFixture f;
-  TransientOptions opt;
-  opt.dt = 2e-12;
-  opt.adaptive = true;
-  opt.step_control = StepControl::kLte;
-  opt.t_stop = 2e-9;
-  const TransientResult res = run_transient(f.nl.circuit(), opt);
-  expect_ends_exactly_at(res.wave(f.out), opt.t_stop);
-}
-
 TEST(StepperRegression, ShortTimeScaleSweepEndsExactlyAtTStop) {
   // The old end guard compared against an ABSOLUTE epsilon; at picosecond
   // stop times it swallowed real steps. Relative guard: exact landing.

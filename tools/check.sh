@@ -133,6 +133,25 @@ if "$build/tools/ppdtool" coverage --method=pulse --samples=4 --points=3 \
   echo "chaos stage: --strict unexpectedly succeeded under injection" >&2
   exit 1
 fi
+# Checkpoint/resume: a sweep interrupted by cancel-after exits non-zero and
+# leaves a checkpoint of its finished items; resuming it prints exactly the
+# uninterrupted run's bytes. The files live in $obs_dir, so the EXIT trap
+# removes them on every path out.
+"$build/tools/ppdtool" coverage --method=pulse --samples=4 --points=3 --csv \
+  > "$obs_dir/resume-ref.csv"
+if "$build/tools/ppdtool" coverage --method=pulse --samples=4 --points=3 \
+  --csv --fault-plan="seed=1,cancel-after=5" \
+  --checkpoint="$obs_dir/resume-ck.json" > /dev/null 2>&1; then
+  echo "chaos stage: the cancel-after=5 sweep was not interrupted" >&2
+  exit 1
+fi
+if command -v jq >/dev/null 2>&1; then
+  jq -e '(.completed | length) >= 5 and (.completed | length) < .items' \
+    "$obs_dir/resume-ck.json" >/dev/null
+fi
+"$build/tools/ppdtool" coverage --method=pulse --samples=4 --points=3 --csv \
+  --resume="$obs_dir/resume-ck.json" > "$obs_dir/resume.csv"
+cmp "$obs_dir/resume-ref.csv" "$obs_dir/resume.csv"
 
 python3 - "$obs_dir/trace.json" <<'PYEOF'
 import json, sys

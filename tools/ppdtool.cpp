@@ -110,10 +110,10 @@ extern "C" void ppdtool_on_signal(int sig) {
 }
 
 /// While alive, SIGINT/SIGTERM fire the sweep's CancelToken instead of
-/// killing the process: the cancellation unwinds through ppd::resil's
-/// SweepGuard, which flushes the checkpoint before the error escapes, and
-/// the caller exits with 128+signal so scripts can tell an interrupted
-/// sweep from a failed one.
+/// killing the process: the cancellation unwinds through
+/// ppd::resil::guarded_map, which flushes a coverage sweep's checkpoint
+/// before the error escapes (rmin keeps none), and the caller exits with
+/// 128+signal so scripts can tell an interrupted sweep from a failed one.
 class SignalGuard {
  public:
   explicit SignalGuard(exec::CancelToken token) : token_(std::move(token)) {
